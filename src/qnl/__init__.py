@@ -43,11 +43,9 @@ from .noisespec import (
     FREQ_NOISE,
     VOLTAGE_NOISE,
     FrequencySeries,
-    NoiseSource,
     PSDPoint,
     periodogram,
     powerlaw_fit,
-    ramsey_fft,
     reconstruct_psd_point,
     to_voltage_noise,
     transverse_noise,

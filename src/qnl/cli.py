@@ -17,14 +17,15 @@ import numpy as np
 
 from .ddfilter import PulseSequence, filter_value, first_harmonic_peak
 from .decayfit import fit_cpmg, fit_ramsey, fit_relaxation
-from .fileio import (format_psd_csv, load_decay_trace, load_frequency_series,
-                     load_psd_csv, load_spectroscopy_trace, load_two_tone_map,
+from .fileio import (InputError, format_psd_csv, load_decay_trace,
+                     load_frequency_series, load_psd_csv,
+                     load_spectroscopy_trace, load_two_tone_map,
                      write_decay_trace, write_thermal_csv)
 from .fitutil import FitError
 from .mcsim import SyntheticNoise, simulate_sequence
 from .noisespec import (periodogram, powerlaw_fit, reconstruct_psd_point)
-from .pipeline import (AnalysisConfig, PipelineError, run_pipeline,
-                       validate_inputs)
+from .pipeline import (AnalysisConfig, PipelineError, ridge_points,
+                       run_pipeline, validate_inputs)
 from .resonator import FilmParams, kinetic_inductance, lumped_model
 from .spectro import fit_dispersion, fit_transmission
 from .thermal import (ThermalModel, photon_occupation, resonator_dephasing,
@@ -47,6 +48,15 @@ def _parse_grid(text: str, steps_as_int: bool = True) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
+def _load(loader, path):
+    """loader(path), or its diagnostic on stderr and exit status 1."""
+    try:
+        return loader(path)
+    except InputError as exc:
+        click.echo(str(exc.diagnostic), err=True)
+        sys.exit(1)
+
+
 def _seed_option(seed: int) -> int:
     env = os.environ.get("QNL_SEED")
     return int(env) if env else seed
@@ -63,7 +73,7 @@ def main():
               help="Fixed T1 (s) for echo/CPMG dephasing fits.")
 def fit_decay_cmd(trace_path, t1):
     """Fit a decay trace CSV; kind comes from the JSON sidecar."""
-    trace, meta = load_decay_trace(trace_path)
+    trace, meta = _load(load_decay_trace, trace_path)
     try:
         if trace.kind == "relaxation":
             fit = fit_relaxation(trace)
@@ -100,12 +110,11 @@ def fit_spectrum_cmd(trace_path, kind, f_r, kappa):
             if f_r is None or kappa is None:
                 raise click.UsageError(
                     "transmission fits need --f-r and --kappa")
-            trace = load_spectroscopy_trace(trace_path)
+            trace = _load(load_spectroscopy_trace, trace_path)
             result = fit_transmission(trace, {"f_r": f_r, "kappa": kappa})
         else:
-            table = load_two_tone_map(trace_path)
-            from .pipeline import _ridge_points
-            disp, extras = fit_dispersion(_ridge_points(table),
+            table = _load(load_two_tone_map, trace_path)
+            disp, extras = fit_dispersion(ridge_points(table),
                                           full_output=True)
             result = {"f_ss": disp.f_ss, "lever_c": disp.lever_c,
                       "v_ss": disp.v_ss, **extras}
@@ -132,7 +141,7 @@ def reconstruct_psd_cmd(t_phi, n_pulses, tau_pi):
 @click.argument("series_path", type=click.Path(exists=True, dir_okay=False))
 def periodogram_cmd(series_path):
     """PSD of a uniformly sampled frequency time series, as CSV."""
-    series = load_frequency_series(series_path)
+    series = _load(load_frequency_series, series_path)
     click.echo(format_psd_csv(periodogram(series)), nl=False)
 
 
@@ -140,11 +149,12 @@ def periodogram_cmd(series_path):
 @click.argument("psd_path", type=click.Path(exists=True, dir_okay=False))
 def powerlaw_fit_cmd(psd_path):
     """Fit S = A/f^alpha to PSD points from a CSV."""
-    points = load_psd_csv(psd_path)
-    if len(points) < 3:
-        click.echo("need at least 3 PSD points", err=True)
+    try:
+        fit = powerlaw_fit(_load(load_psd_csv, psd_path))
+    except FitError as exc:
+        click.echo(f"fit failed: {exc}", err=True)
         sys.exit(1)
-    _echo_json(powerlaw_fit(points))
+    _echo_json(fit)
 
 
 @main.command("thermal-model")
@@ -281,12 +291,9 @@ def run_cmd(config_path):
 def validate_cmd(config_path):
     """Validate a config and its inputs; exit 1 if any errors."""
     try:
-        config = AnalysisConfig.from_json(config_path)
+        diags = validate_inputs(AnalysisConfig.from_json(config_path))
     except PipelineError as exc:
-        for diag in exc.diagnostics:
-            click.echo(str(diag))
-        sys.exit(1)
-    diags = validate_inputs(config)
+        diags = exc.diagnostics
     for diag in diags:
         click.echo(str(diag))
     if any(d.severity == "error" for d in diags):

@@ -336,9 +336,9 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
 def fit_scaling(points) -> ScalingFit:
     """Log-log fit of T_phi versus N giving beta, then alpha = beta/(1-beta).
 
-    points: sequence of (N, T_phi) with N >= 1, T_phi > 0, at least three
-    entries.  Raises ScalingError (carrying the fitted beta) when beta
-    falls outside (0, 1), where alpha is undefined or non-positive.
+    points: sequence of (N, T_phi), N >= 1, T_phi > 0, three or more entries
+    over two or more N.  Raises ScalingError (carrying the fitted beta) when
+    beta falls outside (0, 1), where alpha is undefined or non-positive.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -346,6 +346,8 @@ def fit_scaling(points) -> ScalingFit:
     n, t_phi = pts[:, 0], pts[:, 1]
     if np.any(n < 1) or np.any(t_phi <= 0):
         raise FitError("need N >= 1 and T_phi > 0")
+    if np.all(n == n[0]):
+        raise FitError("need at least 2 distinct N")
 
     coeffs, cov = np.polyfit(np.log(n), np.log(t_phi), 1, cov=True)
     beta = float(coeffs[0])

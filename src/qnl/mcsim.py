@@ -115,7 +115,6 @@ def synthesize_noise(spec: SyntheticNoise, dt: float, n: int,
     freqs = np.fft.rfftfreq(n, dt)
     f_res, f_nyq = freqs[1], freqs[-1]
 
-    spectrum = np.zeros(len(freqs), dtype=complex)
     if spec.amplitude > 0 and spec.f_max > f_nyq:
         warnings.warn("f_max exceeds the Nyquist frequency 1/(2 dt); "
                       "band clipped at Nyquist")

@@ -17,7 +17,6 @@ of repeated Ramsey frequency estimates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,21 +56,6 @@ class PSDPoint:
 
 
 @dataclass(frozen=True)
-class NoiseSource:
-    """A labeled noise channel with its qubit-frequency sensitivity.
-
-    sensitivity : d omega_q / d lambda in rad/s per source unit
-    """
-
-    name: str
-    sensitivity: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.sensitivity):
-            raise ValueError("sensitivity must be finite")
-
-
-@dataclass(frozen=True)
 class FrequencySeries:
     """Uniformly sampled record of tracked qubit frequency.
 
@@ -93,7 +77,7 @@ class FrequencySeries:
             raise ValueError("need at least 8 samples")
         steps = np.diff(ts)
         if np.any(steps <= 0):
-            raise ValueError("timestamps must be strictly increasing")
+            raise ValueError("timestamps must increase strictly")
         mean_step = steps.mean()
         if np.any(np.abs(steps - mean_step) > 0.01 * mean_step):
             raise ValueError("timestamps must be uniform within 1%")
@@ -175,41 +159,6 @@ def powerlaw_fit(points) -> dict:
     amp_err = amplitude * float(np.sqrt(max(cov[1, 1], 0.0)))
     return {"amplitude": amplitude, "exponent": exponent,
             "amplitude_err": amp_err, "exponent_err": exp_err}
-
-
-def ramsey_fft(trace) -> list[tuple[float, float]]:
-    """Dominant spectral peaks of a Ramsey trace, sorted by power.
-
-    Computes the one-sided power spectrum of the mean-subtracted signal on
-    a uniform time grid (>= 16 points) and reports local maxima holding at
-    least 20% of the strongest bin as (frequency, power) pairs in
-    descending power.  All-zero signals give an empty list.
-    """
-    t = np.asarray(trace.times, dtype=float)
-    y = np.asarray(trace.populations, dtype=float)
-    if len(t) < 16:
-        raise ValueError("need at least 16 points")
-    steps = np.diff(t)
-    if np.any(np.abs(steps - steps.mean()) > 0.01 * steps.mean()):
-        raise ValueError("ramsey_fft requires a uniform time grid")
-
-    power = np.abs(np.fft.rfft(y - y.mean())) ** 2
-    freqs = np.fft.rfftfreq(len(t), steps.mean())
-    if power.max() == 0:
-        return []
-    threshold = 0.2 * power.max()
-    interior = np.arange(1, len(power) - 1)
-    is_peak = ((power[interior] >= power[interior - 1])
-               & (power[interior] >= power[interior + 1])
-               & (power[interior] >= threshold))
-    idx = interior[is_peak]
-    # the strongest bin may sit at the spectrum edge
-    for edge in (1, len(power) - 1):
-        if power[edge] >= threshold and edge not in idx \
-                and power[edge] == power.max():
-            idx = np.append(idx, edge)
-    order = np.argsort(power[idx])[::-1]
-    return [(float(freqs[i]), float(power[i])) for i in idx[order]]
 
 
 def periodogram(series: FrequencySeries) -> list[PSDPoint]:

@@ -10,7 +10,6 @@ to a config parameter echoed verbatim.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -18,48 +17,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .decayfit import (ScalingError, fit_cpmg, fit_ramsey, fit_relaxation,
-                       fit_scaling)
+from . import __version__
+from .decayfit import (DecayTrace, ScalingError, fit_cpmg, fit_ramsey,
+                       fit_relaxation, fit_scaling)
 from .ddfilter import PulseSequence
-from .fileio import (DECAY_HEADER, SERIES_HEADER, SPECTRUM_HEADER,
-                     TWO_TONE_HEADER, atomic_write_text, format_psd_csv,
-                     load_charge_noise_table, load_decay_trace,
-                     load_frequency_series, load_spectroscopy_trace,
-                     load_two_tone_map, sha256_of, sidecar_path,
-                     write_thermal_csv)
+from .fileio import (PSD_HEADER, Diagnostic, InputError, atomic_write_text,
+                     format_csv, is_finite_number, load_charge_noise_table,
+                     load_decay_trace, load_frequency_series,
+                     load_spectroscopy_trace, load_two_tone_map, sha256_of,
+                     sidecar_path, write_thermal_csv)
 from .fitutil import FitError
-from .noisespec import (periodogram, powerlaw_fit, reconstruct_psd_point,
-                        to_voltage_noise, transverse_noise)
+from .noisespec import (FrequencySeries, periodogram, powerlaw_fit,
+                        reconstruct_psd_point, to_voltage_noise,
+                        transverse_noise)
 from .spectro import (QubitDispersion, fit_dispersion, fit_transmission,
                       lever_arm, qubit_frequency)
 from .thermal import (ThermalModel, photon_occupation, resonator_dephasing,
                       t1_vs_temperature, thermal_population)
 
-__version__ = "0.1.0"
-
-_TRACE_KINDS = ("relaxation", "ramsey", "echo", "cpmg")
-
 ALL_STAGES = ("decay", "scaling", "psd", "lowfreq", "thermal", "spectro")
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding; severity is 'error' or 'warning'."""
-
-    severity: str
-    message: str
-    file: str | None = None
-    row: int | None = None
-    column: str | None = None
-
-    def __str__(self):
-        place = self.file or ""
-        if self.row is not None:
-            place += f":row {self.row}"
-        if self.column is not None:
-            place += f":column {self.column}"
-        prefix = f"[{self.severity}] "
-        return prefix + (f"{place}: " if place else "") + self.message
 
 
 class PipelineError(RuntimeError):
@@ -153,130 +129,105 @@ class ReportBundle:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _check_csv(path, header, diags, min_rows=1):
-    """Header/shape/parse checks shared by the validators; returns rows."""
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                first = next(reader)
-            except StopIteration:
-                diags.append(Diagnostic("error", "empty file", file=str(path)))
-                return None
-            if [c.strip() for c in first] != header:
-                diags.append(Diagnostic(
-                    "error", f"expected header {','.join(header)}",
-                    file=str(path), column=first[0] if first else None))
-                return None
-            rows = []
-            for i, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError:
-                    diags.append(Diagnostic(
-                        "error", f"non-numeric value {row!r}",
-                        file=str(path), row=i))
-                    return None
-    except OSError as exc:
-        diags.append(Diagnostic("error", f"unreadable file: {exc}",
-                                file=str(path)))
-        return None
-    if len(rows) < min_rows:
-        diags.append(Diagnostic(
-            "error", f"need at least {min_rows} data rows, got {len(rows)}",
-            file=str(path)))
-        return None
-    return np.asarray(rows, dtype=float)
+@dataclass
+class LoadedInputs:
+    """Objects parsed from a config's files; None where absent or faulty."""
+
+    traces: list[tuple[str, DecayTrace, dict]] = field(default_factory=list)
+    series: FrequencySeries | None = None
+    transmission: np.ndarray | None = None
+    two_tone: np.ndarray | None = None
+
+
+def load_inputs(config: AnalysisConfig) -> tuple[LoadedInputs, list]:
+    """Type-check the config and parse every configured file exactly once.
+
+    Returns the loaded objects and every diagnostic: errors abort
+    run_pipeline; warnings (a population outside the [-0.1, 1.1]
+    tolerance) let it proceed with the offending trace excluded.
+    """
+    diags = _config_diagnostics(config)
+    loaded = LoadedInputs()
+
+    def attempt(loader, path):
+        try:
+            return loader(path)
+        except InputError as exc:
+            diags.append(exc.diagnostic)
+            return None
+
+    if _is_path_list(config.decay_traces):
+        for path in config.decay_traces:
+            result = attempt(load_decay_trace, path)
+            if result is not None:
+                loaded.traces.append((path, *result))
+    if isinstance(config.frequency_series, str):
+        loaded.series = attempt(load_frequency_series,
+                                config.frequency_series)
+    if isinstance(config.transmission_trace, str):
+        loaded.transmission = attempt(load_spectroscopy_trace,
+                                      config.transmission_trace)
+    if isinstance(config.two_tone_map, str):
+        loaded.two_tone = attempt(load_two_tone_map, config.two_tone_map)
+    return loaded, diags
+
+
+def _config_diagnostics(config: AnalysisConfig) -> list[Diagnostic]:
+    """Type and range errors of the config fields themselves."""
+    found = []
+    for name in ("output_dir", "frequency_series", "transmission_trace",
+                 "two_tone_map"):
+        value = getattr(config, name)
+        if not isinstance(value, str) and (value is not None
+                                           or name == "output_dir"):
+            found.append((name, f"must be a path string, got {value!r}"))
+    if not _is_path_list(config.decay_traces):
+        found.append(("decay_traces", "must be a list of path strings, got "
+                                      f"{config.decay_traces!r}"))
+    if isinstance(config.qubit, dict):
+        for key, value in config.qubit.items():
+            if not is_finite_number(value):
+                found.append((key, f"qubit metadata {key} must be a finite "
+                                   f"number, got {value!r}"))
+            elif key in ("f_ss", "lever_c", "f_r", "kappa", "t1", "f_q") \
+                    and not value > 0:
+                found.append((key, f"qubit metadata {key} must be positive, "
+                                   f"got {value}"))
+    else:
+        found.append(("qubit", f"must be an object, got {config.qubit!r}"))
+    if not (isinstance(config.temperatures_k, list)
+            and all(is_finite_number(t) and t > 0
+                    for t in config.temperatures_k)):
+        found.append(("temperatures_k", "must be a list of positive numbers, "
+                                        f"got {config.temperatures_k!r}"))
+    if not (isinstance(config.stages, list)
+            and all(stage in ALL_STAGES for stage in config.stages)):
+        found.append(("stages", f"must be a list drawn from {ALL_STAGES}, "
+                                f"got {config.stages!r}"))
+    if not (config.decay_traces or config.frequency_series
+            or config.transmission_trace or config.two_tone_map):
+        found.append((None, "empty dataset list: no inputs configured"))
+    return [Diagnostic("error", message, column=column)
+            for column, message in found]
+
+
+def _is_path_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(p, str) for p in value)
 
 
 def validate_inputs(config: AnalysisConfig) -> list[Diagnostic]:
-    """All schema/sanity violations at once; empty list means run-ready.
-
-    Errors abort run_pipeline; warnings (e.g. populations outside the
-    [-0.1, 1.1] tolerance) let it proceed with the offending trace
-    excluded.
-    """
-    diags: list[Diagnostic] = []
-    has_input = (config.decay_traces or config.frequency_series
-                 or config.transmission_trace or config.two_tone_map)
-    if not has_input:
-        diags.append(Diagnostic("error", "empty dataset list: no inputs "
-                                         "configured"))
-
-    for path in config.decay_traces:
-        data = _check_csv(path, DECAY_HEADER, diags, min_rows=2)
-        if data is None:
-            continue
-        steps = np.diff(data[:, 0])
-        for k in np.nonzero(steps <= 0)[0]:
-            diags.append(Diagnostic(
-                "error", f"non-monotone tau_s at value {data[k + 1, 0]!r}",
-                file=str(path), row=int(k) + 3, column="tau_s"))
-        bad = np.nonzero((data[:, 1] < -0.1) | (data[:, 1] > 1.1))[0]
-        for k in bad:
-            diags.append(Diagnostic(
-                "warning", f"population {data[k, 1]} outside the "
-                           "[-0.1, 1.1] tolerance; trace will be skipped",
-                file=str(path), row=int(k) + 2, column="pe"))
-        meta_path = sidecar_path(path)
-        if not meta_path.exists():
-            diags.append(Diagnostic("error", "missing JSON sidecar",
-                                    file=str(meta_path)))
-            continue
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            diags.append(Diagnostic("error", f"bad sidecar: {exc}",
-                                    file=str(meta_path)))
-            continue
-        kind = meta.get("kind")
-        if kind not in _TRACE_KINDS:
-            diags.append(Diagnostic(
-                "error", f"kind must be one of {_TRACE_KINDS}, got {kind!r}",
-                file=str(meta_path), column="kind"))
-        elif kind == "cpmg" and int(meta.get("n_pulses", 0)) < 1:
-            diags.append(Diagnostic("error", "cpmg trace needs n_pulses >= 1",
-                                    file=str(meta_path), column="n_pulses"))
-
-    if config.frequency_series:
-        data = _check_csv(config.frequency_series, SERIES_HEADER, diags,
-                          min_rows=8)
-        if data is not None:
-            steps = np.diff(data[:, 0])
-            if np.any(steps <= 0):
-                diags.append(Diagnostic("error", "timestamps must increase",
-                                        file=config.frequency_series,
-                                        column="t_s"))
-            elif np.any(np.abs(steps - steps.mean()) > 0.01 * steps.mean()):
-                diags.append(Diagnostic(
-                    "error", "timestamps not uniform within 1%",
-                    file=config.frequency_series, column="t_s"))
-
-    if config.transmission_trace:
-        _check_csv(config.transmission_trace, SPECTRUM_HEADER, diags,
-                   min_rows=20)
-
-    if config.two_tone_map:
-        _check_csv(config.two_tone_map, TWO_TONE_HEADER, diags, min_rows=3)
-
-    for key in ("f_ss", "lever_c", "f_r", "kappa", "t1", "f_q"):
-        value = config.qubit.get(key)
-        if value is not None and not value > 0:
-            diags.append(Diagnostic(
-                "error", f"qubit metadata {key} must be positive, "
-                         f"got {value}", column=key))
-    return diags
+    """load_inputs' diagnostics; an empty list means run-ready."""
+    return load_inputs(config)[1]
 
 
 def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     """Run the configured stages and write the report atomically.
 
-    Raises PipelineError (writing nothing) when validation reports errors;
-    soft warnings are carried into the report's warnings list.
+    Parses the inputs once through load_inputs and raises PipelineError
+    (writing nothing) when it reports errors; its warnings, and fits that
+    fail, are carried into the report's warnings list.
     """
-    diags = validate_inputs(config)
+    loaded, diags = load_inputs(config)
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise PipelineError(errors)
@@ -284,11 +235,10 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
 
     inputs: dict[str, str] = {}
 
-    def _track(path) -> str:
+    def _track(path) -> None:
         key = str(path)
         if key not in inputs:
             inputs[key] = sha256_of(path)
-        return key
 
     qubit = config.qubit
     disp = None
@@ -303,29 +253,15 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     decay_fits: list[dict] = []
     relax_by_bias: dict[float, dict] = {}
     if "decay" in stages and config.decay_traces:
-        loaded = []
-        for path in config.decay_traces:
-            try:
-                trace, meta = load_decay_trace(path)
-            except ValueError as exc:
-                warnings_list.append(f"[warning] {path}: skipped ({exc})")
-                continue
+        # relaxation first: its T1 feeds the echo/CPMG fits at its bias
+        for path, trace, meta in sorted(
+                loaded.traces, key=lambda item: item[1].kind != "relaxation"):
             _track(path)
             _track(sidecar_path(path))
-            loaded.append((str(path), trace, meta))
-
-        for path, trace, meta in loaded:
-            if trace.kind != "relaxation":
-                continue
-            fit = fit_relaxation(trace)
-            record = _fit_record(path, trace, meta, fit)
-            decay_fits.append(record)
-            relax_by_bias[_bias_of(meta)] = record
-        for path, trace, meta in loaded:
-            if trace.kind == "relaxation":
-                continue
             try:
-                if trace.kind == "ramsey":
+                if trace.kind == "relaxation":
+                    fit = fit_relaxation(trace)
+                elif trace.kind == "ramsey":
                     fit = fit_ramsey(trace)
                 else:
                     t1 = _t1_for(_bias_of(meta), relax_by_bias, qubit)
@@ -338,7 +274,10 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
             except (FitError, ValueError) as exc:
                 warnings_list.append(f"[warning] {path}: fit failed ({exc})")
                 continue
-            decay_fits.append(_fit_record(path, trace, meta, fit))
+            record = _fit_record(path, trace, meta, fit)
+            decay_fits.append(record)
+            if trace.kind == "relaxation":
+                relax_by_bias[_bias_of(meta)] = record
         sections["decay_fits"] = {
             "fits": decay_fits,
             "sources": sorted({f["file"] for f in decay_fits}
@@ -359,7 +298,7 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
                 continue
             try:
                 scaling = fit_scaling(points)
-            except ScalingError as exc:
+            except (ScalingError, FitError) as exc:
                 warnings_list.append(
                     f"[warning] scaling at bias {bias} mV: {exc}")
                 continue
@@ -414,11 +353,11 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
         if psd_rows:
             freq_points = [r for r in psd_rows if r["units"] == "freq_noise"
                            and r["n_pulses"] >= 1]
-            fit = None
-            if len(freq_points) >= 3 and len({r["freq_hz"]
-                                              for r in freq_points}) >= 3:
+            try:
                 fit = powerlaw_fit([(r["freq_hz"], r["psd"])
                                     for r in freq_points])
+            except FitError:
+                fit = None
             sections["psd"] = {
                 "points": psd_rows,
                 "powerlaw": fit,
@@ -426,11 +365,15 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
             }
 
     # ---- low-frequency periodogram ---------------------------------------
-    if "lowfreq" in stages and config.frequency_series:
-        series = load_frequency_series(config.frequency_series)
+    if "lowfreq" in stages and loaded.series is not None:
         _track(config.frequency_series)
-        points = periodogram(series)
-        fit = powerlaw_fit(points) if len(points) >= 3 else None
+        points = periodogram(loaded.series)
+        try:
+            fit = powerlaw_fit(points)
+        except FitError as exc:
+            warnings_list.append(f"[warning] {config.frequency_series}: "
+                                 f"power-law fit failed ({exc})")
+            fit = None
         sections["low_frequency"] = {
             "points": [{"freq_hz": p.freq, "psd": p.value, "units": p.units}
                        for p in points],
@@ -460,24 +403,30 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     # ---- spectroscopy fits -------------------------------------------------
     if "spectro" in stages:
         spectro_section: dict = {"sources": []}
-        if config.transmission_trace and qubit.get("f_r") \
+        if loaded.transmission is not None and qubit.get("f_r") \
                 and qubit.get("kappa"):
-            trace = load_spectroscopy_trace(config.transmission_trace)
             _track(config.transmission_trace)
-            result = fit_transmission(
-                trace, {"f_r": qubit["f_r"], "kappa": qubit["kappa"]})
-            spectro_section["transmission"] = result
-            spectro_section["sources"].append(str(config.transmission_trace))
-        if config.two_tone_map:
-            table = load_two_tone_map(config.two_tone_map)
+            try:
+                spectro_section["transmission"] = fit_transmission(
+                    loaded.transmission,
+                    {"f_r": qubit["f_r"], "kappa": qubit["kappa"]})
+                spectro_section["sources"].append(
+                    str(config.transmission_trace))
+            except FitError as exc:
+                warnings_list.append(f"[warning] {config.transmission_trace}"
+                                     f": transmission fit failed ({exc})")
+        if loaded.two_tone is not None:
             _track(config.two_tone_map)
-            points = _ridge_points(table)
-            if len(points) >= 3:
-                fitted, report = fit_dispersion(points, full_output=True)
+            try:
+                fitted, report = fit_dispersion(ridge_points(loaded.two_tone),
+                                                full_output=True)
                 spectro_section["dispersion"] = {
                     "f_ss": fitted.f_ss, "lever_c": fitted.lever_c,
                     "v_ss": fitted.v_ss, **report}
                 spectro_section["sources"].append(str(config.two_tone_map))
+            except FitError as exc:
+                warnings_list.append(f"[warning] {config.two_tone_map}: "
+                                     f"dispersion fit failed ({exc})")
         if len(spectro_section) > 1:
             sections["spectro"] = spectro_section
 
@@ -537,24 +486,16 @@ def _write_outputs(config: AnalysisConfig, report: ReportBundle) -> None:
                          p.get("offset"), p.get("detuning")])
         header = ["file", "kind", "n_pulses", "bias_mv", "t1_s", "t2_s",
                   "t_phi_s", "stretch", "amplitude", "offset", "detuning_hz"]
-        text = ",".join(header) + "\n" + "\n".join(
-            ",".join("" if v is None else str(v) for v in row)
-            for row in rows) + "\n"
-        atomic_write_text(out / "coherence_fits.csv", text)
+        atomic_write_text(out / "coherence_fits.csv",
+                          format_csv(header, rows))
 
-    psd = report.sections.get("psd")
-    if psd:
-        from .noisespec import PSDPoint
-        points = [PSDPoint(freq=r["freq_hz"], value=r["psd"],
-                           units=r["units"]) for r in psd["points"]]
-        atomic_write_text(out / "psd_points.csv", format_psd_csv(points))
-
-    lowfreq = report.sections.get("low_frequency")
-    if lowfreq:
-        from .noisespec import PSDPoint
-        points = [PSDPoint(freq=r["freq_hz"], value=r["psd"],
-                           units=r["units"]) for r in lowfreq["points"]]
-        atomic_write_text(out / "periodogram.csv", format_psd_csv(points))
+    for name, key in (("psd_points.csv", "psd"),
+                      ("periodogram.csv", "low_frequency")):
+        section = report.sections.get(key)
+        if section:
+            atomic_write_text(out / name, format_csv(
+                PSD_HEADER, [(r["freq_hz"], r["psd"], r["units"])
+                             for r in section["points"]]))
 
     thermal = report.sections.get("thermal")
     if thermal:
@@ -593,7 +534,7 @@ def _t1_for(bias: float, relax_by_bias: dict, qubit: dict):
     return qubit.get("t1")
 
 
-def _ridge_points(table: np.ndarray) -> list[tuple[float, float]]:
+def ridge_points(table: np.ndarray) -> list[tuple[float, float]]:
     """Qubit-line points from a two-tone map: per voltage, the frequency
     with the strongest phase response relative to that column's median."""
     points = []

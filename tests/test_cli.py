@@ -115,6 +115,46 @@ class TestPeriodogramAndPowerlaw:
         assert "at least 3" in result.stderr
 
 
+class TestBadInputFiles:
+    """A malformed file ends in its diagnostic on stderr and exit 1."""
+
+    def check(self, args, *expected):
+        result = invoke(args)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("[error] ")
+        for text in expected:
+            assert text in result.stderr
+
+    def test_fit_decay_without_sidecar(self, tmp_path):
+        path = tmp_path / "relax.csv"
+        write_decay_trace(path, make_relaxation())
+        (tmp_path / "relax.json").unlink()
+        self.check(["fit-decay", str(path)], "relax.json",
+                   "cannot read JSON sidecar")
+
+    def test_fit_spectrum_short_map(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("voltage_v,freq_hz,phase_rad\n0.0,5e9,0.1\n")
+        self.check(["fit-spectrum", str(path), "--kind", "dispersion"],
+                   "need at least 3 data rows, got 1")
+
+    def test_periodogram_empty_file(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("")
+        self.check(["periodogram", str(path)], f"{path}: empty file")
+
+    def test_powerlaw_empty_file(self, tmp_path):
+        path = tmp_path / "psd.csv"
+        path.write_text("")
+        self.check(["powerlaw-fit", str(path)], f"{path}: empty file")
+
+    def test_powerlaw_short_row(self, tmp_path):
+        path = tmp_path / "psd.csv"
+        path.write_text("freq_hz,psd,units\n1.0,2.0\n")
+        self.check(["powerlaw-fit", str(path)],
+                   f"{path}:row 2: expected 3 cells, got 2")
+
+
 class TestThermalModel:
     args = ["thermal-model", "--fq", "5.065e9", "--fr", "5.668e9",
             "--kappa", repr(2.0 * np.pi * 0.38e6),

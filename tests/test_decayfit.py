@@ -192,6 +192,12 @@ class TestFitScaling:
         with pytest.raises(FitError):
             fit_scaling([(1, 1e-6), (2, 2e-6)])
 
+    def test_single_n_rejected(self):
+        # three dephasing times at one N fix no slope
+        from qnl.fitutil import FitError
+        with pytest.raises(FitError, match="distinct N"):
+            fit_scaling([(4, 1e-6), (4, 2e-6), (4, 3e-6)])
+
     def test_unphysical_slope(self):
         # beta >= 1 cannot come from a finite alpha; flagged via error
         points = [(n, 1e-6 * n ** 1.2) for n in (1, 2, 4, 8)]

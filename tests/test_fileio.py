@@ -5,7 +5,8 @@ import pytest
 
 from qnl.decayfit import DecayTrace
 from qnl.fileio import (DECAY_HEADER, PSD_HEADER, SERIES_HEADER,
-                        THERMAL_HEADER, atomic_write_text, format_psd_csv,
+                        THERMAL_HEADER, InputError, atomic_write_text,
+                        format_psd_csv,
                         load_charge_noise_table, load_decay_trace,
                         load_frequency_series, load_psd_csv,
                         load_spectroscopy_trace, load_two_tone_map,
@@ -73,7 +74,7 @@ class TestDecayTraceIO:
         path = tmp_path / "trace.csv"
         write_decay_trace(path, self.trace())
         sidecar_path(path).unlink()
-        with pytest.raises(FileNotFoundError, match="sidecar"):
+        with pytest.raises(InputError, match="sidecar"):
             load_decay_trace(path)
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -169,10 +170,11 @@ def test_thermal_csv_header_and_rows(tmp_path):
 
 def test_load_spectroscopy_trace(tmp_path):
     path = tmp_path / "s21.csv"
-    path.write_text("freq_hz,amp\n5.6e9,0.1\n5.7e9,0.9\n")
+    path.write_text("freq_hz,amp\n" + "".join(
+        f"{5.6e9 + 1e6 * i!r},{0.1 + 0.04 * i!r}\n" for i in range(20)))
     data = load_spectroscopy_trace(path)
-    assert data.shape == (2, 2)
-    assert data[1, 1] == 0.9
+    assert data.shape == (20, 2)
+    assert data[1, 1] == 0.1 + 0.04
 
 
 def test_load_two_tone_map(tmp_path):
@@ -208,3 +210,73 @@ class TestChargeNoiseTable:
             lo = float(row["sv_min_uv2_hz"])
             hi = float(row["sv_max_uv2_hz"])
             assert 0 < lo <= hi
+
+
+@pytest.mark.parametrize("body, row, column, message", [
+    ("tau_s,pe\n1e-6,0.9\n2e-6\n", 3, None, "expected 2 cells, got 1"),
+    ("tau_s,pe\n1e-6,0.9\n\n2e-6,0.5\n", 3, None, "expected 2 cells, got 0"),
+    ("tau_s,pe\n1e-6,0.9\n2e-6,nan\n", 3, "pe", "non-finite value 'nan'"),
+    ("tau_s,pe\n1e-6,0.9\n2e-6,-inf\n", 3, "pe", "non-finite"),
+    ("tau_s,pe\n1e-6,0.9\nx,0.5\n", 3, "tau_s", "non-numeric value 'x'"),
+    ("tau_s,pe\n2e-6,0.9\n1e-6,0.5\n", 3, "tau_s", "non-monotone"),
+])
+def test_read_errors_are_located(tmp_path, body, row, column, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(body)
+    sidecar_path(path).write_text('{"kind": "ramsey"}')
+    with pytest.raises(InputError, match=message) as info:
+        load_decay_trace(path)
+    diag = info.value.diagnostic
+    assert (diag.severity, diag.file, diag.row, diag.column) == \
+        ("error", str(path), row, column)
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ('["ramsey"]', "must be a JSON object"),
+    ('{"kind": ', "cannot read JSON sidecar"),
+    ('{"kind": "cpmg", "n_pulses": "x"}', "n_pulses must be an integer"),
+    ('{"kind": "echo", "n_pulses": 2}', "n_pulses=1"),
+    ('{"kind": "hahn"}', "kind must be one of"),
+    ('{"kind": "ramsey", "bias_mv": "2"}', "bias_mv must be a finite"),
+])
+def test_bad_sidecar_is_an_input_error(tmp_path, sidecar, message):
+    path = tmp_path / "trace.csv"
+    path.write_text("tau_s,pe\n1e-6,0.9\n2e-6,0.5\n")
+    sidecar_path(path).write_text(sidecar)
+    with pytest.raises(InputError, match=message) as info:
+        load_decay_trace(path)
+    assert info.value.diagnostic.file == str(sidecar_path(path))
+
+
+def test_population_out_of_tolerance_is_a_warning(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("tau_s,pe\n1e-6,0.9\n2e-6,1.5\n")
+    sidecar_path(path).write_text('{"kind": "ramsey"}')
+    with pytest.raises(InputError) as info:
+        load_decay_trace(path)
+    diag = info.value.diagnostic
+    assert (diag.severity, diag.row, diag.column) == ("warning", 3, "pe")
+
+
+def test_spectroscopy_needs_20_rows(tmp_path):
+    path = tmp_path / "s21.csv"
+    path.write_text("freq_hz,amp\n" + "5.6e9,0.1\n" * 19)
+    with pytest.raises(InputError, match="at least 20 data rows, got 19"):
+        load_spectroscopy_trace(path)
+
+
+def test_series_errors_point_at_timestamps(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("t_s,freq_hz\n" + "".join(
+        f"{t!r},5e9\n" for t in [0.0, 1.0, 2.0, 3.5, 4.0, 5.0, 6.0, 7.0]))
+    with pytest.raises(InputError, match="uniform") as info:
+        load_frequency_series(path)
+    assert info.value.diagnostic.column == "t_s"
+
+
+def test_psd_row_errors_are_located(tmp_path):
+    path = tmp_path / "psd.csv"
+    path.write_text("freq_hz,psd,units\n1.0,2.0,freq_noise\n2.0,1.0,Hz\n")
+    with pytest.raises(InputError, match="unknown units tag") as info:
+        load_psd_csv(path)
+    assert info.value.diagnostic.row == 3

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from qnl.ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from qnl.decayfit import DecayTrace
 from qnl.noisespec import (FREQ_NOISE, VOLTAGE_NOISE, FrequencySeries,
-                           NoiseSource, PSDPoint, periodogram, powerlaw_fit,
-                           ramsey_fft, reconstruct_psd_point,
-                           to_voltage_noise, transverse_noise)
+                           PSDPoint, periodogram, powerlaw_fit,
+                           reconstruct_psd_point, to_voltage_noise,
+                           transverse_noise)
 
 
 class TestFrequencySeries:
@@ -185,56 +184,6 @@ class TestTransverseNoise:
         values = [transverse_noise(float(r["t1_s"]),
                                    float(r["freq_hz"])).value for r in rows]
         assert np.mean(values) == pytest.approx(3.6e5, rel=0.20)
-
-
-class TestRamseyFft:
-    def make_trace(self, signal, dt=1e-7):
-        t = np.arange(len(signal)) * dt
-        p = 0.5 + 0.4 * np.asarray(signal)
-        return DecayTrace(times=t, populations=p, kind="ramsey")
-
-    def test_single_tone(self):
-        dt, n, f0 = 1e-7, 256, 0.5e6
-        t = np.arange(n) * dt
-        peaks = ramsey_fft(self.make_trace(np.cos(2 * np.pi * f0 * t), dt))
-        assert peaks[0][0] == pytest.approx(f0, abs=1.0 / (n * dt))
-
-    def test_two_tones(self):
-        dt, n = 1e-7, 512
-        t = np.arange(n) * dt
-        sig = 0.5 * (np.cos(2 * np.pi * 0.4e6 * t)
-                     + np.cos(2 * np.pi * 0.6e6 * t))
-        peaks = ramsey_fft(self.make_trace(sig, dt))
-        found = sorted(f for f, _ in peaks[:2])
-        assert found[0] == pytest.approx(0.4e6, abs=1.0 / (n * dt))
-        assert found[1] == pytest.approx(0.6e6, abs=1.0 / (n * dt))
-
-    def test_zero_signal(self):
-        assert ramsey_fft(self.make_trace(np.zeros(64))) == []
-
-    def test_nonuniform_grid_rejected(self):
-        t = np.arange(64) * 1e-7
-        t[30] += 3e-8
-        trace = DecayTrace(times=t, populations=np.full(64, 0.5),
-                           kind="ramsey")
-        with pytest.raises(ValueError):
-            ramsey_fft(trace)
-
-    def test_sorted_by_power(self):
-        dt, n = 1e-7, 512
-        t = np.arange(n) * dt
-        sig = (0.8 * np.cos(2 * np.pi * 0.3e6 * t)
-               + 0.3 * np.cos(2 * np.pi * 0.7e6 * t))
-        peaks = ramsey_fft(self.make_trace(sig, dt))
-        powers = [p for _, p in peaks]
-        assert powers == sorted(powers, reverse=True)
-        assert peaks[0][0] == pytest.approx(0.3e6, abs=1.0 / (n * dt))
-
-
-def test_noise_source_validation():
-    NoiseSource(name="gate", sensitivity=1.8e11)
-    with pytest.raises(ValueError):
-        NoiseSource(name="gate", sensitivity=np.inf)
 
 
 def test_psd_point_units_default():

@@ -1,7 +1,11 @@
+import builtins
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnl.fileio import sidecar_path, write_decay_trace
 from qnl.pipeline import (AnalysisConfig, Diagnostic, PipelineError,
@@ -372,3 +376,193 @@ class TestProvenanceVerification:
         status = verify_report_provenance(report)
         assert status["decay_fits"] == f"missing: {gone}"
         assert status["low_frequency"] == "ok"
+
+
+def _rewrite_row(path, row, text):
+    """Replace data row `row` (1-based) of a CSV with `text`."""
+    lines = Path(path).read_text().splitlines()
+    lines[row] = text
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _set_sidecar(config, index, meta):
+    sidecar_path(config["decay_traces"][index]).write_text(json.dumps(meta))
+
+
+# Each of these once passed validation (or bypassed it) and then made
+# run_pipeline raise a bare exception; the comment names that exception.
+CRASH_ERRORS = [
+    # ValueError from int("x")
+    pytest.param(lambda c: _set_sidecar(c, 3, {"kind": "cpmg",
+                                               "n_pulses": "x"}),
+                 "n_pulses must be an integer", id="n_pulses_not_int"),
+    # TypeError comparing "x" > 0
+    pytest.param(lambda c: c["qubit"].update(t1="x"),
+                 "t1 must be a finite number", id="qubit_t1_not_number"),
+    # iterated per character
+    pytest.param(lambda c: c.update(decay_traces=c["decay_traces"][0]),
+                 "list of path strings", id="decay_traces_string"),
+    # scipy: initial guess outside bounds
+    pytest.param(lambda c: _rewrite_row(c["decay_traces"][0], 2,
+                                        "1e-6,nan"),
+                 "non-finite value 'nan'", id="nan_population"),
+    # numpy: inhomogeneous shape
+    pytest.param(lambda c: _rewrite_row(c["decay_traces"][0], 2, "1e-6"),
+                 "expected 2 cells, got 1", id="ragged_row"),
+    # AttributeError: list has no .get
+    pytest.param(lambda c: sidecar_path(c["decay_traces"][0]).write_text(
+        "[]"), "JSON object", id="sidecar_list"),
+    # ValueError iterating the characters of "0.1"
+    pytest.param(lambda c: c.update(temperatures_k="0.1"),
+                 "positive numbers", id="temperatures_string"),
+    # an unknown stage was silently ignored
+    pytest.param(lambda c: c.update(stages=["decya"]),
+                 "must be a list drawn from", id="misspelled_stage"),
+    # validated clean, then the trace was dropped from the run
+    pytest.param(lambda c: _set_sidecar(c, 3, {"kind": "echo",
+                                               "n_pulses": 2}),
+                 "echo trace must have n_pulses=1", id="echo_two_pulses"),
+]
+
+
+class TestCrashInputs:
+    @pytest.mark.parametrize("mutate, message", CRASH_ERRORS)
+    def test_error_diagnostic(self, tmp_path, mutate, message):
+        config_dict = q1_dataset(tmp_path / "q1")
+        mutate(config_dict)
+        config = AnalysisConfig(**config_dict)
+        errors = [d for d in validate_inputs(config)
+                  if d.severity == "error"]
+        assert any(message in d.message for d in errors), errors
+        with pytest.raises(PipelineError):
+            run_pipeline(config)
+        assert not (tmp_path / "q1" / "out").exists()
+
+    def test_short_relaxation_trace_is_a_warning(self, tmp_path):
+        # FitError: need at least 5 points
+        config_dict = q1_dataset(tmp_path / "q1")
+        relax = config_dict["decay_traces"][0]
+        lines = Path(relax).read_text().splitlines()
+        Path(relax).write_text("\n".join(lines[:4]) + "\n")
+        report = run_pipeline(AnalysisConfig(**config_dict))
+        assert any(w.startswith(f"[warning] {relax}: fit failed")
+                   for w in report.warnings)
+        fits = report.sections["decay_fits"]["fits"]
+        assert [f["kind"] for f in fits].count("relaxation") == 0
+        assert len(fits) == 5      # echo/CPMG fall back to qubit.t1
+
+    def test_constant_drift_series_is_a_warning(self, tmp_path):
+        # FitError: power-law fit undefined for non-positive values
+        config_dict = q1_dataset(tmp_path / "q1")
+        series = Path(config_dict["frequency_series"])
+        lines = series.read_text().splitlines()
+        series.write_text("\n".join(
+            [lines[0]] + [line.split(",")[0] + ",5.0e9" for line in
+                          lines[1:]]) + "\n")
+        report = run_pipeline(AnalysisConfig(**config_dict))
+        assert report.sections["low_frequency"]["powerlaw"] is None
+        assert any("power-law fit failed" in w for w in report.warnings)
+
+
+def test_each_input_is_parsed_once(q1_config, monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    run_pipeline(AnalysisConfig(**q1_config))
+    monkeypatch.undo()
+    inputs = (q1_config["decay_traces"] + [q1_config["frequency_series"]]
+              + [str(sidecar_path(p)) for p in q1_config["decay_traces"]])
+    assert {path: opened.count(path) for path in inputs} == \
+        {path: 1 for path in inputs}
+
+
+_CELLS = ["nan", "inf", "x", "", "-5", "2.0", "0", "1e-30", "1e300"]
+_VALUES = [None, "x", -1, 0, 1, 2, 2.5, 1e300, [], {}, "cpmg", "echo",
+           "ramsey", "relaxation"]
+_MUTATION = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 6), st.integers(1, 9),
+              st.sampled_from(["0", "1"]), st.sampled_from(_CELLS)),
+    st.tuples(st.just("truncate"), st.integers(0, 6), st.integers(0, 9)),
+    st.tuples(st.just("sidecar"), st.integers(0, 5),
+              st.sampled_from(["kind", "n_pulses", "bias_mv",
+                               "temperature_mk"]),
+              st.sampled_from(_VALUES)),
+    st.tuples(st.just("sidecar_text"), st.integers(0, 5),
+              st.sampled_from(["", "[]", "null", "{}", '{"kind": '])),
+    st.tuples(st.just("qubit"),
+              st.sampled_from(["f_ss", "lever_c", "v_ss", "f_q", "f_r",
+                               "kappa", "chi", "t1"]),
+              # finite magnitudes near 1e300 still overflow lever_arm,
+              # to_voltage_noise and resonator_dephasing (ROADMAP)
+              st.sampled_from([None, "x", -1, 0, -1e-3, 1e-12, 2.5, 1e12,
+                               [], {}])),
+    st.tuples(st.just("field"), st.sampled_from(
+        [("decay_traces", "first"), ("decay_traces", []),
+         ("decay_traces", "twice"), ("frequency_series", None),
+         ("frequency_series", 5), ("temperatures_k", "0.1"),
+         ("temperatures_k", [0.0]), ("temperatures_k", [1e-3, 10.0]),
+         ("temperatures_k", []), ("stages", ["decay", "psd"]),
+         ("stages", ["scaling"]), ("stages", []), ("stages", "decay"),
+         ("qubit", {}), ("qubit", [])])),
+)
+
+
+def _mutate(config, files, mutation):
+    """Apply one mutation; files are the dataset's traces, then the drift."""
+    kind, *args = mutation
+    if kind == "cell":
+        index, row, column, text = args
+        lines = Path(files[index]).read_text().splitlines()
+        cells = lines[min(row, len(lines) - 1)].split(",") + [""]
+        cells[int(column)] = text
+        _rewrite_row(files[index], min(row, len(lines) - 1),
+                     ",".join(cells[:2]))
+    elif kind == "truncate":
+        index, keep = args
+        lines = Path(files[index]).read_text().splitlines()
+        Path(files[index]).write_text("\n".join(lines[:keep + 1]) + "\n")
+    elif kind == "sidecar":
+        index, key, value = args
+        try:
+            meta = dict(json.loads(sidecar_path(files[index]).read_text()))
+        except (TypeError, ValueError):     # an earlier mutation broke it
+            meta = {}
+        sidecar_path(files[index]).write_text(
+            json.dumps(dict(meta, **{key: value})))
+    elif kind == "sidecar_text":
+        index, text = args
+        sidecar_path(files[index]).write_text(text)
+    elif kind == "qubit":
+        key, value = args
+        config["qubit"] = dict(config["qubit"] or {}, **{key: value})
+    else:
+        (name, value), = args
+        if value == "first":
+            value = files[0]
+        elif value == "twice":
+            value = files[:-1] * 2
+        config[name] = value
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_validated_configs_never_crash_the_run(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_dict = q1_dataset(Path(tmp) / "q1")
+        files = config_dict["decay_traces"] + [
+            config_dict["frequency_series"]]
+        for mutation in mutations:
+            _mutate(config_dict, files, mutation)
+        config = AnalysisConfig(**config_dict)
+        errors = [d for d in validate_inputs(config)
+                  if d.severity == "error"]
+        if errors:
+            with pytest.raises(PipelineError):
+                run_pipeline(config)
+        else:
+            run_pipeline(config)
