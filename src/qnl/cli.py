@@ -10,13 +10,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import click
 import numpy as np
 
 from .ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from .decayfit import fit_cpmg, fit_ramsey, fit_relaxation
 from .fileio import (InputError, format_psd_csv, load_decay_trace,
                      load_frequency_series, load_psd_csv,
                      load_spectroscopy_trace, load_two_tone_map,
@@ -24,12 +23,12 @@ from .fileio import (InputError, format_psd_csv, load_decay_trace,
 from .fitutil import FitError
 from .mcsim import SyntheticNoise, simulate_sequence
 from .noisespec import (periodogram, powerlaw_fit, reconstruct_psd_point)
-from .pipeline import (AnalysisConfig, PipelineError, ridge_points,
-                       run_pipeline, validate_inputs)
+from .pipeline import (AnalysisConfig, PipelineError, fit_trace,
+                       fit_two_tone, run_pipeline, thermal_curves,
+                       validate_inputs)
 from .resonator import FilmParams, kinetic_inductance, lumped_model
-from .spectro import fit_dispersion, fit_transmission
-from .thermal import (ThermalModel, photon_occupation, resonator_dephasing,
-                      t1_vs_temperature, thermal_population)
+from .spectro import fit_transmission
+from .thermal import ThermalModel
 
 
 def _echo_json(payload) -> None:
@@ -74,16 +73,10 @@ def main():
 def fit_decay_cmd(trace_path, t1):
     """Fit a decay trace CSV; kind comes from the JSON sidecar."""
     trace, meta = _load(load_decay_trace, trace_path)
+    if trace.n_pulses and t1 is None:
+        raise click.UsageError("echo/CPMG traces need --t1 (seconds)")
     try:
-        if trace.kind == "relaxation":
-            fit = fit_relaxation(trace)
-        elif trace.kind == "ramsey":
-            fit = fit_ramsey(trace)
-        else:
-            if t1 is None:
-                raise click.UsageError(
-                    "echo/CPMG traces need --t1 (seconds)")
-            fit = fit_cpmg(trace, t1)
+        fit = fit_trace(trace, t1)
     except (FitError, ValueError) as exc:
         click.echo(f"fit failed: {exc}", err=True)
         sys.exit(1)
@@ -113,11 +106,7 @@ def fit_spectrum_cmd(trace_path, kind, f_r, kappa):
             trace = _load(load_spectroscopy_trace, trace_path)
             result = fit_transmission(trace, {"f_r": f_r, "kappa": kappa})
         else:
-            table = _load(load_two_tone_map, trace_path)
-            disp, extras = fit_dispersion(ridge_points(table),
-                                          full_output=True)
-            result = {"f_ss": disp.f_ss, "lever_c": disp.lever_c,
-                      "v_ss": disp.v_ss, **extras}
+            result = fit_two_tone(_load(load_two_tone_map, trace_path))
     except (FitError, ValueError) as exc:
         click.echo(f"fit failed: {exc}", err=True)
         sys.exit(1)
@@ -175,12 +164,8 @@ def thermal_model_cmd(fq, fr, kappa, chi, t1_zero, temps, out):
     """Occupation, T1 and dephasing rate on a temperature grid, as CSV."""
     model = ThermalModel(f_q=fq, f_r=fr, kappa=kappa, chi=chi,
                          t1_zero=t1_zero)
-    rows = []
-    for temp in _parse_grid(temps):
-        n_th = photon_occupation(fr, temp)
-        rows.append((temp, t1_vs_temperature(model, temp),
-                     thermal_population(fq, temp), n_th,
-                     resonator_dephasing(model, n_th)))
+    rows = [tuple(row.values())
+            for row in thermal_curves(model, _parse_grid(temps))]
     if out:
         write_thermal_csv(out, rows)
     else:
@@ -274,8 +259,6 @@ def run_cmd(config_path):
     """Run the full analysis pipeline from a JSON config."""
     try:
         config = AnalysisConfig.from_json(config_path)
-        if os.environ.get("QNL_SEED"):
-            config = replace(config, seed=int(os.environ["QNL_SEED"]))
         report = run_pipeline(config)
     except PipelineError as exc:
         for diag in exc.diagnostics:

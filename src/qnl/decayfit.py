@@ -141,20 +141,7 @@ def fit_relaxation(trace: DecayTrace) -> CoherenceFit:
     t, y = trace.times, trace.populations
     if len(t) < 5:
         raise FitError("need at least 5 points")
-
-    p0_0 = y[-1]
-    a_0 = y[0] - y[-1]
-    t1_0 = _efold_guess(t, y, p0_0, a_0)
-
-    def residual(p):
-        p0, a, t1 = p
-        return p0 + a * np.exp(-t / t1) - y
-
-    result = run_least_squares(residual, [p0_0, a_0, t1_0],
-                               bounds=([-np.inf, -np.inf, 1e-300],
-                                       [np.inf, np.inf, np.inf]))
-    p0, a, t1 = result.x
-    errs = stderr(result, len(t))
+    (p0, a, t1), errs = _fit_exponential(t, y)
     flags = ()
     # T1 is unconstrained when it dwarfs the trace span or when there is
     # no decaying signal to begin with
@@ -196,18 +183,7 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
     if not oscillating:
         warnings.warn("no oscillation detected; falling back to a pure "
                       "exponential envelope fit")
-        p0_0, a_0 = y[-1], y[0] - y[-1]
-        t2_0 = _efold_guess(t, y, p0_0, a_0)
-
-        def residual_env(p):
-            p0, a, t2 = p
-            return p0 + a * np.exp(-t / t2) - y
-
-        result = run_least_squares(residual_env, [p0_0, a_0, t2_0],
-                                   bounds=([-np.inf, -np.inf, 1e-300],
-                                           [np.inf, np.inf, np.inf]))
-        p0, a, t2 = result.x
-        errs = stderr(result, len(t))
+        (p0, a, t2), errs = _fit_exponential(t, y)
         return CoherenceFit(amplitude=float(a), offset=float(p0),
                             t2=float(t2),
                             errors={"offset": errs[0], "amplitude": errs[1],
@@ -360,6 +336,21 @@ def fit_scaling(points) -> ScalingFit:
     alpha_err = beta_err / (1.0 - beta) ** 2
     return ScalingFit(beta=beta, alpha=alpha, beta_err=beta_err,
                       alpha_err=alpha_err)
+
+
+def _fit_exponential(t, y):
+    """Fit p0 + a*exp(-t/T); returns ((p0, a, T), standard errors)."""
+    p0_0, a_0 = y[-1], y[0] - y[-1]
+
+    def residual(p):
+        p0, a, tau = p
+        return p0 + a * np.exp(-t / tau) - y
+
+    result = run_least_squares(residual,
+                               [p0_0, a_0, _efold_guess(t, y, p0_0, a_0)],
+                               bounds=([-np.inf, -np.inf, 1e-300],
+                                       [np.inf, np.inf, np.inf]))
+    return result.x, stderr(result, len(t))
 
 
 def _efold_guess(t, y, p0, a):

@@ -196,8 +196,8 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float,
 
     chi = (sensitivity^2 tau^2 / 2) * integral_band S(f) g_N(2 pi f, tau) df.
 
-    `psd` is a SyntheticNoise or a mapping with amplitude (or A), alpha,
-    and optionally f_min/f_max.  Missing f_min defaults to the infrared
+    `psd` is a SyntheticNoise or a mapping with amplitude, alpha, and
+    optionally f_min/f_max.  Missing f_min defaults to the infrared
     cutoff 1/(100 tau); an explicit f_min <= 0 with alpha >= 1 is rejected
     (the integral diverges without a cutoff).  Missing f_max defaults to
     100 max(N,1)/tau, far past the filter's passband.  Quadrature is a
@@ -244,12 +244,11 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float,
 
 
 def _unpack_psd(psd):
-    """Accept a SyntheticNoise or a {amplitude|A, alpha, f_min?, f_max?}."""
+    """Accept a SyntheticNoise or a {amplitude, alpha, f_min?, f_max?}."""
     if isinstance(psd, SyntheticNoise):
         return psd.amplitude, psd.alpha, psd.f_min, psd.f_max
-    amplitude = psd["amplitude"] if "amplitude" in psd else psd["A"]
     f_min = psd.get("f_min")
     f_max = psd.get("f_max")
-    return float(amplitude), float(psd["alpha"]), \
+    return float(psd["amplitude"]), float(psd["alpha"]), \
         None if f_min is None else float(f_min), \
         None if f_max is None else float(f_max)

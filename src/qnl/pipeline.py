@@ -1,9 +1,9 @@
 """End-to-end analysis pipeline: ingest, fit, reconstruct, report.
 
-run_pipeline orchestrates the per-trace decay fits, the T_phi-vs-N
-scaling, PSD reconstruction with voltage-noise conversion, the
-low-frequency periodogram, thermal-model curves, and spectroscopy fits,
-and writes a single JSON report plus per-table CSVs.  Every reported
+run_pipeline drives the STAGES table: per-trace decay fits, the
+T_phi-vs-N scaling, PSD reconstruction with voltage-noise conversion, the
+low-frequency periodogram, thermal-model curves, and spectroscopy fits;
+it writes a single JSON report plus per-table CSVs.  Every reported
 number traces back to an input file (hashed in the provenance block) or
 to a config parameter echoed verbatim.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,6 @@ from .spectro import (QubitDispersion, fit_dispersion, fit_transmission,
                       lever_arm, qubit_frequency)
 from .thermal import (ThermalModel, photon_occupation, resonator_dephasing,
                       t1_vs_temperature, thermal_population)
-
-ALL_STAGES = ("decay", "scaling", "psd", "lowfreq", "thermal", "spectro")
 
 
 class PipelineError(RuntimeError):
@@ -64,12 +62,11 @@ class AnalysisConfig:
     qubit: dict = field(default_factory=dict)
     temperatures_k: list[float] = field(default_factory=list)
     stages: list[str] = field(default_factory=lambda: list(ALL_STAGES))
-    seed: int = 0
 
     @classmethod
     def from_json(cls, path) -> "AnalysisConfig":
-        """Load a config, raising PipelineError on malformed JSON or
-        unknown keys so callers never see a bare TypeError."""
+        """Load a config; malformed JSON and unknown or missing keys raise
+        PipelineError, so callers never see a bare TypeError."""
         try:
             payload = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
@@ -79,13 +76,17 @@ class AnalysisConfig:
             raise PipelineError([Diagnostic(
                 "error", "config must be a JSON object", file=str(path))])
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise PipelineError([
-                Diagnostic("error", f"unknown config key {key!r}; expected "
-                                    f"keys from {sorted(known)}",
-                           file=str(path), column=key)
-                for key in unknown])
+        required = {f.name for f in fields(cls) if f.default is MISSING
+                    and f.default_factory is MISSING}
+        found = [Diagnostic("error", f"unknown config key {key!r}; expected "
+                                     f"keys from {sorted(known)}",
+                            file=str(path), column=key)
+                 for key in sorted(set(payload) - known)]
+        found += [Diagnostic("error", f"missing required config key {key!r}",
+                             file=str(path), column=key)
+                  for key in sorted(required - set(payload))]
+        if found:
+            raise PipelineError(found)
         return cls(**payload)
 
     def to_dict(self) -> dict:
@@ -97,8 +98,11 @@ class ReportBundle:
     """The pipeline's single self-describing output.
 
     sections map section name to a JSON-ready payload whose "sources"
-    entry lists the input files it was derived from; provenance maps every
-    input file to its sha256 at analysis time.
+    entry lists the input files it was derived from; provenance maps
+    exactly those files, the union over all sections, to their sha256 at
+    analysis time.  warnings holds the load diagnostics that let the run
+    proceed, fits that failed, and "stage <name> failed" lines for stages
+    whose section was omitted.
     """
 
     version: str
@@ -220,217 +224,200 @@ def validate_inputs(config: AnalysisConfig) -> list[Diagnostic]:
     return load_inputs(config)[1]
 
 
+@dataclass
+class StageContext:
+    """A stage builder's input: config, inputs, earlier sections, warnings."""
+
+    config: AnalysisConfig
+    loaded: LoadedInputs
+    sections: dict
+    warnings: list
+
+
+def _decay_stage(ctx: StageContext) -> dict | None:
+    if not ctx.config.decay_traces:
+        return None
+    fits: list[dict] = []
+    relax_by_bias: dict[float, dict] = {}
+    # relaxation first: its T1 feeds the echo/CPMG fits at its bias
+    for path, trace, meta in sorted(
+            ctx.loaded.traces, key=lambda item: item[1].kind != "relaxation"):
+        t1 = _t1_for(_bias_of(meta), relax_by_bias, ctx.config.qubit)
+        if trace.n_pulses and t1 is None:
+            ctx.warnings.append(f"[warning] {path}: no T1 available for this "
+                                "bias and no qubit.t1 fallback; trace skipped")
+            continue
+        try:
+            fit = fit_trace(trace, t1)
+        except (FitError, ValueError) as exc:
+            ctx.warnings.append(f"[warning] {path}: fit failed ({exc})")
+            continue
+        record = _fit_record(path, trace, meta, fit)
+        fits.append(record)
+        if trace.kind == "relaxation":
+            relax_by_bias[record["bias_mv"]] = record
+    return {"fits": fits,
+            "sources": sorted({f["file"] for f in fits}
+                              | {str(sidecar_path(f["file"])) for f in fits})}
+
+
+def _scaling_stage(ctx: StageContext) -> dict | None:
+    by_bias: dict[float, list[dict]] = {}
+    for record in ctx.sections.get("decay_fits", {"fits": []})["fits"]:
+        if record["n_pulses"] >= 1 and record["params"].get("t_phi"):
+            by_bias.setdefault(record["bias_mv"], []).append(record)
+    rows = []
+    for bias, records in sorted(by_bias.items()):
+        points = [(r["n_pulses"], r["params"]["t_phi"]) for r in records]
+        if len(points) < 3:
+            continue
+        try:
+            scaling = fit_scaling(points)
+        except (ScalingError, FitError) as exc:
+            ctx.warnings.append(f"[warning] scaling at bias {bias} mV: {exc}")
+            continue
+        rows.append({"bias_mv": bias, "beta": scaling.beta,
+                     "alpha": scaling.alpha, "beta_err": scaling.beta_err,
+                     "alpha_err": scaling.alpha_err,
+                     "n_points": len(points)})
+    if not rows:
+        return None
+    return {"fits": rows, "sources": ctx.sections["decay_fits"]["sources"]}
+
+
+def _psd_stage(ctx: StageContext) -> dict | None:
+    qubit = ctx.config.qubit
+    disp = None
+    if qubit.get("f_ss") and qubit.get("lever_c") is not None:
+        disp = QubitDispersion(f_ss=qubit["f_ss"], lever_c=qubit["lever_c"],
+                               v_ss=qubit.get("v_ss", 0.0))
+    rows = []
+    for record in ctx.sections.get("decay_fits", {"fits": []})["fits"]:
+        params = record["params"]
+        where = {"bias_mv": record["bias_mv"], "source": record["file"]}
+        if record["n_pulses"] >= 1 and params.get("t_phi"):
+            seq = PulseSequence(n_pulses=record["n_pulses"],
+                                tau=params["t_phi"])
+            point = reconstruct_psd_point(params["t_phi"], seq)
+            rows.append({"freq_hz": point.freq, "psd": point.value,
+                         "units": point.units,
+                         "n_pulses": record["n_pulses"], **where})
+            if disp is not None:
+                lever = lever_arm(disp, record["bias_mv"] * 1e-3 - disp.v_ss)
+                if lever != 0.0:
+                    volt = to_voltage_noise(point, lever)
+                    rows.append({"freq_hz": volt.freq, "psd": volt.value,
+                                 "units": volt.units,
+                                 "n_pulses": record["n_pulses"], **where})
+        elif record["kind"] == "relaxation" and params.get("t1"):
+            f_q = qubit.get("f_q") or qubit.get("f_ss")
+            if disp is not None:
+                f_q = qubit_frequency(disp,
+                                      record["bias_mv"] * 1e-3 - disp.v_ss)
+            if f_q:
+                point = transverse_noise(params["t1"], f_q)
+                rows.append({"freq_hz": point.freq, "psd": point.value,
+                             "units": point.units, "n_pulses": 0, **where})
+    if not rows:
+        return None
+    try:
+        fit = powerlaw_fit([(r["freq_hz"], r["psd"]) for r in rows
+                            if r["units"] == "freq_noise"
+                            and r["n_pulses"] >= 1])
+    except FitError:
+        fit = None
+    return {"points": rows, "powerlaw": fit,
+            "sources": sorted({r["source"] for r in rows})}
+
+
+def _lowfreq_stage(ctx: StageContext) -> dict | None:
+    path = ctx.config.frequency_series
+    if ctx.loaded.series is None:
+        return None
+    points = periodogram(ctx.loaded.series)
+    return {"points": [{"freq_hz": p.freq, "psd": p.value, "units": p.units}
+                       for p in points],
+            "powerlaw": _fit_or_warn(ctx, path, "power-law", powerlaw_fit,
+                                     points),
+            "sources": [path]}
+
+
+def _thermal_stage(ctx: StageContext) -> dict | None:
+    qubit = ctx.config.qubit
+    if not ctx.config.temperatures_k or any(
+            qubit.get(k) is None
+            for k in ("f_q", "f_r", "kappa", "chi", "t1")):
+        return None
+    model = ThermalModel(f_q=qubit["f_q"], f_r=qubit["f_r"],
+                         kappa=qubit["kappa"], chi=qubit["chi"],
+                         t1_zero=qubit["t1"])
+    return {"curves": thermal_curves(model, ctx.config.temperatures_k),
+            "sources": []}
+
+
+def _spectro_stage(ctx: StageContext) -> dict | None:
+    config, loaded, qubit = ctx.config, ctx.loaded, ctx.config.qubit
+    section: dict = {"sources": []}
+    if loaded.transmission is not None and qubit.get("f_r") \
+            and qubit.get("kappa"):
+        fit = _fit_or_warn(ctx, config.transmission_trace, "transmission",
+                           fit_transmission, loaded.transmission,
+                           {"f_r": qubit["f_r"], "kappa": qubit["kappa"]})
+        if fit is not None:
+            section["transmission"] = fit
+            section["sources"].append(config.transmission_trace)
+    if loaded.two_tone is not None:
+        fit = _fit_or_warn(ctx, config.two_tone_map, "dispersion",
+                           fit_two_tone, loaded.two_tone)
+        if fit is not None:
+            section["dispersion"] = fit
+            section["sources"].append(config.two_tone_map)
+    return section if len(section) > 1 else None
+
+
+# stage name -> (report section key, builder), in run order
+STAGES = {
+    "decay": ("decay_fits", _decay_stage),
+    "scaling": ("scaling", _scaling_stage),
+    "psd": ("psd", _psd_stage),
+    "lowfreq": ("low_frequency", _lowfreq_stage),
+    "thermal": ("thermal", _thermal_stage),
+    "spectro": ("spectro", _spectro_stage),
+}
+ALL_STAGES = tuple(STAGES)
+
+
 def run_pipeline(config: AnalysisConfig) -> ReportBundle:
-    """Run the configured stages and write the report atomically.
+    """Run the configured stages in STAGES order; write the report atomically.
 
     Parses the inputs once through load_inputs and raises PipelineError
     (writing nothing) when it reports errors; its warnings, and fits that
-    fail, are carried into the report's warnings list.
+    fail, are carried into the report's warnings list.  A stage that
+    raises FitError, ValueError or ArithmeticError loses its section and
+    leaves a "stage <name> failed" warning; the other stages still run.
+    Provenance hashes exactly the files listed in the sections' sources.
     """
     loaded, diags = load_inputs(config)
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise PipelineError(errors)
-    warnings_list = [str(d) for d in diags]
-
-    inputs: dict[str, str] = {}
-
-    def _track(path) -> None:
-        key = str(path)
-        if key not in inputs:
-            inputs[key] = sha256_of(path)
-
-    qubit = config.qubit
-    disp = None
-    if qubit.get("f_ss") and qubit.get("lever_c") is not None:
-        disp = QubitDispersion(f_ss=qubit["f_ss"], lever_c=qubit["lever_c"],
-                               v_ss=qubit.get("v_ss", 0.0))
-
-    sections: dict = {}
-    stages = set(config.stages)
-
-    # ---- per-trace decay fits -------------------------------------------
-    decay_fits: list[dict] = []
-    relax_by_bias: dict[float, dict] = {}
-    if "decay" in stages and config.decay_traces:
-        # relaxation first: its T1 feeds the echo/CPMG fits at its bias
-        for path, trace, meta in sorted(
-                loaded.traces, key=lambda item: item[1].kind != "relaxation"):
-            _track(path)
-            _track(sidecar_path(path))
-            try:
-                if trace.kind == "relaxation":
-                    fit = fit_relaxation(trace)
-                elif trace.kind == "ramsey":
-                    fit = fit_ramsey(trace)
-                else:
-                    t1 = _t1_for(_bias_of(meta), relax_by_bias, qubit)
-                    if t1 is None:
-                        warnings_list.append(
-                            f"[warning] {path}: no T1 available for this "
-                            "bias and no qubit.t1 fallback; trace skipped")
-                        continue
-                    fit = fit_cpmg(trace, t1)
-            except (FitError, ValueError) as exc:
-                warnings_list.append(f"[warning] {path}: fit failed ({exc})")
-                continue
-            record = _fit_record(path, trace, meta, fit)
-            decay_fits.append(record)
-            if trace.kind == "relaxation":
-                relax_by_bias[_bias_of(meta)] = record
-        sections["decay_fits"] = {
-            "fits": decay_fits,
-            "sources": sorted({f["file"] for f in decay_fits}
-                              | {str(sidecar_path(f["file"]))
-                                 for f in decay_fits}),
-        }
-
-    # ---- T_phi vs N scaling ---------------------------------------------
-    if "scaling" in stages and decay_fits:
-        scaling_rows = []
-        by_bias: dict[float, list[dict]] = {}
-        for record in decay_fits:
-            if record["n_pulses"] >= 1 and record["params"].get("t_phi"):
-                by_bias.setdefault(record["bias_mv"], []).append(record)
-        for bias, records in sorted(by_bias.items()):
-            points = [(r["n_pulses"], r["params"]["t_phi"]) for r in records]
-            if len(points) < 3:
-                continue
-            try:
-                scaling = fit_scaling(points)
-            except (ScalingError, FitError) as exc:
-                warnings_list.append(
-                    f"[warning] scaling at bias {bias} mV: {exc}")
-                continue
-            scaling_rows.append({
-                "bias_mv": bias, "beta": scaling.beta,
-                "alpha": scaling.alpha, "beta_err": scaling.beta_err,
-                "alpha_err": scaling.alpha_err,
-                "n_points": len(points),
-            })
-        if scaling_rows:
-            sections["scaling"] = {
-                "fits": scaling_rows,
-                "sources": sections["decay_fits"]["sources"],
-            }
-
-    # ---- PSD reconstruction and conversions ------------------------------
-    if "psd" in stages and decay_fits:
-        psd_rows = []
-        for record in decay_fits:
-            params = record["params"]
-            if record["n_pulses"] >= 1 and params.get("t_phi"):
-                seq = PulseSequence(n_pulses=record["n_pulses"],
-                                    tau=params["t_phi"])
-                point = reconstruct_psd_point(params["t_phi"], seq)
-                row = {"freq_hz": point.freq, "psd": point.value,
-                       "units": point.units, "n_pulses": record["n_pulses"],
-                       "bias_mv": record["bias_mv"], "source": record["file"]}
-                psd_rows.append(row)
-                if disp is not None:
-                    dv = record["bias_mv"] * 1e-3 - disp.v_ss
-                    lever = lever_arm(disp, dv)
-                    if lever != 0.0:
-                        volt = to_voltage_noise(point, lever)
-                        psd_rows.append({
-                            "freq_hz": volt.freq, "psd": volt.value,
-                            "units": volt.units,
-                            "n_pulses": record["n_pulses"],
-                            "bias_mv": record["bias_mv"],
-                            "source": record["file"]})
-            elif record["kind"] == "relaxation" and params.get("t1"):
-                f_q = qubit.get("f_q") or qubit.get("f_ss")
-                if disp is not None:
-                    f_q = qubit_frequency(
-                        disp, record["bias_mv"] * 1e-3 - disp.v_ss)
-                if f_q:
-                    point = transverse_noise(params["t1"], f_q)
-                    psd_rows.append({
-                        "freq_hz": point.freq, "psd": point.value,
-                        "units": point.units, "n_pulses": 0,
-                        "bias_mv": record["bias_mv"],
-                        "source": record["file"]})
-        if psd_rows:
-            freq_points = [r for r in psd_rows if r["units"] == "freq_noise"
-                           and r["n_pulses"] >= 1]
-            try:
-                fit = powerlaw_fit([(r["freq_hz"], r["psd"])
-                                    for r in freq_points])
-            except FitError:
-                fit = None
-            sections["psd"] = {
-                "points": psd_rows,
-                "powerlaw": fit,
-                "sources": sorted({r["source"] for r in psd_rows}),
-            }
-
-    # ---- low-frequency periodogram ---------------------------------------
-    if "lowfreq" in stages and loaded.series is not None:
-        _track(config.frequency_series)
-        points = periodogram(loaded.series)
+    ctx = StageContext(config, loaded, sections={},
+                       warnings=[str(d) for d in diags])
+    for stage, (key, build) in STAGES.items():
+        if stage not in config.stages:
+            continue
         try:
-            fit = powerlaw_fit(points)
-        except FitError as exc:
-            warnings_list.append(f"[warning] {config.frequency_series}: "
-                                 f"power-law fit failed ({exc})")
-            fit = None
-        sections["low_frequency"] = {
-            "points": [{"freq_hz": p.freq, "psd": p.value, "units": p.units}
-                       for p in points],
-            "powerlaw": fit,
-            "sources": [str(config.frequency_series)],
-        }
-
-    # ---- thermal-model curves ---------------------------------------------
-    thermal_keys = ("f_q", "f_r", "kappa", "chi", "t1")
-    if "thermal" in stages and config.temperatures_k \
-            and all(qubit.get(k) is not None for k in thermal_keys):
-        model = ThermalModel(f_q=qubit["f_q"], f_r=qubit["f_r"],
-                             kappa=qubit["kappa"], chi=qubit["chi"],
-                             t1_zero=qubit["t1"])
-        rows = []
-        for temp in config.temperatures_k:
-            n_th = photon_occupation(model.f_r, temp)
-            rows.append({
-                "temp_k": temp,
-                "t1_s": t1_vs_temperature(model, temp),
-                "pe": thermal_population(model.f_q, temp),
-                "n_th": n_th,
-                "gamma_phi": resonator_dephasing(model, n_th),
-            })
-        sections["thermal"] = {"curves": rows, "sources": []}
-
-    # ---- spectroscopy fits -------------------------------------------------
-    if "spectro" in stages:
-        spectro_section: dict = {"sources": []}
-        if loaded.transmission is not None and qubit.get("f_r") \
-                and qubit.get("kappa"):
-            _track(config.transmission_trace)
-            try:
-                spectro_section["transmission"] = fit_transmission(
-                    loaded.transmission,
-                    {"f_r": qubit["f_r"], "kappa": qubit["kappa"]})
-                spectro_section["sources"].append(
-                    str(config.transmission_trace))
-            except FitError as exc:
-                warnings_list.append(f"[warning] {config.transmission_trace}"
-                                     f": transmission fit failed ({exc})")
-        if loaded.two_tone is not None:
-            _track(config.two_tone_map)
-            try:
-                fitted, report = fit_dispersion(ridge_points(loaded.two_tone),
-                                                full_output=True)
-                spectro_section["dispersion"] = {
-                    "f_ss": fitted.f_ss, "lever_c": fitted.lever_c,
-                    "v_ss": fitted.v_ss, **report}
-                spectro_section["sources"].append(str(config.two_tone_map))
-            except FitError as exc:
-                warnings_list.append(f"[warning] {config.two_tone_map}: "
-                                     f"dispersion fit failed ({exc})")
-        if len(spectro_section) > 1:
-            sections["spectro"] = spectro_section
-
-    sections["reference_charge_noise"] = {
+            section = build(ctx)
+        except (FitError, ValueError, ArithmeticError) as exc:
+            ctx.warnings.append(f"[warning] stage {stage} failed "
+                                f"({type(exc).__name__}: {exc}); "
+                                "section omitted")
+            continue
+        if section is not None:
+            ctx.sections[key] = section
+    sources = sorted({source for section in ctx.sections.values()
+                      for source in section["sources"]})
+    ctx.sections["reference_charge_noise"] = {
         "rows": load_charge_noise_table(),
         "sources": [],
         "note": "literature comparison values shipped as package data",
@@ -440,9 +427,9 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
         version=__version__,
         created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         config=config.to_dict(),
-        provenance={"inputs": inputs},
-        sections=sections,
-        warnings=warnings_list,
+        provenance={"inputs": {path: sha256_of(path) for path in sources}},
+        sections=ctx.sections,
+        warnings=ctx.warnings,
     )
     _write_outputs(config, report)
     return report
@@ -520,6 +507,15 @@ def _fit_record(path: str, trace, meta: dict, fit) -> dict:
     }
 
 
+def _fit_or_warn(ctx: StageContext, path: str, what: str, fit, *args):
+    """fit(*args), or None and a report warning when it raises FitError."""
+    try:
+        return fit(*args)
+    except FitError as exc:
+        ctx.warnings.append(f"[warning] {path}: {what} fit failed ({exc})")
+        return None
+
+
 def _bias_of(meta: dict) -> float:
     bias = meta.get("bias_mv")
     return 0.0 if bias is None else float(bias)
@@ -534,7 +530,36 @@ def _t1_for(bias: float, relax_by_bias: dict, qubit: dict):
     return qubit.get("t1")
 
 
-def ridge_points(table: np.ndarray) -> list[tuple[float, float]]:
+def fit_trace(trace: DecayTrace, t1: float | None):
+    """The CoherenceFit for the trace's kind; echo and CPMG fits hold T1
+    fixed at t1."""
+    if trace.kind == "relaxation":
+        return fit_relaxation(trace)
+    if trace.kind == "ramsey":
+        return fit_ramsey(trace)
+    return fit_cpmg(trace, t1)
+
+
+def fit_two_tone(table: np.ndarray) -> dict:
+    """Dispersion fit to a two-tone map's ridge, as a JSON-ready dict."""
+    fitted, report = fit_dispersion(_ridge_points(table), full_output=True)
+    return {"f_ss": fitted.f_ss, "lever_c": fitted.lever_c,
+            "v_ss": fitted.v_ss, **report}
+
+
+def thermal_curves(model: ThermalModel, temps) -> list[dict]:
+    """One row of thermal-model values per temperature (K)."""
+    rows = []
+    for temp in temps:
+        n_th = photon_occupation(model.f_r, temp)
+        rows.append({"temp_k": temp, "t1_s": t1_vs_temperature(model, temp),
+                     "pe": thermal_population(model.f_q, temp),
+                     "n_th": n_th,
+                     "gamma_phi": resonator_dephasing(model, n_th)})
+    return rows
+
+
+def _ridge_points(table: np.ndarray) -> list[tuple[float, float]]:
     """Qubit-line points from a two-tone map: per voltage, the frequency
     with the strongest phase response relative to that column's median."""
     points = []

@@ -348,6 +348,15 @@ class TestRunValidate:
         assert run.exit_code == 1
         assert "unknown config key 'out_dir'" in run.stderr
 
+    def test_missing_output_dir_reports_cleanly(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        result = runner.invoke(main, ["validate", str(config)])
+        assert result.exit_code == 1
+        assert result.stdout == (f"[error] {config}:column output_dir: "
+                                 "missing required config key "
+                                 "'output_dir'\n")
+
     def test_malformed_json_reports_cleanly(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"output_dir": ')
