@@ -35,7 +35,7 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _parse_grid(text: str, steps_as_int: bool = True) -> np.ndarray:
+def _parse_grid(text: str) -> np.ndarray:
     """'start:stop:steps' -> inclusive linspace."""
     try:
         start_s, stop_s, steps_s = text.split(":")
@@ -199,7 +199,6 @@ def resonator_calc_cmd(tc, rsq, width, length, fdiff):
 @click.option("--fmax", type=float, required=True)
 @click.option("--n-pulses", type=int, required=True)
 @click.option("--tau-grid", required=True, metavar="TMIN:TMAX:STEPS")
-@click.option("--tau-pi", type=float, default=0.0, show_default=True)
 @click.option("--sensitivity", type=float, default=1.0, show_default=True,
               help="d(omega_q)/d(lambda) in rad/s per noise unit.")
 @click.option("--n-traj", type=int, default=400, show_default=True)
@@ -209,7 +208,7 @@ def resonator_calc_cmd(tc, rsq, width, length, fdiff):
               help="Overridden by the QNL_SEED environment variable.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write a decay-trace CSV (+ sidecar) instead of stdout.")
-def simulate_cmd(amplitude, alpha, fmin, fmax, n_pulses, tau_grid, tau_pi,
+def simulate_cmd(amplitude, alpha, fmin, fmax, n_pulses, tau_grid,
                  sensitivity, n_traj, dt, seed, out):
     """Monte Carlo dephasing decay under synthesized power-law noise."""
     taus = _parse_grid(tau_grid)
@@ -217,8 +216,7 @@ def simulate_cmd(amplitude, alpha, fmin, fmax, n_pulses, tau_grid, tau_pi,
         dt = taus[0] / (32.0 * max(n_pulses, 1))
     spec = SyntheticNoise(amplitude=amplitude, alpha=alpha, f_min=fmin,
                           f_max=fmax, seed=_seed_option(seed))
-    seq = PulseSequence(n_pulses=n_pulses, tau=float(taus[-1]),
-                        tau_pi=tau_pi)
+    seq = PulseSequence(n_pulses=n_pulses, tau=float(taus[-1]))
     trace = simulate_sequence(spec, seq, sensitivity=sensitivity,
                               n_traj=n_traj, dt=dt, taus=taus)
     if out:

@@ -6,12 +6,14 @@ weights environmental noise by the filter
     g_N(omega, tau) = |y_N(omega, tau)|^2 / (omega*tau)^2,
 
     y_N = 1 + (-1)^(1+N) e^(i omega tau)
-            + 2 cos(omega tau_pi / 2) * sum_{j=1..N} (-1)^j e^(i omega tau (j-1/2)/N).
+            + 2 cos(omega tau_pi / 2) * sum_{j=1..N} (-1)^j e^(i omega tau (j-1/2)/N)
+        = (1 - (-1)^N e^(i x)) * (1 - cos(omega tau_pi / 2) / cos(x / 2N))
 
-N = 0 reduces to the Ramsey filter 4 sin^2(omega tau/2) / (omega tau)^2.
-For N >= 1 the filter rejects DC and passes a band around its first
-harmonic near N/(2 tau); the peak frequency and angular FWHM of that band
-are what PSD reconstruction consumes.
+with x = omega*tau: the pulse sum is geometric, so the cost per point of
+filter_value does not grow with N.  N = 0 reduces to the Ramsey filter
+4 sin^2(x/2) / x^2.  For N >= 1 the filter rejects DC and passes a band
+around its first harmonic near N/(2 tau); the peak frequency and angular
+FWHM of that band are what PSD reconstruction consumes.
 """
 
 from __future__ import annotations
@@ -68,19 +70,20 @@ class FilterPeak:
 def pulse_times(seq: PulseSequence) -> np.ndarray:
     """Centers of the pi pulses: tau*(j - 1/2)/N, j = 1..N (empty for N=0)."""
     n = seq.n_pulses
-    if n == 0:
-        return np.empty(0)
-    return seq.tau * (np.arange(1, n + 1) - 0.5) / n
+    return seq.tau * (np.arange(1, n + 1) - 0.5) / max(n, 1)
 
 
 def filter_value(seq: PulseSequence, omega):
     """Evaluate g_N(omega, tau) for scalar or array angular frequency.
 
-    The filter is even in omega.  For N >= 1 the constant parts of y_N
-    cancel identically, so y is assembled from (e^{i phi} - 1) terms
-    [= -2 sin^2(phi/2) + i sin(phi)]; this stays accurate deep into the
-    omega -> 0 tail where the naive sum of O(1) exponentials loses all
-    significance.
+    The filter is even in omega.  For N >= 1, with u = x/2N and
+    v = omega tau_pi/2, the closed form is g_N = (4 r s)^2 / x^2 with
+    s = sin((u+v)/2) sin((u-v)/2) = (cos v - cos u)/2 and
+    r = sin(N e)/sin(e), e = (u mod pi) - pi/2, so that |r| =
+    |1 - (-1)^N e^{ix}| / (2 |cos u|) and r -> N at the odd harmonics
+    x = (2m+1) N pi.  Below u = 1, where there is no harmonic, r is taken
+    from x directly; with the product form of s this keeps the omega -> 0
+    tail exact.
     """
     omega = np.abs(np.asarray(omega, dtype=float))
     x = omega * seq.tau
@@ -91,22 +94,15 @@ def filter_value(seq: PulseSequence, omega):
         g = np.sinc(x / TWO_PI) ** 2
         return float(g) if g.ndim == 0 else g
 
-    j = np.arange(1, n + 1)
-    signs = (-1.0) ** j
-    frac = (j - 0.5) / n
-    c_end = (-1.0) ** (1 + n)
-    cos_pi = np.cos(0.5 * omega * seq.tau_pi)
-    # sum of all constant amplitudes: 0 for even N, 2 - 2 cos(w tau_pi/2)
-    # for odd N (vanishing at tau_pi = 0)
-    a0 = 0.0 if n % 2 == 0 else 4.0 * np.sin(0.25 * omega * seq.tau_pi) ** 2
-    phases = np.multiply.outer(x, frac)
-    re = (a0 + c_end * (-2.0) * np.sin(0.5 * x) ** 2
-          + 2.0 * cos_pi * ((-2.0) * signs * np.sin(0.5 * phases) ** 2
-                            ).sum(axis=-1))
-    im = (c_end * np.sin(x)
-          + 2.0 * cos_pi * (signs * np.sin(phases)).sum(axis=-1))
+    u = 0.5 * x / n
+    v = 0.5 * omega * seq.tau_pi
+    e = np.mod(u, np.pi) - 0.5 * np.pi
+    p = np.sin(0.5 * x) if n % 2 == 0 else np.cos(0.5 * x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (re ** 2 + im ** 2) / x ** 2
+        r = np.where(u < 1.0, p / np.cos(u),
+                     np.where(e == 0.0, n, np.sin(n * e) / np.sin(e)))
+        s = np.sin(0.5 * (u + v)) * np.sin(0.5 * (u - v))
+        g = (4.0 * r * s) ** 2 / x ** 2
     g = np.where(x < 1e-150, 0.0, g)
     return float(g) if g.ndim == 0 else g
 
@@ -116,8 +112,9 @@ def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
 
     The peak is bracketed in [0.5, 1.5]*N/(2 tau) (a dense pre-scan guards
     against side-lobe capture, then a bounded scalar maximization refines
-    to 1e-10 relative).  The FWHM comes from root-bracketing the half-peak
-    crossing on each flank.
+    it to about sqrt(eps) ~ 1.5e-8 relative, where g is flat to rounding).
+    The FWHM comes from root-bracketing the half-peak crossing on each
+    flank, found in one array evaluation of outward steps.
 
     Raises ValueError for N = 0: the Ramsey filter has no harmonic
     structure and is handled separately by its callers.
@@ -142,20 +139,17 @@ def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
     half = 0.5 * g_pk
 
     def _flank(direction: int) -> float:
-        # walk outward until g drops below half the peak, then root-find
-        step_out = omega_pk / 200.0
-        prev = omega_pk
-        for i in range(1, 2001):
-            w = omega_pk + direction * i * step_out
-            if w <= 0:
-                w = 1e-12 * omega_pk
-            if filter_value(seq, w) < half:
-                wa, wb = sorted((prev, w))
-                return brentq(lambda u: filter_value(seq, u) - half,
-                              wa, wb, xtol=1e-12 * omega_pk)
-            prev = w
-        raise RuntimeError("half-maximum crossing not found; filter peak "
-                           "geometry is unexpectedly flat")
+        # step outward until g drops below half the peak, then root-find
+        steps = omega_pk + direction * np.arange(1, 2001) * (omega_pk / 200.0)
+        steps = np.where(steps <= 0, 1e-12 * omega_pk, steps)
+        below = np.flatnonzero(filter_value(seq, steps) < half)
+        if below.size == 0:
+            raise RuntimeError("half-maximum crossing not found; filter "
+                               "peak geometry is unexpectedly flat")
+        i = below[0]
+        wa, wb = sorted((omega_pk if i == 0 else steps[i - 1], steps[i]))
+        return brentq(lambda w: filter_value(seq, w) - half,
+                      wa, wb, xtol=1e-12 * omega_pk)
 
     omega_lo = _flank(-1)
     omega_hi = _flank(+1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddfilter import PulseSequence, filter_value
+from .ddfilter import PulseSequence, filter_value, pulse_times
 from .decayfit import DecayTrace
 from .units import TWO_PI
 
@@ -149,10 +149,14 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to P_e = 1.
 
     taus defaults to 24 points up to seq.tau.  dt must satisfy
-    dt <= tau/(10 N) so pulse boundaries are resolved.
+    dt <= tau/(10 N) so pulse boundaries are resolved.  Pulses are
+    instantaneous: a sequence with tau_pi > 0 is rejected.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if seq.tau_pi > 0:
+        raise ValueError("simulate_sequence models instantaneous pulses: "
+                         "seq.tau_pi must be 0")
     n_pi = seq.n_pulses
     if dt > seq.tau / (10.0 * max(n_pi, 1)):
         raise ValueError("dt too coarse: need dt <= tau/(10 N)")
@@ -169,8 +173,7 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
 
     # phase-segment boundaries for every requested delay: 0, the pulse
     # centers tau*(j-1/2)/N, and tau itself; segment signs alternate +,-,...
-    frac = np.concatenate(([0.0], (np.arange(1, n_pi + 1) - 0.5) / max(n_pi, 1),
-                           [1.0]))
+    frac = np.concatenate(([0.0], pulse_times(seq) / seq.tau, [1.0]))
     bounds = np.multiply.outer(taus, frac)            # (n_tau, n_pi+2)
     seg_signs = (-1.0) ** np.arange(n_pi + 1)
 

@@ -37,8 +37,8 @@ _UV2_PER_V2 = 1e12
 class PSDPoint:
     """One point of a noise spectrum.
 
-    freq  : frequency (Hz), > 0
-    value : spectral density, >= 0
+    freq  : frequency (Hz), finite and > 0
+    value : spectral density, finite and >= 0
     units : FREQ_NOISE (Hz^2/Hz) or VOLTAGE_NOISE (uV^2/Hz)
     """
 
@@ -47,10 +47,10 @@ class PSDPoint:
     units: str = FREQ_NOISE
 
     def __post_init__(self):
-        if self.freq <= 0:
-            raise ValueError("freq must be positive")
-        if self.value < 0:
-            raise ValueError("value must be non-negative")
+        if not 0 < self.freq < np.inf:
+            raise ValueError("freq must be finite and positive")
+        if not 0 <= self.value < np.inf:
+            raise ValueError("value must be finite and non-negative")
         if self.units not in (FREQ_NOISE, VOLTAGE_NOISE):
             raise ValueError(f"unknown units tag {self.units!r}")
 

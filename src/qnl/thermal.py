@@ -67,10 +67,11 @@ def thermal_population(f_q: float, temperature):
     """Equilibrium excited-state population of a two-level system.
 
     p_e = 1 / (1 + exp(h f_q / (k_B T))); T = 0 returns 0, and the
-    high-temperature limit is 1/2.
+    high-temperature limit is 1/2.  Evaluated as e^-x / (1 + e^-x), which
+    cannot overflow.
     """
-    x = _boltzmann_exponent(f_q, temperature)
-    result = 1.0 / (1.0 + np.exp(x))
+    decay = np.exp(-_boltzmann_exponent(f_q, temperature))
+    result = decay / (1.0 + decay)
     return float(result) if result.ndim == 0 else result
 
 
@@ -89,10 +90,11 @@ def electron_temperature(p_e: float, f_q: float) -> float:
 def photon_occupation(f_r: float, temperature):
     """Bose-Einstein mean photon number of the resonator mode.
 
-    n_th = 1 / (exp(h f_r / (k_B T)) - 1); T = 0 returns 0.
+    n_th = 1 / (exp(h f_r / (k_B T)) - 1); T = 0 returns 0.  Evaluated
+    as e^-x / (1 - e^-x), which cannot overflow.
     """
     x = _boltzmann_exponent(f_r, temperature)
-    result = 1.0 / np.expm1(x)
+    result = np.exp(-x) / -np.expm1(-x)
     return float(result) if result.ndim == 0 else result
 
 

@@ -257,6 +257,12 @@ class TestSimulate:
         via_flag = invoke(self.args + ["--seed", "7"])
         assert via_env.stdout == via_flag.stdout
 
+    def test_tau_pi_option_removed(self):
+        # the Monte Carlo models instantaneous pulses only
+        result = invoke(self.args + ["--tau-pi", "1e-6"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
     def test_out_writes_trace(self, tmp_path):
         out = tmp_path / "sim.csv"
         result = invoke(self.args + ["--out", str(out)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qnl.ddfilter import (FilterPeak, PulseSequence, filter_value,
                           first_harmonic_peak, pulse_times)
@@ -76,18 +77,44 @@ class TestCpmgFilter:
                 x ** 4 / 1024.0, rel=1e-4)
 
     def test_matches_naive_exponential_sum(self):
-        # regrouped form == direct complex sum where the latter is accurate
+        # closed form == direct complex sum where the latter is accurate
+        # (x >= 0.01 N; below, its O(1) terms cancel to |y| << 1), and
+        # at and within 1e-12 relative of the odd harmonics x = (2m+1) N pi
         tau = 100e-6
-        omega = np.geomspace(1e2, 1e6, 200)
-        x = omega * tau
-        for n in (1, 2, 5, 8):
+        for n in (1, 2, 3, 5, 8, 16, 33, 64):
+            harmonics = np.outer((2 * np.arange(4) + 1) * n * np.pi,
+                                 [1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-15])
+            x = np.concatenate((np.geomspace(1e-2 * n, 1e2 * n, 200),
+                                harmonics.ravel()))
+            omega = x / tau
             j = np.arange(1, n + 1)
             tones = ((-1.0) ** j * np.exp(
                 1j * np.outer(x, (j - 0.5) / n))).sum(axis=1)
-            y = 1.0 + (-1.0) ** (1 + n) * np.exp(1j * x) + 2.0 * tones
-            expected = np.abs(y) ** 2 / x ** 2
-            assert np.allclose(filter_value(seq(n, tau), omega), expected,
-                               rtol=1e-8)
+            for tau_pi in (0.0, 1e-3 * tau / n, 0.13 * tau / n):
+                y = (1.0 + (-1.0) ** (1 + n) * np.exp(1j * x)
+                     + 2.0 * np.cos(0.5 * omega * tau_pi) * tones)
+                expected = np.abs(y) ** 2 / x ** 2
+                assert np.allclose(filter_value(seq(n, tau, tau_pi), omega),
+                                   expected, rtol=1e-8, atol=0.0)
+
+    def test_scalar_at_harmonic_is_finite_float(self):
+        tau = 100e-6
+        for n in (1, 2, 3, 8, 64):
+            for m in (0, 1, 5):
+                g = filter_value(seq(n, tau), (2 * m + 1) * n * np.pi / tau)
+                assert isinstance(g, float)
+                assert np.isfinite(g)
+                # |y| = 2N at every odd harmonic of instantaneous pulses
+                assert g == pytest.approx(
+                    (2.0 / ((2 * m + 1) * np.pi)) ** 2, rel=1e-12)
+
+    def test_deep_dc_tail(self):
+        # even N: g -> x^4 / (64 N^4) with no rounding floor as x -> 0
+        tau = 100e-6
+        for n in (2, 4, 16, 64):
+            for x in (1e-6, 1e-12, 1e-20):
+                assert filter_value(seq(n, tau), x / tau) == pytest.approx(
+                    x ** 4 / (64.0 * n ** 4), rel=1e-9)
 
     def test_even_in_omega(self):
         tau = 55e-6
@@ -144,6 +171,28 @@ class TestFirstHarmonicPeak:
         assert a.f_peak == pytest.approx(2.0 * b.f_peak, rel=1e-6)
         assert a.delta_omega == pytest.approx(2.0 * b.delta_omega, rel=1e-4)
         assert a.f_peak == pytest.approx(4 / (2 * 40e-6), rel=0.05)
+
+    def test_width_matches_scalar_flank_walk(self):
+        # reference: walk out from the peak one scalar step at a time
+        def flank(s, omega_pk, half, direction):
+            prev = omega_pk
+            for i in range(1, 2001):
+                w = max(omega_pk + direction * i * (omega_pk / 200.0),
+                        1e-12 * omega_pk)
+                if filter_value(s, w) < half:
+                    return brentq(lambda u: filter_value(s, u) - half,
+                                  *sorted((prev, w)), xtol=1e-12 * omega_pk)
+                prev = w
+            raise AssertionError("no half-maximum crossing")
+
+        for n, tau_pi in ((1, 0.0), (2, 0.0), (5, 3e-6), (16, 0.0),
+                          (64, 1e-7)):
+            s = seq(n, tau_pi=tau_pi)
+            peak = first_harmonic_peak(s)
+            omega_pk = 2.0 * np.pi * peak.f_peak
+            half = 0.5 * filter_value(s, omega_pk)
+            width = flank(s, omega_pk, half, 1) - flank(s, omega_pk, half, -1)
+            assert peak.delta_omega == pytest.approx(width, rel=1e-12)
 
     def test_ramsey_has_no_harmonic(self):
         with pytest.raises(ValueError):

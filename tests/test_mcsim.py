@@ -151,6 +151,12 @@ class TestSimulateSequence:
             simulate_sequence(spec(), seq, sensitivity=1.0, n_traj=8,
                               dt=1e-6)
 
+    def test_finite_pulses_rejected(self):
+        seq = PulseSequence(n_pulses=2, tau=1e-4, tau_pi=1e-6)
+        with pytest.raises(ValueError, match="instantaneous pulses"):
+            simulate_sequence(spec(), seq, sensitivity=1.0, n_traj=8,
+                              dt=1e-7)
+
     def test_quasi_static_gaussian_ramsey(self):
         # static Gaussian detuning noise: C(tau) = exp(-(sigma tau)^2/2)
         tau = 20e-6

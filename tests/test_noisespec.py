@@ -188,3 +188,11 @@ class TestTransverseNoise:
 
 def test_psd_point_units_default():
     assert PSDPoint(freq=1.0, value=1.0).units == FREQ_NOISE
+
+
+@pytest.mark.parametrize("freq, value", [
+    (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+    (1.0, -1.0), (1.0, np.nan), (1.0, np.inf)])
+def test_psd_point_rejects_bad_values(freq, value):
+    with pytest.raises(ValueError):
+        PSDPoint(freq=freq, value=value)

@@ -458,6 +458,16 @@ ABSURD_METADATA = [
 ]
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _load_strict_report(config):
+    """report.json parsed as standard JSON: NaN/Infinity raise."""
+    text = (Path(config.output_dir) / "report.json").read_text()
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 class TestStageIsolation:
     @pytest.mark.parametrize("key, stage, error", ABSURD_METADATA)
     def test_absurd_metadata_fails_only_its_stage(self, tmp_path, key,
@@ -478,6 +488,19 @@ class TestStageIsolation:
                   "thermal"} - {section}
         assert others <= set(report.sections)
         assert (Path(config.output_dir) / "report.json").exists()
+
+    def test_absurd_sweet_spot_keeps_report_standard_json(self, tmp_path):
+        # v_ss = 1e300 overflows the lever arm and the qubit frequency; the
+        # psd stage fails instead of writing NaN/Infinity into report.json
+        config_dict = q1_dataset(tmp_path / "q1")
+        config_dict["qubit"]["v_ss"] = 1e300
+        config = AnalysisConfig(**config_dict)
+        assert validate_inputs(config) == []
+        report = run_pipeline(config)
+        assert [w for w in report.warnings if " stage " in w] == [
+            "[warning] stage psd failed (ValueError: freq must be finite "
+            "and positive); section omitted"]
+        _load_strict_report(config)
 
     def test_programming_errors_still_surface(self, q1_config, monkeypatch):
         def broken(*args, **kwargs):
@@ -627,3 +650,4 @@ def test_validated_configs_never_crash_the_run(mutations):
                 run_pipeline(config)
         else:
             run_pipeline(config)
+            _load_strict_report(config)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.constants import h, k
@@ -55,6 +57,18 @@ class TestThermalPopulation:
         temps = np.geomspace(1e-3, 1e3, 50)
         p = thermal_population(5.065e9, temps)
         assert np.all(p >= 0) and np.all(p < 0.5)
+
+
+def test_deep_cold_limit_is_silent():
+    # h f/k T ~ 2400 at 5 GHz and 0.1 mK: exp(x) would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for temp in (1e-4, np.array([0.0, 1e-4, 1e-2, 1.0])):
+            p_e = thermal_population(5e9, temp)
+            n_th = photon_occupation(5e9, temp)
+            assert np.all(np.isfinite(p_e)) and np.all(np.isfinite(n_th))
+        assert thermal_population(5e9, 1e-4) == 0.0
+        assert photon_occupation(5e9, 1e-4) == 0.0
 
 
 class TestElectronTemperature:
