@@ -16,9 +16,8 @@ import click
 import numpy as np
 
 from .ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from .fileio import (InputError, format_psd_csv, load_decay_trace,
-                     load_frequency_series, load_psd_csv,
-                     load_spectroscopy_trace, load_two_tone_map,
+from .fileio import (format_psd_csv, load_decay_trace, load_frequency_series,
+                     load_psd_csv, load_spectroscopy_trace, load_two_tone_map,
                      write_decay_trace, write_thermal_csv)
 from .fitutil import FitError
 from .mcsim import SyntheticNoise, simulate_sequence
@@ -47,21 +46,26 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-def _load(loader, path):
-    """loader(path), or its diagnostic on stderr and exit status 1."""
-    try:
-        return loader(path)
-    except InputError as exc:
-        click.echo(str(exc.diagnostic), err=True)
-        sys.exit(1)
-
-
 def _seed_option(seed: int) -> int:
     env = os.environ.get("QNL_SEED")
     return int(env) if env else seed
 
 
-@click.group()
+class _Main(click.Group):
+    """A failed fit or a bad value ends as one stderr line and exit 1.
+
+    An InputError's message is its located diagnostic.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (FitError, ValueError) as exc:
+            click.echo(str(exc), err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Noise spectroscopy analysis for charge-sensitive qubits."""
 
@@ -72,14 +76,10 @@ def main():
               help="Fixed T1 (s) for echo/CPMG dephasing fits.")
 def fit_decay_cmd(trace_path, t1):
     """Fit a decay trace CSV; kind comes from the JSON sidecar."""
-    trace, meta = _load(load_decay_trace, trace_path)
+    trace, meta = load_decay_trace(trace_path)
     if trace.n_pulses and t1 is None:
         raise click.UsageError("echo/CPMG traces need --t1 (seconds)")
-    try:
-        fit = fit_trace(trace, t1)
-    except (FitError, ValueError) as exc:
-        click.echo(f"fit failed: {exc}", err=True)
-        sys.exit(1)
+    fit = fit_trace(trace, t1)
     payload = {k: v for k, v in asdict(fit).items() if v is not None}
     payload["kind"] = trace.kind
     payload["n_pulses"] = trace.n_pulses
@@ -98,18 +98,13 @@ def fit_decay_cmd(trace_path, t1):
               help="Resonator linewidth (rad/s), transmission fits.")
 def fit_spectrum_cmd(trace_path, kind, f_r, kappa):
     """Fit a transmission trace or a two-tone dispersion map."""
-    try:
-        if kind == "transmission":
-            if f_r is None or kappa is None:
-                raise click.UsageError(
-                    "transmission fits need --f-r and --kappa")
-            trace = _load(load_spectroscopy_trace, trace_path)
-            result = fit_transmission(trace, {"f_r": f_r, "kappa": kappa})
-        else:
-            result = fit_two_tone(_load(load_two_tone_map, trace_path))
-    except (FitError, ValueError) as exc:
-        click.echo(f"fit failed: {exc}", err=True)
-        sys.exit(1)
+    if kind == "transmission":
+        if f_r is None or kappa is None:
+            raise click.UsageError("transmission fits need --f-r and --kappa")
+        result = fit_transmission(load_spectroscopy_trace(trace_path),
+                                  {"f_r": f_r, "kappa": kappa})
+    else:
+        result = fit_two_tone(load_two_tone_map(trace_path))
     _echo_json(result)
 
 
@@ -130,7 +125,7 @@ def reconstruct_psd_cmd(t_phi, n_pulses, tau_pi):
 @click.argument("series_path", type=click.Path(exists=True, dir_okay=False))
 def periodogram_cmd(series_path):
     """PSD of a uniformly sampled frequency time series, as CSV."""
-    series = _load(load_frequency_series, series_path)
+    series = load_frequency_series(series_path)
     click.echo(format_psd_csv(periodogram(series)), nl=False)
 
 
@@ -138,12 +133,7 @@ def periodogram_cmd(series_path):
 @click.argument("psd_path", type=click.Path(exists=True, dir_okay=False))
 def powerlaw_fit_cmd(psd_path):
     """Fit S = A/f^alpha to PSD points from a CSV."""
-    try:
-        fit = powerlaw_fit(_load(load_psd_csv, psd_path))
-    except FitError as exc:
-        click.echo(f"fit failed: {exc}", err=True)
-        sys.exit(1)
-    _echo_json(fit)
+    _echo_json(powerlaw_fit(load_psd_csv(psd_path)))
 
 
 @main.command("thermal-model")

@@ -13,7 +13,9 @@ with x = omega*tau: the pulse sum is geometric, so the cost per point of
 filter_value does not grow with N.  N = 0 reduces to the Ramsey filter
 4 sin^2(x/2) / x^2.  For N >= 1 the filter rejects DC and passes a band
 around its first harmonic near N/(2 tau); the peak frequency and angular
-FWHM of that band are what PSD reconstruction consumes.
+FWHM of that band are what PSD reconstruction consumes.  first_harmonic_peak
+finds both as roots in x on the lobe that holds the harmonic: the peak
+where d(ln g)/dx (closed form) vanishes, the FWHM where g is half of it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .units import TWO_PI
 
@@ -110,48 +112,44 @@ def filter_value(seq: PulseSequence, omega):
 def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
     """Locate the first-harmonic maximum of g_N and its angular FWHM.
 
-    The peak is bracketed in [0.5, 1.5]*N/(2 tau) (a dense pre-scan guards
-    against side-lobe capture, then a bounded scalar maximization refines
-    it to about sqrt(eps) ~ 1.5e-8 relative, where g is flat to rounding).
-    The FWHM comes from root-bracketing the half-peak crossing on each
-    flank, found in one array evaluation of outward steps.
+    Works in x = omega tau on the lobe of g = (4 r s)^2 / x^2 (see
+    filter_value) that holds the first harmonic: for N >= 2 it runs between
+    the zeros of r at x = (N -+ 2) pi, clamped at 0; for the echo (r = 1)
+    over (0, 4 pi / (1 + tau_pi/tau)), up to the first zero of s.  The peak
+    is the root of the closed form d(ln g)/dx / 2 = r'/r + s'/s - 1/x, and
+    the half-maximum points are the roots of g - g_pk/2 on either side of
+    it, all three from brentq at rtol = 4 eps.
 
     Raises ValueError for N = 0: the Ramsey filter has no harmonic
     structure and is handled separately by its callers.
     """
-    if seq.n_pulses < 1:
+    n = seq.n_pulses
+    if n < 1:
         raise ValueError("first_harmonic_peak requires n_pulses >= 1")
 
-    omega0 = TWO_PI * seq.n_pulses / (2.0 * seq.tau)
-    lo, hi = 0.5 * omega0, 1.5 * omega0
+    p = seq.tau_pi / seq.tau
+    # s = sin(ca x) sin(cb x)
+    ca, cb = 0.25 * (1.0 / n + p), 0.25 * (1.0 / n - p)
+    if n == 1:
+        lo, hi = 0.0, np.pi / ca
+    else:
+        lo, hi = max(n - 2, 0) * np.pi, (n + 2) * np.pi
 
-    grid = np.linspace(lo, hi, 512)
-    values = filter_value(seq, grid)
-    i_max = int(np.argmax(values))
-    step = grid[1] - grid[0]
-    a = max(lo, grid[i_max] - 2 * step)
-    b = min(hi, grid[i_max] + 2 * step)
-    res = minimize_scalar(lambda w: -filter_value(seq, w), bounds=(a, b),
-                          method="bounded",
-                          options={"xatol": 1e-10 * omega0})
-    omega_pk = float(res.x)
-    g_pk = filter_value(seq, omega_pk)
-    half = 0.5 * g_pk
+    def dlng(x):
+        # r = sin(N e)/sin(e), e = (x - N pi)/2N; r'/r -> 0 at e = 0, and
+        # for N = 1 the two cotangents cancel exactly
+        e = 0.5 * (x - n * np.pi) / n
+        dr = (n / np.tan(n * e) - 1.0 / np.tan(e)) / (2 * n) if e else 0.0
+        return dr + ca / np.tan(ca * x) + cb / np.tan(cb * x) - 1.0 / x
 
-    def _flank(direction: int) -> float:
-        # step outward until g drops below half the peak, then root-find
-        steps = omega_pk + direction * np.arange(1, 2001) * (omega_pk / 200.0)
-        steps = np.where(steps <= 0, 1e-12 * omega_pk, steps)
-        below = np.flatnonzero(filter_value(seq, steps) < half)
-        if below.size == 0:
-            raise RuntimeError("half-maximum crossing not found; filter "
-                               "peak geometry is unexpectedly flat")
-        i = below[0]
-        wa, wb = sorted((omega_pk if i == 0 else steps[i - 1], steps[i]))
-        return brentq(lambda w: filter_value(seq, w) - half,
-                      wa, wb, xtol=1e-12 * omega_pk)
+    def g(x):
+        return filter_value(seq, x / seq.tau)
 
-    omega_lo = _flank(-1)
-    omega_hi = _flank(+1)
-    return FilterPeak(f_peak=omega_pk / TWO_PI,
-                      delta_omega=omega_hi - omega_lo)
+    tol = {"xtol": 1e-300, "rtol": 4 * np.finfo(float).eps}  # relative only
+    edge = 1e-9 * (hi - lo)  # d(ln g)/dx is infinite at the lobe ends
+    x_pk = brentq(dlng, lo + edge, hi - edge, **tol)
+    half = 0.5 * g(x_pk)
+    x_lo = brentq(lambda x: g(x) - half, lo, x_pk, **tol)
+    x_hi = brentq(lambda x: g(x) - half, x_pk, hi, **tol)
+    return FilterPeak(f_peak=x_pk / (TWO_PI * seq.tau),
+                      delta_omega=(x_hi - x_lo) / seq.tau)

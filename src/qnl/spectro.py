@@ -66,10 +66,14 @@ class CavityQubitParams:
 def qubit_frequency(disp: QubitDispersion, dv):
     """f_q at bias offset dv (V): sqrt(f_ss^2 + (lever_c*dv)^2).
 
-    Even in dv, minimized at the sweet spot dv = 0.
+    Even in dv, minimized at the sweet spot dv = 0.  Raises OverflowError
+    where f_q exceeds the float range.
     """
     dv = np.asarray(dv, dtype=float)
-    result = np.hypot(disp.f_ss, disp.lever_c * dv)
+    with np.errstate(over="ignore"):
+        result = np.hypot(disp.f_ss, disp.lever_c * dv)
+    if np.any(np.isinf(result)):
+        raise OverflowError("qubit frequency overflows at this bias offset")
     return float(result) if result.ndim == 0 else result
 
 
@@ -77,10 +81,12 @@ def lever_arm(disp: QubitDispersion, dv):
     """Voltage sensitivity d f_q / d V at offset dv (Hz/V).
 
     Analytic derivative of the hyperbola: lever_c^2 * dv / f_q(dv);
-    zero at the sweet spot and odd in dv.
+    zero at the sweet spot and odd in dv.  Since |lever_c dv| <= f_q, it
+    overflows only where qubit_frequency does.
     """
     dv = np.asarray(dv, dtype=float)
-    result = disp.lever_c**2 * dv / qubit_frequency(disp, dv)
+    f_q = qubit_frequency(disp, dv)
+    result = disp.lever_c * (disp.lever_c * dv / f_q)
     return float(result) if result.ndim == 0 else result
 
 

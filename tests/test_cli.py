@@ -155,6 +155,33 @@ class TestBadInputFiles:
                    f"{path}:row 2: expected 3 cells, got 2")
 
 
+BAD_ARGUMENTS = [
+    (["reconstruct-psd", "--t-phi", "5e-6", "--n-pulses", "0"],
+     "n_pulses >= 1"),
+    (["filter-fn", "--n", "0", "--tau", "1e-5", "--grid", "1e4:1e6:3",
+      "--peak"], "n_pulses >= 1"),
+    (["simulate", "--amplitude", "1e8", "--alpha", "5", "--fmin", "1e3",
+      "--fmax", "1e6", "--n-pulses", "1", "--tau-grid", "5e-6:2e-5:4",
+      "--n-traj", "8"], "alpha"),
+    (["thermal-model", "--fq", "5e9", "--fr", "5.6e9", "--kappa", "-1",
+      "--chi", "-1e5", "--t1-zero", "1e-5", "--temps", "0.05:0.4:3"],
+     "kappa"),
+    (["resonator-calc", "--tc", "-1", "--rsq", "64", "--width", "2e-6",
+      "--length", "1e-4", "--fdiff", "5e9"], "t_c"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_ARGUMENTS,
+                         ids=[args[0] for args, _ in BAD_ARGUMENTS])
+def test_bad_argument_is_one_line_on_stderr(args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a ValueError
+    assert "Traceback" not in result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0]
+
+
 class TestThermalModel:
     args = ["thermal-model", "--fq", "5.065e9", "--fr", "5.668e9",
             "--kappa", repr(2.0 * np.pi * 0.38e6),

@@ -1,9 +1,12 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from qnl.ddfilter import (FilterPeak, PulseSequence, filter_value,
                           first_harmonic_peak, pulse_times)
+from qnl.units import TWO_PI
 
 # Peak position of g_N relative to the nominal N/(2 tau), frozen from a
 # dense independent scan (1e-7 relative bracketing of the maximum).
@@ -168,8 +171,8 @@ class TestFirstHarmonicPeak:
     def test_tau_scaling(self):
         a = first_harmonic_peak(seq(4, tau=40e-6))
         b = first_harmonic_peak(seq(4, tau=80e-6))
-        assert a.f_peak == pytest.approx(2.0 * b.f_peak, rel=1e-6)
-        assert a.delta_omega == pytest.approx(2.0 * b.delta_omega, rel=1e-4)
+        assert a.f_peak == pytest.approx(2.0 * b.f_peak, rel=1e-13)
+        assert a.delta_omega == pytest.approx(2.0 * b.delta_omega, rel=1e-13)
         assert a.f_peak == pytest.approx(4 / (2 * 40e-6), rel=0.05)
 
     def test_width_matches_scalar_flank_walk(self):
@@ -181,7 +184,8 @@ class TestFirstHarmonicPeak:
                         1e-12 * omega_pk)
                 if filter_value(s, w) < half:
                     return brentq(lambda u: filter_value(s, u) - half,
-                                  *sorted((prev, w)), xtol=1e-12 * omega_pk)
+                                  *sorted((prev, w)), xtol=1e-300,
+                                  rtol=4 * np.finfo(float).eps)
                 prev = w
             raise AssertionError("no half-maximum crossing")
 
@@ -192,7 +196,63 @@ class TestFirstHarmonicPeak:
             omega_pk = 2.0 * np.pi * peak.f_peak
             half = 0.5 * filter_value(s, omega_pk)
             width = flank(s, omega_pk, half, 1) - flank(s, omega_pk, half, -1)
-            assert peak.delta_omega == pytest.approx(width, rel=1e-12)
+            assert peak.delta_omega == pytest.approx(width, rel=1e-14)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 16, 64))
+    @pytest.mark.parametrize("q", (0.0, 0.2, 0.9))
+    def test_matches_mpmath_pulse_sum(self, n, q):
+        # 30-digit direct pulse sum; q = N tau_pi / tau
+        tau = 100e-6
+        peak = first_harmonic_peak(seq(n, tau, q * tau / n))
+        x_pk, width = TWO_PI * peak.f_peak * tau, peak.delta_omega * tau
+
+        def g(x):
+            y = 1 + (-1) ** (1 + n) * mp.expj(x) + 2 * mp.cos(
+                x * mp.mpf(q) / (2 * n)) * mp.fsum(
+                (-1) ** j * mp.expj(x * (j - mp.mpf(0.5)) / n)
+                for j in range(1, n + 1))
+            return abs(y) ** 2 / x ** 2
+
+        with mp.workdps(30):
+            ref_pk = mp.findroot(lambda x: mp.diff(g, x), x_pk)
+            half = g(ref_pk) / 2
+            ref_lo, ref_hi = (mp.findroot(lambda x: g(x) - half, x0)
+                              for x0 in (x_pk - width / 2, x_pk + width / 2))
+            assert ref_lo < ref_pk < ref_hi
+            assert x_pk == pytest.approx(float(ref_pk), rel=1e-13)
+            assert width == pytest.approx(float(ref_hi - ref_lo), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), q=st.floats(0.0, 0.99, exclude_max=True),
+           log_tau=st.floats(-9.0, 0.0))
+    def test_peak_and_half_maxima_property(self, n, q, log_tau):
+        tau = 10.0 ** log_tau
+        s = seq(n, tau, q * tau / n)
+        peak = first_harmonic_peak(s)
+        x_pk, width = TWO_PI * peak.f_peak * tau, peak.delta_omega * tau
+
+        def g(x):
+            return filter_value(s, x / tau)
+
+        # the lobe holding the first harmonic: between the zeros of the
+        # pulse-sum factor at (N -+ 2) pi, or for the echo up to the first
+        # zero of the pulse-shape factor
+        lo, hi = ((0.0, 4.0 * np.pi / (1.0 + q)) if n == 1 else
+                  (max(n - 2, 0) * np.pi, (n + 2) * np.pi))
+        g_pk = g(x_pk)
+        assert g(np.linspace(lo, hi, 4001)).max() <= g_pk * (1.0 + 1e-12)
+        # the FWHM pair: the points width apart with equal g
+        x_lo = brentq(lambda x: g(x) - g(x + width), x_pk - width, x_pk,
+                      xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        x_hi = x_lo + width
+        assert lo < x_lo < x_pk < x_hi < hi
+        assert g(x_lo) == pytest.approx(0.5 * g_pk, rel=1e-12)
+        assert g(x_hi) == pytest.approx(0.5 * g_pk, rel=1e-12)
+        # scale invariance in tau
+        unit = first_harmonic_peak(seq(n, 1.0, q / n))
+        assert peak.f_peak * tau == pytest.approx(unit.f_peak, rel=1e-13)
+        assert peak.delta_omega * tau == pytest.approx(unit.delta_omega,
+                                                       rel=1e-13)
 
     def test_ramsey_has_no_harmonic(self):
         with pytest.raises(ValueError):

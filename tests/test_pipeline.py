@@ -489,17 +489,19 @@ class TestStageIsolation:
         assert others <= set(report.sections)
         assert (Path(config.output_dir) / "report.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_absurd_sweet_spot_keeps_report_standard_json(self, tmp_path):
-        # v_ss = 1e300 overflows the lever arm and the qubit frequency; the
-        # psd stage fails instead of writing NaN/Infinity into report.json
+        # v_ss = 1e300 overflows the qubit frequency; the psd stage fails
+        # without a numpy warning instead of writing NaN/Infinity into
+        # report.json
         config_dict = q1_dataset(tmp_path / "q1")
         config_dict["qubit"]["v_ss"] = 1e300
         config = AnalysisConfig(**config_dict)
         assert validate_inputs(config) == []
         report = run_pipeline(config)
         assert [w for w in report.warnings if " stage " in w] == [
-            "[warning] stage psd failed (ValueError: freq must be finite "
-            "and positive); section omitted"]
+            "[warning] stage psd failed (OverflowError: qubit frequency "
+            "overflows at this bias offset); section omitted"]
         _load_strict_report(config)
 
     def test_programming_errors_still_surface(self, q1_config, monkeypatch):

@@ -52,6 +52,17 @@ class TestLeverArm:
         assert abs(lever_arm(DISP, 1.0)) == pytest.approx(DISP.lever_c,
                                                           rel=1e-5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_raises_without_warning(self):
+        for func in (qubit_frequency, lever_arm):
+            with pytest.raises(OverflowError):
+                func(DISP, -1e300)
+            with pytest.raises(OverflowError):
+                func(DISP, np.array([0.0, 1e300]))
+        # lever_c^2 dv alone would overflow; f_q and the lever arm do not
+        big = QubitDispersion(f_ss=5e9, lever_c=1e154)
+        assert lever_arm(big, 10.0) == pytest.approx(1e154, rel=1e-12)
+
 
 class TestFitDispersion:
     def test_noiseless_recovery(self):
