@@ -23,7 +23,7 @@ volts = np.linspace(-2e-3, 2e-3, 17)
 freqs = qubit_frequency(truth, volts - truth.v_ss)
 freqs = freqs * (1.0 + 2e-4 * rng.standard_normal(freqs.size))
 
-disp = fit_dispersion(list(zip(volts, freqs)))
+disp, _ = fit_dispersion(list(zip(volts, freqs)))
 print("hyperbolic dispersion fit")
 print(f"  f_ss    = {disp.f_ss/1e9:.4f} GHz  (true {truth.f_ss/1e9:.4f})")
 print(f"  lever_c = {disp.lever_c/1e12:.3f} GHz/mV "

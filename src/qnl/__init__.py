@@ -32,7 +32,6 @@ from .decayfit import (
     DecayTrace,
     ScalingError,
     ScalingFit,
-    cpmg_decay_model,
     fit_cpmg,
     fit_ramsey,
     fit_relaxation,

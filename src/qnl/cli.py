@@ -16,8 +16,9 @@ import click
 import numpy as np
 
 from .ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from .fileio import (format_psd_csv, load_decay_trace, load_frequency_series,
-                     load_psd_csv, load_spectroscopy_trace, load_two_tone_map,
+from .fileio import (DECAY_HEADER, THERMAL_HEADER, format_csv, format_psd_csv,
+                     load_decay_trace, load_frequency_series, load_psd_csv,
+                     load_spectroscopy_trace, load_two_tone_map,
                      write_decay_trace, write_thermal_csv)
 from .fitutil import FitError
 from .mcsim import SyntheticNoise, simulate_sequence
@@ -44,11 +45,6 @@ def _parse_grid(text: str) -> np.ndarray:
     if steps < 2 or not stop > start:
         raise click.BadParameter(f"degenerate grid {text!r}")
     return np.linspace(start, stop, steps)
-
-
-def _seed_option(seed: int) -> int:
-    env = os.environ.get("QNL_SEED")
-    return int(env) if env else seed
 
 
 class _Main(click.Group):
@@ -159,9 +155,7 @@ def thermal_model_cmd(fq, fr, kappa, chi, t1_zero, temps, out):
     if out:
         write_thermal_csv(out, rows)
     else:
-        click.echo("temp_k,t1_s,pe,n_th,gamma_phi")
-        for row in rows:
-            click.echo(",".join(repr(float(v)) for v in row))
+        click.echo(format_csv(THERMAL_HEADER, rows), nl=False)
 
 
 @main.command("resonator-calc")
@@ -194,8 +188,7 @@ def resonator_calc_cmd(tc, rsq, width, length, fdiff):
 @click.option("--n-traj", type=int, default=400, show_default=True)
 @click.option("--dt", type=float, default=None,
               help="Sample step (s); default tau_min/(32 max(N,1)).")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Overridden by the QNL_SEED environment variable.")
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write a decay-trace CSV (+ sidecar) instead of stdout.")
 def simulate_cmd(amplitude, alpha, fmin, fmax, n_pulses, tau_grid,
@@ -205,16 +198,16 @@ def simulate_cmd(amplitude, alpha, fmin, fmax, n_pulses, tau_grid,
     if dt is None:
         dt = taus[0] / (32.0 * max(n_pulses, 1))
     spec = SyntheticNoise(amplitude=amplitude, alpha=alpha, f_min=fmin,
-                          f_max=fmax, seed=_seed_option(seed))
+                          f_max=fmax, seed=seed)
     seq = PulseSequence(n_pulses=n_pulses, tau=float(taus[-1]))
     trace = simulate_sequence(spec, seq, sensitivity=sensitivity,
                               n_traj=n_traj, dt=dt, taus=taus)
     if out:
         write_decay_trace(out, trace)
     else:
-        click.echo("tau_s,pe")
-        for tau, pe in zip(trace.times, trace.populations):
-            click.echo(f"{float(tau)!r},{float(pe)!r}")
+        click.echo(format_csv(DECAY_HEADER, zip(trace.times.tolist(),
+                                                trace.populations.tolist())),
+                   nl=False)
 
 
 @main.command("filter-fn")
@@ -232,9 +225,8 @@ def filter_fn_cmd(n_pulses, tau, tau_pi, grid, peak):
     seq = PulseSequence(n_pulses=n_pulses, tau=tau, tau_pi=tau_pi)
     freqs = _parse_grid(grid)
     values = filter_value(seq, 2.0 * np.pi * freqs)
-    click.echo("freq_hz,g")
-    for f, g in zip(freqs, values):
-        click.echo(f"{float(f)!r},{float(g)!r}")
+    click.echo(format_csv(["freq_hz", "g"], zip(freqs.tolist(),
+                                                values.tolist())), nl=False)
     if peak:
         pk = first_harmonic_peak(seq)
         click.echo(f"peak freq_hz={pk.f_peak!r} "

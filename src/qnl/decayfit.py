@@ -220,23 +220,6 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
                         flags=flags)
 
 
-def cpmg_decay_model(fit: CoherenceFit, t1: float, tau):
-    """Evaluate the CPMG decay model at delay tau (scalar or array).
-
-    P_e = offset + amplitude * exp(-tau/(2 t1)) * exp(-(tau/t_phi)^stretch).
-    A t_phi of None (or inf) means no dephasing: pure relaxation envelope.
-    """
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be non-negative")
-    t_phi = np.inf if fit.t_phi is None else fit.t_phi
-    with np.errstate(divide="ignore"):
-        chi_n = np.where(tau > 0, (tau / t_phi) ** fit.stretch, 0.0)
-    result = (fit.offset
-              + fit.amplitude * np.exp(-tau / (2.0 * t1)) * np.exp(-chi_n))
-    return float(result) if result.ndim == 0 else result
-
-
 def t2_from_dephasing(t1: float, t_phi: float, stretch: float) -> float:
     """Solve exp(-tau/2T1 - (tau/T_phi)^stretch) = 1/e for tau.
 

@@ -246,10 +246,6 @@ def load_psd_csv(path) -> list[PSDPoint]:
     return points
 
 
-def write_psd_csv(path, points) -> None:
-    atomic_write_text(path, format_psd_csv(points))
-
-
 def format_psd_csv(points) -> str:
     return format_csv(PSD_HEADER, [(p.freq, p.value, p.units)
                                     for p in points])

@@ -140,11 +140,15 @@ def transverse_noise(t1: float, f_q: float) -> PSDPoint:
 def powerlaw_fit(points) -> dict:
     """Fit S = A / f^alpha by log-log linear regression.
 
-    points: >= 3 PSDPoints (or (freq, value) pairs) with distinct
-    frequencies and strictly positive values.  Returns a dict with
-    amplitude, exponent and their standard errors.
+    points: >= 3 PSDPoints (or (freq, value) pairs) with distinct, finite,
+    positive frequencies and finite, strictly positive values; any other
+    input raises FitError.  Returns a dict with amplitude, exponent and
+    their standard errors.
     """
     freqs, values = _as_arrays(points)
+    if not np.all((freqs > 0) & (freqs < np.inf) & np.isfinite(values)):
+        raise FitError("frequencies must be finite and positive, values "
+                       "finite")
     if len(freqs) < 3:
         raise FitError("need at least 3 points")
     if len(np.unique(freqs)) != len(freqs):
@@ -166,27 +170,18 @@ def periodogram(series: FrequencySeries) -> list[PSDPoint]:
 
     PSD in Hz^2/Hz on the Fourier grid [1/(n dt), 1/(2 dt)], normalized so
     that sum(PSD * delta_f) equals the variance of the mean-subtracted
-    series exactly (Parseval).  The mean (DC bin) is removed.
+    series exactly (Parseval).  The mean (DC bin) is removed.  The series
+    holds the invariants the transform needs: at least 8 samples, uniform
+    within 1%, dt their mean step.
     """
-    freqs, psd = _periodogram_arrays(series.timestamps, series.freqs)
-    return [PSDPoint(freq=float(f), value=float(v), units=FREQ_NOISE)
-            for f, v in zip(freqs, psd)]
-
-
-def _periodogram_arrays(timestamps, values):
-    """(frequency grid, one-sided PSD) with exact Parseval normalization."""
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    if n < 8:
-        raise ValueError("need at least 8 samples")
-    dt = float(np.diff(timestamps).mean())
-    spectrum = np.fft.rfft(values - values.mean())
-    freqs = np.fft.rfftfreq(n, dt)
+    n, dt = len(series.freqs), series.dt
+    spectrum = np.fft.rfft(series.freqs - series.freqs.mean())
     scale = np.full(len(spectrum), 2.0 * dt / n)
     if n % 2 == 0:
         scale[-1] = dt / n      # the Nyquist bin has no mirror image
     psd = scale * np.abs(spectrum) ** 2
-    return freqs[1:], psd[1:]
+    return [PSDPoint(freq=float(f), value=float(v), units=FREQ_NOISE)
+            for f, v in zip(np.fft.rfftfreq(n, dt)[1:], psd[1:])]
 
 
 def _as_arrays(points):

@@ -117,20 +117,9 @@ class ReportBundle:
                 "config": self.config, "provenance": self.provenance,
                 "sections": self.sections, "warnings": self.warnings}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ReportBundle":
-        return cls(version=payload["version"], created=payload["created"],
-                   config=payload["config"], provenance=payload["provenance"],
-                   sections=payload["sections"],
-                   warnings=payload["warnings"])
-
     def save(self, path) -> None:
         atomic_write_text(path, json.dumps(self.to_dict(), indent=1,
                                            sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ReportBundle":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 @dataclass
@@ -435,28 +424,6 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     return report
 
 
-def verify_report_provenance(report: ReportBundle) -> dict[str, str]:
-    """Check every section's sources against the recorded input hashes.
-
-    Returns {section: "ok" | "missing: path" | "changed: path"}; deleting
-    or editing an input invalidates exactly the sections derived from it.
-    """
-    status = {}
-    recorded = report.provenance.get("inputs", {})
-    for name, payload in report.sections.items():
-        verdict = "ok"
-        for source in payload.get("sources", []):
-            path = Path(source)
-            if not path.exists():
-                verdict = f"missing: {source}"
-                break
-            if sha256_of(path) != recorded.get(source):
-                verdict = f"changed: {source}"
-                break
-        status[name] = verdict
-    return status
-
-
 def _write_outputs(config: AnalysisConfig, report: ReportBundle) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -542,7 +509,7 @@ def fit_trace(trace: DecayTrace, t1: float | None):
 
 def fit_two_tone(table: np.ndarray) -> dict:
     """Dispersion fit to a two-tone map's ridge, as a JSON-ready dict."""
-    fitted, report = fit_dispersion(_ridge_points(table), full_output=True)
+    fitted, report = fit_dispersion(_ridge_points(table))
     return {"f_ss": fitted.f_ss, "lever_c": fitted.lever_c,
             "v_ss": fitted.v_ss, **report}
 

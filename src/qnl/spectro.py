@@ -90,12 +90,12 @@ def lever_arm(disp: QubitDispersion, dv):
     return float(result) if result.ndim == 0 else result
 
 
-def fit_dispersion(points, full_output: bool = False):
+def fit_dispersion(points) -> tuple[QubitDispersion, dict]:
     """Least-squares hyperbola fit to (voltage, frequency) points.
 
     Needs >= 3 points with distinct voltages and positive frequencies.
-    Returns a QubitDispersion; with full_output=True also returns a report
-    dict carrying residual_norm and per-parameter standard errors.
+    Returns (QubitDispersion, report), the report carrying residual_norm
+    and per-parameter standard errors.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -124,8 +124,6 @@ def fit_dispersion(points, full_output: bool = False):
         bounds=([1e-300, 0.0, -np.inf], [np.inf, np.inf, np.inf]))
     disp = QubitDispersion(f_ss=float(result.x[0]), lever_c=float(result.x[1]),
                            v_ss=float(result.x[2]))
-    if not full_output:
-        return disp
     report = {
         "residual_norm": float(np.linalg.norm(result.fun)),
         "stderr": dict(zip(("f_ss", "lever_c", "v_ss"),

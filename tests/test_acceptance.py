@@ -230,8 +230,8 @@ def test_criterion_10_fit_recovery_suite():
 
     truth = QubitDispersion(f_ss=5.065e9, lever_c=2.348e12, v_ss=1e-4)
     volts = np.linspace(-2e-3, 2e-3, 15)
-    disp = fit_dispersion(list(zip(volts, qubit_frequency(truth,
-                                                          volts - truth.v_ss))))
+    disp, _ = fit_dispersion(
+        list(zip(volts, qubit_frequency(truth, volts - truth.v_ss))))
     assert disp.f_ss == pytest.approx(truth.f_ss, rel=1e-4)
     assert disp.lever_c == pytest.approx(truth.lever_c, rel=1e-4)
 
@@ -265,7 +265,7 @@ def test_criterion_10_fit_recovery_suite():
 
         f_pts = qubit_frequency(truth, volts - truth.v_ss) \
             * (1.0 + 1e-3 * rng.standard_normal(volts.size))
-        d = fit_dispersion(list(zip(volts, f_pts)))
+        d, _ = fit_dispersion(list(zip(volts, f_pts)))
         disp_errs.append(max(abs(d.f_ss - truth.f_ss) / truth.f_ss,
                              abs(d.lever_c - truth.lever_c) / truth.lever_c))
 

@@ -1,0 +1,50 @@
+"""The package keeps no public API that only its own tests use.
+
+Every public, undecorated, module-level function and class in src/qnl
+must be referenced (as a name or an attribute, not just imported) in
+src/qnl, demos/ or perfbench/ outside perfbench's tests.  Decorated
+definitions, the click commands, are reached through the CLI group.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qnl"
+
+# name -> why it stays without a non-test caller
+ALLOWED = {
+    "dressed_frequencies": "closed-form reference that "
+                           "test_peaks_match_dressed_frequencies checks "
+                           "transmission against",
+}
+
+
+def _public_definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.decorator_list
+                    and not node.name.startswith("_")):
+                yield f"{path.stem}.{node.name}", node.name
+
+
+def _referenced_names():
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(p for p in (ROOT / "perfbench").rglob("*.py")
+               if "tests" not in p.relative_to(ROOT).parts)]
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_definition_has_a_non_test_caller():
+    referenced = _referenced_names()
+    unused = [qualified for qualified, name in _public_definitions()
+              if name not in referenced and name not in ALLOWED]
+    assert unused == []

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from qnl.decayfit import (DecayTrace, ScalingError, cpmg_decay_model,
-                          fit_cpmg, fit_ramsey, fit_relaxation, fit_scaling,
-                          t2_from_dephasing)
+from qnl.decayfit import (DecayTrace, ScalingError, fit_cpmg, fit_ramsey,
+                          fit_relaxation, fit_scaling, t2_from_dephasing)
 from conftest import make_cpmg, make_ramsey, make_relaxation
 
 
@@ -95,27 +94,6 @@ class TestFitRamsey:
             fit = fit_ramsey(make_ramsey(noise=0.02, seed=seed))
             errs.append(abs(fit.t2 / 8.2e-6 - 1.0))
         assert np.median(errs) < 0.05
-
-
-class TestCpmgModel:
-    def test_tau_zero(self):
-        from qnl.decayfit import CoherenceFit
-        fit = CoherenceFit(amplitude=0.4, offset=0.5, t_phi=5e-6, stretch=2.0)
-        assert cpmg_decay_model(fit, t1=1e-5, tau=0.0) == pytest.approx(0.9)
-
-    def test_pure_relaxation_limit(self):
-        from qnl.decayfit import CoherenceFit
-        fit = CoherenceFit(amplitude=1.0, offset=0.0, t_phi=np.inf,
-                           stretch=2.0)
-        tau = 7e-6
-        assert cpmg_decay_model(fit, t1=1e-5, tau=tau) == pytest.approx(
-            np.exp(-tau / 2e-5), rel=1e-12)
-
-    def test_unit_point(self):
-        from qnl.decayfit import CoherenceFit
-        fit = CoherenceFit(amplitude=1.0, offset=0.0, t_phi=5e-6, stretch=2.0)
-        assert cpmg_decay_model(fit, t1=np.inf, tau=5e-6) == pytest.approx(
-            np.exp(-1.0), rel=1e-12)
 
 
 class TestFitCpmg:

@@ -108,6 +108,15 @@ class TestPowerlawFit:
         with pytest.raises(FitError):
             powerlaw_fit([(1.0, 1.0), (2.0, 0.0), (4.0, 0.5)])
 
+    @pytest.mark.parametrize("bad", [(0.0, 1.0), (-3.0, 1.0),
+                                     (np.inf, 1.0), (3.0, np.nan)],
+                             ids=["zero_freq", "negative_freq", "inf_freq",
+                                  "nan_value"])
+    def test_rejects_non_finite_pairs(self, bad):
+        from qnl.fitutil import FitError
+        with pytest.raises(FitError, match="finite"):
+            powerlaw_fit([(1.0, 1.0), (2.0, 0.5), (4.0, 0.25), bad])
+
 
 class TestReconstructPsdPoint:
     def test_formula_pin(self):

@@ -70,14 +70,14 @@ class TestFitDispersion:
         v = np.linspace(-1e-3, 1.4e-3, 15)
         points = [(float(vv), float(qubit_frequency(truth, vv - truth.v_ss)))
                   for vv in v]
-        fit = fit_dispersion(points)
+        fit, _ = fit_dispersion(points)
         assert fit.f_ss == pytest.approx(truth.f_ss, rel=1e-4)
         assert fit.lever_c == pytest.approx(truth.lever_c, rel=1e-4)
         assert fit.v_ss == pytest.approx(truth.v_ss, abs=1e-8)
 
     def test_flat_spectrum_gives_zero_lever(self):
         points = [(v, 5.065e9) for v in np.linspace(-1e-3, 1e-3, 9)]
-        fit = fit_dispersion(points)
+        fit, _ = fit_dispersion(points)
         assert abs(fit.lever_c) < 1e-3 * 5.065e9 / 1e-3
 
     def test_noisy_recovery_median(self):
@@ -88,7 +88,7 @@ class TestFitDispersion:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             noisy = clean * (1.0 + 1e-3 * rng.normal(size=v.size))
-            fit = fit_dispersion(list(zip(v, noisy)))
+            fit, _ = fit_dispersion(list(zip(v, noisy)))
             errs.append(max(abs(fit.f_ss / truth.f_ss - 1),
                             abs(fit.lever_c / truth.lever_c - 1)))
         assert np.median(errs) < 0.01
