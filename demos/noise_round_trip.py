@@ -73,7 +73,7 @@ for n_pulses in (2, 4, 8):
                                   PulseSequence(n_pulses=n_pulses,
                                                 tau=fit.t_phi))
     s_true = amplitude * point.freq**-alpha
-    points.append(point)
+    points.append((point.freq, point.value))
     print(f"{n_pulses:3d} {t_pred*1e6:15.2f} {fit.t_phi*1e6:15.2f} "
           f"{point.freq/1e3:12.1f} {point.value/s_true:13.2f}")
 

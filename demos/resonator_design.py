@@ -18,8 +18,6 @@
 # 50-ohm-class coplanar resonator.
 
 # %%
-import numpy as np
-
 from qnl.resonator import (FilmParams, coupling_ratio, kinetic_inductance,
                            lumped_model)
 

@@ -73,4 +73,4 @@ from .mcsim import (
     synthesize_noise,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

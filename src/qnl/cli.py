@@ -16,13 +16,14 @@ import click
 import numpy as np
 
 from .ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from .fileio import (DECAY_HEADER, THERMAL_HEADER, format_csv, format_psd_csv,
+from .fileio import (DECAY_HEADER, PSD_HEADER, THERMAL_HEADER, format_csv,
                      load_decay_trace, load_frequency_series, load_psd_csv,
                      load_spectroscopy_trace, load_two_tone_map,
                      write_decay_trace, write_thermal_csv)
 from .fitutil import FitError
 from .mcsim import SyntheticNoise, simulate_sequence
-from .noisespec import (periodogram, powerlaw_fit, reconstruct_psd_point)
+from .noisespec import (FREQ_NOISE, periodogram, powerlaw_fit,
+                        reconstruct_psd_point)
 from .pipeline import (AnalysisConfig, PipelineError, fit_trace,
                        fit_two_tone, run_pipeline, thermal_curves,
                        validate_inputs)
@@ -121,15 +122,17 @@ def reconstruct_psd_cmd(t_phi, n_pulses, tau_pi):
 @click.argument("series_path", type=click.Path(exists=True, dir_okay=False))
 def periodogram_cmd(series_path):
     """PSD of a uniformly sampled frequency time series, as CSV."""
-    series = load_frequency_series(series_path)
-    click.echo(format_psd_csv(periodogram(series)), nl=False)
+    spectrum = periodogram(load_frequency_series(series_path))
+    rows = ((f, s, FREQ_NOISE) for f, s in spectrum.tolist())
+    click.echo(format_csv(PSD_HEADER, rows), nl=False)
 
 
 @main.command("powerlaw-fit")
 @click.argument("psd_path", type=click.Path(exists=True, dir_okay=False))
 def powerlaw_fit_cmd(psd_path):
     """Fit S = A/f^alpha to PSD points from a CSV."""
-    _echo_json(powerlaw_fit(load_psd_csv(psd_path)))
+    _echo_json(powerlaw_fit([(p.freq, p.value)
+                             for p in load_psd_csv(psd_path)]))
 
 
 @main.command("thermal-model")

@@ -31,9 +31,9 @@ STRETCH_BOUNDS = (0.5, 4.0)
 class DecayTrace:
     """A measured decay: excited-state population versus delay.
 
-    times       : delays (s), strictly increasing
-    populations : P_e per delay; values in [-0.1, 1.1] (measurement noise
-                  may push estimates slightly outside [0, 1])
+    times       : delays (s), finite and strictly increasing
+    populations : P_e per delay; finite, in [-0.1, 1.1] (measurement
+                  noise may push estimates slightly outside [0, 1])
     kind        : one of "relaxation", "ramsey", "echo", "cpmg"
     n_pulses    : pi-pulse count (0 for relaxation/ramsey, 1 for echo,
                   >= 1 for cpmg)
@@ -52,6 +52,8 @@ class DecayTrace:
         if times.ndim != 1 or times.shape != pops.shape:
             raise ValueError("times and populations must be 1-d and "
                              "equal length")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(pops))):
+            raise ValueError("times and populations must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any((pops < -0.1) | (pops > 1.1)):

@@ -246,11 +246,6 @@ def load_psd_csv(path) -> list[PSDPoint]:
     return points
 
 
-def format_psd_csv(points) -> str:
-    return format_csv(PSD_HEADER, [(p.freq, p.value, p.units)
-                                    for p in points])
-
-
 def write_thermal_csv(path, rows) -> None:
     """rows: iterable of (temp_k, t1_s, pe, n_th, gamma_phi)."""
     atomic_write_text(path, format_csv(THERMAL_HEADER, rows))

@@ -199,59 +199,31 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float,
 
     chi = (sensitivity^2 tau^2 / 2) * integral_band S(f) g_N(2 pi f, tau) df.
 
-    `psd` is a SyntheticNoise or a mapping with amplitude, alpha, and
-    optionally f_min/f_max.  Missing f_min defaults to the infrared
-    cutoff 1/(100 tau); an explicit f_min <= 0 with alpha >= 1 is rejected
-    (the integral diverges without a cutoff).  Missing f_max defaults to
-    100 max(N,1)/tau, far past the filter's passband.  Quadrature is a
-    trapezoid rule on the union of a linear grid resolving the filter
-    oscillation (points_per_cycle per period 1/tau) and a log grid
-    resolving the power-law decades; doubling points_per_cycle is the
+    `psd` is a band-limited SyntheticNoise, or a mapping of its fields
+    (amplitude, alpha, f_min, f_max), which SyntheticNoise validates; with
+    f_min > 0 the integral is finite for every alpha it accepts.
+    Quadrature is a trapezoid rule on the union of a linear grid resolving
+    the filter oscillation (points_per_cycle per period 1/tau) and a log
+    grid resolving the power-law decades; doubling points_per_cycle is the
     convergence check.
 
     For Gaussian noise, coherence = exp(-chi): compare with
     -log of the simulate_sequence coherence.
     """
-    amplitude, alpha, f_min, f_max = _unpack_psd(psd)
-    if not 0.0 <= alpha < 3.0:
-        raise ValueError("alpha must lie in [0, 3)")
-    if f_min is None:
-        f_min = 1.0 / (100.0 * seq.tau)
-    if f_min <= 0 and alpha >= 1.0:
-        raise ValueError("1/f^alpha with alpha >= 1 diverges at DC: an "
-                         "infrared cutoff f_min > 0 is required")
-    if f_max is None:
-        f_max = 100.0 * max(seq.n_pulses, 1) / seq.tau
-    if f_max <= max(f_min, 0.0):
-        raise ValueError("f_max must exceed f_min")
-    if amplitude == 0.0:
+    if not isinstance(psd, SyntheticNoise):
+        psd = SyntheticNoise(**psd)
+    if psd.amplitude == 0.0:
         return 0.0
 
-    f_lo = f_min if f_min > 0 else f_max * 1e-9
+    f_min, f_max = psd.f_min, psd.f_max
     df = 1.0 / (points_per_cycle * seq.tau)
-    lin = np.arange(f_lo, f_max, df)
+    lin = np.arange(f_min, f_max, df)
     per_decade = max(2, 8 * points_per_cycle)
-    n_log = max(2, int(np.log10(f_max / f_lo) * per_decade))
-    log = np.geomspace(f_lo, f_max, n_log)
+    n_log = max(2, int(np.log10(f_max / f_min) * per_decade))
+    log = np.geomspace(f_min, f_max, n_log)
     grid = np.unique(np.concatenate((lin, log, [f_max])))
 
-    integrand = (amplitude * grid ** -alpha
+    integrand = (psd.amplitude * grid ** -psd.alpha
                  * filter_value(seq, TWO_PI * grid))
-    chi = (0.5 * sensitivity**2 * seq.tau**2
-           * np.trapezoid(integrand, grid))
-    if f_min <= 0 and seq.n_pulses == 0:
-        # analytic stub of the integrable sub-grid tail, where g ~ 1
-        chi += (0.5 * sensitivity**2 * seq.tau**2
-                * amplitude * f_lo ** (1.0 - alpha) / (1.0 - alpha))
-    return float(chi)
-
-
-def _unpack_psd(psd):
-    """Accept a SyntheticNoise or a {amplitude, alpha, f_min?, f_max?}."""
-    if isinstance(psd, SyntheticNoise):
-        return psd.amplitude, psd.alpha, psd.f_min, psd.f_max
-    f_min = psd.get("f_min")
-    f_max = psd.get("f_max")
-    return float(psd["amplitude"]), float(psd["alpha"]), \
-        None if f_min is None else float(f_min), \
-        None if f_max is None else float(f_max)
+    return float(0.5 * sensitivity**2 * seq.tau**2
+                 * np.trapezoid(integrand, grid))

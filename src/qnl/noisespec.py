@@ -59,8 +59,8 @@ class PSDPoint:
 class FrequencySeries:
     """Uniformly sampled record of tracked qubit frequency.
 
-    timestamps : s, uniformly spaced within 1%
-    freqs      : qubit frequency per Ramsey iteration (Hz)
+    timestamps : s, finite, uniformly spaced within 1%
+    freqs      : qubit frequency per Ramsey iteration (Hz), finite
     """
 
     timestamps: np.ndarray
@@ -73,6 +73,8 @@ class FrequencySeries:
         object.__setattr__(self, "freqs", fs)
         if ts.ndim != 1 or ts.shape != fs.shape:
             raise ValueError("timestamps and freqs must be 1-d, equal length")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(fs))):
+            raise ValueError("timestamps and freqs must be finite")
         if len(ts) < 8:
             raise ValueError("need at least 8 samples")
         steps = np.diff(ts)
@@ -140,12 +142,15 @@ def transverse_noise(t1: float, f_q: float) -> PSDPoint:
 def powerlaw_fit(points) -> dict:
     """Fit S = A / f^alpha by log-log linear regression.
 
-    points: >= 3 PSDPoints (or (freq, value) pairs) with distinct, finite,
-    positive frequencies and finite, strictly positive values; any other
-    input raises FitError.  Returns a dict with amplitude, exponent and
-    their standard errors.
+    points: >= 3 (freq, value) pairs, e.g. a periodogram's (n, 2) array,
+    with distinct, finite, positive frequencies and finite, strictly
+    positive values; any other input raises FitError.  Returns a dict with
+    amplitude, exponent and their standard errors.
     """
-    freqs, values = _as_arrays(points)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise FitError("expected (freq, value) pairs")
+    freqs, values = pts[:, 0], pts[:, 1]
     if not np.all((freqs > 0) & (freqs < np.inf) & np.isfinite(values)):
         raise FitError("frequencies must be finite and positive, values "
                        "finite")
@@ -165,32 +170,23 @@ def powerlaw_fit(points) -> dict:
             "amplitude_err": amp_err, "exponent_err": exp_err}
 
 
-def periodogram(series: FrequencySeries) -> list[PSDPoint]:
+def periodogram(series: FrequencySeries) -> np.ndarray:
     """Unwindowed one-sided periodogram of a frequency record.
 
-    PSD in Hz^2/Hz on the Fourier grid [1/(n dt), 1/(2 dt)], normalized so
-    that sum(PSD * delta_f) equals the variance of the mean-subtracted
-    series exactly (Parseval).  The mean (DC bin) is removed.  The series
-    holds the invariants the transform needs: at least 8 samples, uniform
-    within 1%, dt their mean step.
+    Returns an (n // 2, 2) array of (freq_hz, psd) rows: PSD in Hz^2/Hz on
+    the Fourier grid [1/(n dt), 1/(2 dt)], normalized so that
+    sum(PSD * delta_f) equals the variance of the mean-subtracted series
+    exactly (Parseval).  The mean (DC bin) is removed.  The series holds
+    the invariants the transform needs: at least 8 samples, uniform within
+    1%, dt their mean step.  Raises ValueError if any bin overflows.
     """
     n, dt = len(series.freqs), series.dt
     spectrum = np.fft.rfft(series.freqs - series.freqs.mean())
     scale = np.full(len(spectrum), 2.0 * dt / n)
     if n % 2 == 0:
         scale[-1] = dt / n      # the Nyquist bin has no mirror image
-    psd = scale * np.abs(spectrum) ** 2
-    return [PSDPoint(freq=float(f), value=float(v), units=FREQ_NOISE)
-            for f, v in zip(np.fft.rfftfreq(n, dt)[1:], psd[1:])]
-
-
-def _as_arrays(points):
-    """Accept PSDPoint lists or plain (freq, value) pairs."""
-    if len(points) and isinstance(points[0], PSDPoint):
-        freqs = np.array([p.freq for p in points], dtype=float)
-        values = np.array([p.value for p in points], dtype=float)
-        return freqs, values
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise FitError("expected PSDPoints or (freq, value) pairs")
-    return pts[:, 0], pts[:, 1]
+    with np.errstate(over="ignore"):    # an overflowed bin raises below
+        psd = scale * np.abs(spectrum) ** 2
+    if not np.all(np.isfinite(psd)):
+        raise ValueError("periodogram value must be finite")
+    return np.column_stack((np.fft.rfftfreq(n, dt), psd))[1:]

@@ -27,9 +27,9 @@ from .fileio import (PSD_HEADER, Diagnostic, InputError, atomic_write_text,
                      load_spectroscopy_trace, load_two_tone_map, sha256_of,
                      sidecar_path, write_thermal_csv)
 from .fitutil import FitError
-from .noisespec import (FrequencySeries, periodogram, powerlaw_fit,
-                        reconstruct_psd_point, to_voltage_noise,
-                        transverse_noise)
+from .noisespec import (FREQ_NOISE, FrequencySeries, periodogram,
+                        powerlaw_fit, reconstruct_psd_point,
+                        to_voltage_noise, transverse_noise)
 from .spectro import (QubitDispersion, fit_dispersion, fit_transmission,
                       lever_arm, qubit_frequency)
 from .thermal import (ThermalModel, photon_occupation, resonator_dephasing,
@@ -280,54 +280,54 @@ def _psd_stage(ctx: StageContext) -> dict | None:
     if qubit.get("f_ss") and qubit.get("lever_c") is not None:
         disp = QubitDispersion(f_ss=qubit["f_ss"], lever_c=qubit["lever_c"],
                                v_ss=qubit.get("v_ss", 0.0))
-    rows = []
+    points = {c: [] for c in (*PSD_HEADER, "n_pulses", "bias_mv", "source")}
+    box_points = []     # the CPMG estimates, which the power law fits
+
+    def add(point, record):
+        for column, value in zip(points, (
+                point.freq, point.value, point.units, record["n_pulses"],
+                record["bias_mv"], record["file"])):
+            points[column].append(value)
+
     for record in ctx.sections.get("decay_fits", {"fits": []})["fits"]:
         params = record["params"]
-        where = {"bias_mv": record["bias_mv"], "source": record["file"]}
         if record["n_pulses"] >= 1 and params.get("t_phi"):
             seq = PulseSequence(n_pulses=record["n_pulses"],
                                 tau=params["t_phi"])
             point = reconstruct_psd_point(params["t_phi"], seq)
-            rows.append({"freq_hz": point.freq, "psd": point.value,
-                         "units": point.units,
-                         "n_pulses": record["n_pulses"], **where})
+            box_points.append((point.freq, point.value))
+            add(point, record)
             if disp is not None:
                 lever = lever_arm(disp, record["bias_mv"] * 1e-3 - disp.v_ss)
                 if lever != 0.0:
-                    volt = to_voltage_noise(point, lever)
-                    rows.append({"freq_hz": volt.freq, "psd": volt.value,
-                                 "units": volt.units,
-                                 "n_pulses": record["n_pulses"], **where})
+                    add(to_voltage_noise(point, lever), record)
         elif record["kind"] == "relaxation" and params.get("t1"):
             f_q = qubit.get("f_q") or qubit.get("f_ss")
             if disp is not None:
                 f_q = qubit_frequency(disp,
                                       record["bias_mv"] * 1e-3 - disp.v_ss)
             if f_q:
-                point = transverse_noise(params["t1"], f_q)
-                rows.append({"freq_hz": point.freq, "psd": point.value,
-                             "units": point.units, "n_pulses": 0, **where})
-    if not rows:
+                add(transverse_noise(params["t1"], f_q), record)
+    if not points["freq_hz"]:
         return None
     try:
-        fit = powerlaw_fit([(r["freq_hz"], r["psd"]) for r in rows
-                            if r["units"] == "freq_noise"
-                            and r["n_pulses"] >= 1])
+        fit = powerlaw_fit(box_points)
     except FitError:
         fit = None
-    return {"points": rows, "powerlaw": fit,
-            "sources": sorted({r["source"] for r in rows})}
+    return {"points": points, "powerlaw": fit,
+            "sources": sorted(set(points["source"]))}
 
 
 def _lowfreq_stage(ctx: StageContext) -> dict | None:
     path = ctx.config.frequency_series
     if ctx.loaded.series is None:
         return None
-    points = periodogram(ctx.loaded.series)
-    return {"points": [{"freq_hz": p.freq, "psd": p.value, "units": p.units}
-                       for p in points],
+    spectrum = periodogram(ctx.loaded.series)
+    return {"points": {"freq_hz": spectrum[:, 0].tolist(),
+                       "psd": spectrum[:, 1].tolist(),
+                       "units": [FREQ_NOISE] * len(spectrum)},
             "powerlaw": _fit_or_warn(ctx, path, "power-law", powerlaw_fit,
-                                     points),
+                                     spectrum),
             "sources": [path]}
 
 
@@ -447,9 +447,9 @@ def _write_outputs(config: AnalysisConfig, report: ReportBundle) -> None:
                       ("periodogram.csv", "low_frequency")):
         section = report.sections.get(key)
         if section:
+            points = section["points"]
             atomic_write_text(out / name, format_csv(
-                PSD_HEADER, [(r["freq_hz"], r["psd"], r["units"])
-                             for r in section["points"]]))
+                PSD_HEADER, zip(*(points[c] for c in PSD_HEADER))))
 
     thermal = report.sections.get("thermal")
     if thermal:

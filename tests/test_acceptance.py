@@ -124,7 +124,7 @@ def test_criterion_06_psd_round_trip():
               f"f={point.freq/1e3:7.2f} kHz  "
               f"S_rec/S_true={point.value/s_true:.3f}")
         assert 0.5 < point.value / s_true < 2.0
-        points.append(point)
+        points.append((point.freq, point.value))
 
     exponent = powerlaw_fit(points)["exponent"]
     elapsed = time.perf_counter() - start
@@ -186,7 +186,7 @@ def test_criterion_09_periodogram_parseval_and_drift_exponent():
     rng = np.random.default_rng(9)
     values = rng.normal(size=4096)
     series = FrequencySeries(timestamps=np.arange(4096) * 0.7, freqs=values)
-    total = sum(p.value for p in periodogram(series)) / (4096 * 0.7)
+    total = periodogram(series)[:, 1].sum() / (4096 * 0.7)
     assert total == pytest.approx(np.var(values), rel=1e-9)
 
     n, dt = 2**14, 1.0

@@ -7,10 +7,10 @@ from click.testing import CliRunner
 
 from qnl.cli import main
 from qnl.ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from qnl.fileio import (format_psd_csv, load_decay_trace, write_decay_trace,
-                        write_frequency_series)
+from qnl.fileio import (PSD_HEADER, format_csv, load_decay_trace,
+                        write_decay_trace, write_frequency_series)
 from qnl.mcsim import SyntheticNoise, synthesize_noise
-from qnl.noisespec import FrequencySeries, PSDPoint, reconstruct_psd_point
+from qnl.noisespec import FrequencySeries, reconstruct_psd_point
 from qnl.resonator import FilmParams, kinetic_inductance, lumped_model
 from qnl.spectro import (CavityQubitParams, QubitDispersion, qubit_frequency,
                          transmission)
@@ -108,8 +108,8 @@ class TestPeriodogramAndPowerlaw:
 
     def test_powerlaw_needs_three_points(self, tmp_path):
         path = tmp_path / "psd.csv"
-        path.write_text(format_psd_csv([PSDPoint(freq=1.0, value=2.0),
-                                        PSDPoint(freq=2.0, value=1.0)]))
+        path.write_text(format_csv(PSD_HEADER, [(1.0, 2.0, "freq_noise"),
+                                                (2.0, 1.0, "freq_noise")]))
         result = runner.invoke(main, ["powerlaw-fit", str(path)])
         assert result.exit_code == 1
         assert "at least 3" in result.stderr

@@ -21,6 +21,15 @@ class TestDecayTrace:
         with pytest.raises(ValueError):
             DecayTrace(times=t, populations=p, kind="cpmg", n_pulses=0)
 
+    @pytest.mark.parametrize("times, populations", [
+        ([0.0, np.nan, 2.0], [1.0, 0.5, np.nan]),
+        ([0.0, 1.0, np.inf], [1.0, 0.5, 0.2]),
+    ], ids=["nan", "inf_time"])
+    def test_non_finite_rejected(self, times, populations):
+        with pytest.raises(ValueError, match="finite"):
+            DecayTrace(times=times, populations=populations,
+                       kind="relaxation")
+
     def test_echo_is_one_pulse(self):
         t = np.linspace(0, 1e-5, 20)
         trace = DecayTrace(times=t, populations=np.full(20, 0.5), kind="echo")

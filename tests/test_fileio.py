@@ -6,8 +6,7 @@ import pytest
 from qnl.decayfit import DecayTrace
 from qnl.fileio import (DECAY_HEADER, PSD_HEADER, SERIES_HEADER,
                         THERMAL_HEADER, InputError, atomic_write_text,
-                        format_psd_csv,
-                        load_charge_noise_table, load_decay_trace,
+                        format_csv, load_charge_noise_table, load_decay_trace,
                         load_frequency_series, load_psd_csv,
                         load_spectroscopy_trace, load_two_tone_map,
                         sha256_of, sidecar_path, write_decay_trace,
@@ -109,15 +108,16 @@ class TestPSDTableIO:
     points = [PSDPoint(freq=1e3, value=2.5e8, units="freq_noise"),
               PSDPoint(freq=1e4, value=3.1e7, units="freq_noise"),
               PSDPoint(freq=1e5, value=4.0e-6, units="voltage_noise")]
+    text = format_csv(PSD_HEADER, [(p.freq, p.value, p.units)
+                                   for p in points])
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "psd.csv"
-        path.write_text(format_psd_csv(self.points))
+        path.write_text(self.text)
         assert load_psd_csv(path) == self.points
 
     def test_header(self):
-        assert format_psd_csv(self.points).splitlines()[0] == \
-            ",".join(PSD_HEADER)
+        assert self.text.splitlines()[0] == ",".join(PSD_HEADER)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "psd.csv"

@@ -4,16 +4,15 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnl.fileio import sidecar_path, write_decay_trace
+from qnl.fileio import sidecar_path
 from qnl import pipeline
 from qnl.pipeline import (STAGES, AnalysisConfig, Diagnostic, PipelineError,
                           run_pipeline, validate_inputs)
 
-from conftest import make_cpmg, q1_dataset
+from conftest import q1_dataset
 
 
 @pytest.fixture(scope="module")
@@ -258,10 +257,12 @@ class TestRunPipeline:
     def test_psd_section(self, q1_run):
         _, report = q1_run
         psd = report.sections["psd"]
-        freq_rows = [r for r in psd["points"]
+        rows = [dict(zip(psd["points"], row))
+                for row in zip(*psd["points"].values())]
+        freq_rows = [r for r in rows
                      if r["units"] == "freq_noise" and r["n_pulses"] >= 1]
-        volt_rows = [r for r in psd["points"] if r["units"] == "voltage_noise"]
-        t1_rows = [r for r in psd["points"]
+        volt_rows = [r for r in rows if r["units"] == "voltage_noise"]
+        t1_rows = [r for r in rows
                    if r["units"] == "freq_noise" and r["n_pulses"] == 0]
         assert len(freq_rows) == 4
         assert len(volt_rows) == 4
@@ -275,7 +276,7 @@ class TestRunPipeline:
     def test_low_frequency_section(self, q1_run):
         _, report = q1_run
         low = report.sections["low_frequency"]
-        assert len(low["points"]) == 4096 // 2
+        assert len(low["points"]["freq_hz"]) == 4096 // 2
         assert low["powerlaw"]["exponent"] == pytest.approx(1.3, abs=0.2)
 
     def test_thermal_section(self, q1_run):
@@ -473,6 +474,24 @@ class TestStageIsolation:
         assert [w for w in report.warnings if " stage " in w] == [
             "[warning] stage psd failed (OverflowError: qubit frequency "
             "overflows at this bias offset); section omitted"]
+        _load_strict_report(config)
+
+    def test_overflowing_periodogram_fails_only_lowfreq(self, tmp_path):
+        # a finite drift record of +-1e200 overflows the periodogram bins
+        config_dict = q1_dataset(tmp_path / "q1")
+        series = Path(config_dict["frequency_series"])
+        lines = series.read_text().splitlines()
+        series.write_text("\n".join(
+            [lines[0]] + [f"{line.split(',')[0]},{(-1) ** i * 1e200!r}"
+                          for i, line in enumerate(lines[1:])]) + "\n")
+        config = AnalysisConfig(**config_dict)
+        assert validate_inputs(config) == []
+        report = run_pipeline(config)
+        failed = [w for w in report.warnings if " stage " in w]
+        assert len(failed) == 1
+        assert failed[0].startswith("[warning] stage lowfreq failed "
+                                    "(ValueError: ")
+        assert "low_frequency" not in report.sections
         _load_strict_report(config)
 
     def test_programming_errors_still_surface(self, q1_config, monkeypatch):
