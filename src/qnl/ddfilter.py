@@ -21,6 +21,8 @@ where d(ln g)/dx (closed form) vanishes, the FWHM where g is half of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -52,6 +54,13 @@ class PulseSequence:
             raise ValueError("total pulse time n_pulses*tau_pi must be "
                              "smaller than tau")
 
+    @cached_property
+    def _free_fraction(self) -> float:
+        """1 - N tau_pi/tau, rounded once from the exact rationals of the
+        float inputs: formed in floats it cancels as N tau_pi -> tau."""
+        return float(1 - self.n_pulses * Fraction(self.tau_pi)
+                     / Fraction(self.tau))
+
 
 @dataclass(frozen=True)
 class FilterPeak:
@@ -80,7 +89,8 @@ def filter_value(seq: PulseSequence, omega):
 
     The filter is even in omega.  For N >= 1, with u = x/2N and
     v = omega tau_pi/2, the closed form is g_N = (4 r s)^2 / x^2 with
-    s = sin((u+v)/2) sin((u-v)/2) = (cos v - cos u)/2 and
+    s = sin((u+v)/2) sin((u-v)/2) = (cos v - cos u)/2, where
+    u - v = u (1 - N tau_pi/tau) keeps s accurate as N tau_pi -> tau, and
     r = sin(N e)/sin(e), e = (u mod pi) - pi/2, so that |r| =
     |1 - (-1)^N e^{ix}| / (2 |cos u|) and r -> N at the odd harmonics
     x = (2m+1) N pi.  Below u = 1, where there is no harmonic, r is taken
@@ -103,7 +113,7 @@ def filter_value(seq: PulseSequence, omega):
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(u < 1.0, p / np.cos(u),
                      np.where(e == 0.0, n, np.sin(n * e) / np.sin(e)))
-        s = np.sin(0.5 * (u + v)) * np.sin(0.5 * (u - v))
+        s = np.sin(0.5 * (u + v)) * np.sin(0.5 * u * seq._free_fraction)
         g = (4.0 * r * s) ** 2 / x ** 2
     g = np.where(x < 1e-150, 0.0, g)
     return float(g) if g.ndim == 0 else g
@@ -129,7 +139,7 @@ def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
 
     p = seq.tau_pi / seq.tau
     # s = sin(ca x) sin(cb x)
-    ca, cb = 0.25 * (1.0 / n + p), 0.25 * (1.0 / n - p)
+    ca, cb = 0.25 * (1.0 / n + p), 0.25 * seq._free_fraction / n
     if n == 1:
         lo, hi = 0.0, np.pi / ca
     else:

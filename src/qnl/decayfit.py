@@ -123,15 +123,6 @@ class ScalingFit:
             raise ValueError("beta must lie in (0, 1)")
 
 
-class ScalingError(RuntimeError):
-    """T_phi-vs-N slope outside (0, 1); carries the fitted beta."""
-
-    def __init__(self, message: str, beta: float, beta_err: float):
-        super().__init__(message)
-        self.beta = beta
-        self.beta_err = beta_err
-
-
 def fit_relaxation(trace: DecayTrace) -> CoherenceFit:
     """Fit P_e(t) = p0 + a*exp(-t/T1) to a relaxation trace.
 
@@ -298,8 +289,8 @@ def fit_scaling(points) -> ScalingFit:
     """Log-log fit of T_phi versus N giving beta, then alpha = beta/(1-beta).
 
     points: sequence of (N, T_phi), N >= 1, T_phi > 0, three or more entries
-    over two or more N.  Raises ScalingError (carrying the fitted beta) when
-    beta falls outside (0, 1), where alpha is undefined or non-positive.
+    over two or more N.  Raises FitError when beta falls outside (0, 1),
+    where alpha is undefined or non-positive.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -314,9 +305,8 @@ def fit_scaling(points) -> ScalingFit:
     beta = float(coeffs[0])
     beta_err = float(np.sqrt(max(cov[0, 0], 0.0)))
     if not 0.0 < beta < 1.0:
-        raise ScalingError(
-            f"fitted beta = {beta:.4g} outside (0, 1): alpha undefined",
-            beta=beta, beta_err=beta_err)
+        raise FitError(
+            f"fitted beta = {beta:.4g} outside (0, 1): alpha undefined")
     alpha = beta / (1.0 - beta)
     alpha_err = beta_err / (1.0 - beta) ** 2
     return ScalingFit(beta=beta, alpha=alpha, beta_err=beta_err,

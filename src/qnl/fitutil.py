@@ -10,10 +10,10 @@ class FitError(RuntimeError):
     """A fit could not be set up or did not converge."""
 
 
-def run_least_squares(residual, x0, bounds=(-np.inf, np.inf), **kwargs):
+def run_least_squares(residual, x0, bounds):
     """Damped least squares with Jacobian-based scaling; raises FitError."""
     result = least_squares(residual, np.asarray(x0, dtype=float),
-                           bounds=bounds, x_scale="jac", **kwargs)
+                           bounds=bounds, x_scale="jac")
     if not result.success:
         raise FitError(f"least-squares did not converge: {result.message}")
     return result

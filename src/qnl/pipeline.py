@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decayfit import (DecayTrace, ScalingError, fit_cpmg, fit_ramsey,
-                       fit_relaxation, fit_scaling)
+from .decayfit import (DecayTrace, fit_cpmg, fit_ramsey, fit_relaxation,
+                       fit_scaling)
 from .ddfilter import PulseSequence
 from .fileio import (PSD_HEADER, Diagnostic, InputError, atomic_write_text,
                      format_csv, is_finite_number, load_charge_noise_table,
@@ -46,7 +46,7 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class AnalysisConfig:
-    """Pipeline inputs, qubit metadata, stage selection, and output paths.
+    """Pipeline inputs, qubit metadata, and output paths.
 
     qubit keys used when present: f_ss, lever_c, v_ss (dispersion and
     voltage-noise conversion), f_r, kappa (transmission fit), chi, t1
@@ -61,7 +61,6 @@ class AnalysisConfig:
     two_tone_map: str | None = None
     qubit: dict = field(default_factory=dict)
     temperatures_k: list[float] = field(default_factory=list)
-    stages: list[str] = field(default_factory=lambda: list(ALL_STAGES))
 
     @classmethod
     def from_json(cls, path) -> "AnalysisConfig":
@@ -193,10 +192,6 @@ def _config_diagnostics(config: AnalysisConfig) -> list[Diagnostic]:
                     for t in config.temperatures_k)):
         found.append(("temperatures_k", "must be a list of positive numbers, "
                                         f"got {config.temperatures_k!r}"))
-    if not (isinstance(config.stages, list)
-            and all(stage in ALL_STAGES for stage in config.stages)):
-        found.append(("stages", f"must be a list drawn from {ALL_STAGES}, "
-                                f"got {config.stages!r}"))
     if not (config.decay_traces or config.frequency_series
             or config.transmission_trace or config.two_tone_map):
         found.append((None, "empty dataset list: no inputs configured"))
@@ -262,7 +257,7 @@ def _scaling_stage(ctx: StageContext) -> dict | None:
             continue
         try:
             scaling = fit_scaling(points)
-        except (ScalingError, FitError) as exc:
+        except FitError as exc:
             ctx.warnings.append(f"[warning] scaling at bias {bias} mV: {exc}")
             continue
         rows.append({"bias_mv": bias, "beta": scaling.beta,
@@ -310,11 +305,9 @@ def _psd_stage(ctx: StageContext) -> dict | None:
                 add(transverse_noise(params["t1"], f_q), record)
     if not points["freq_hz"]:
         return None
-    try:
-        fit = powerlaw_fit(box_points)
-    except FitError:
-        fit = None
-    return {"points": points, "powerlaw": fit,
+    return {"points": points,
+            "powerlaw": _fit_or_warn(ctx, "psd", "power-law", powerlaw_fit,
+                                     box_points),
             "sources": sorted(set(points["source"]))}
 
 
@@ -373,11 +366,10 @@ STAGES = {
     "thermal": ("thermal", _thermal_stage),
     "spectro": ("spectro", _spectro_stage),
 }
-ALL_STAGES = tuple(STAGES)
 
 
 def run_pipeline(config: AnalysisConfig) -> ReportBundle:
-    """Run the configured stages in STAGES order; write the report atomically.
+    """Run every stage in STAGES order; write the report atomically.
 
     Parses the inputs once through load_inputs and raises PipelineError
     (writing nothing) when it reports errors; its warnings, and fits that
@@ -393,8 +385,6 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     ctx = StageContext(config, loaded, sections={},
                        warnings=[str(d) for d in diags])
     for stage, (key, build) in STAGES.items():
-        if stage not in config.stages:
-            continue
         try:
             section = build(ctx)
         except (FitError, ValueError, ArithmeticError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import hbar, k
 
-from .units import hz_to_omega
+from .units import TWO_PI
 
 # BCS weak-coupling gap: Delta_0 = 1.76 k_B T_c
 _GAP_COEFF = 1.76
@@ -63,7 +63,7 @@ class LumpedModel:
                      "l_per_length", "length", "width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        omega = hz_to_omega(self.f_diff)
+        omega = TWO_PI * self.f_diff
         if abs(omega**2 * self.l_diff * self.c_diff - 1.0) > 1e-9:
             raise ValueError("inconsistent lumped model: omega^2*L*C != 1")
 
@@ -90,7 +90,7 @@ def lumped_model(l_k: float, width: float, length: float,
         raise ValueError("l_k, width, length, f_diff must all be positive")
     l_per_length = l_k / width
     l_diff = 2.0 * l_per_length * length / np.pi**2
-    omega = hz_to_omega(f_diff)
+    omega = TWO_PI * f_diff
     c_diff = 1.0 / (omega**2 * l_diff)
     z_diff = float(np.sqrt(l_diff / c_diff))
     return LumpedModel(l_diff=l_diff, c_diff=c_diff, z_diff=z_diff,

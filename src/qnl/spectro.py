@@ -16,7 +16,7 @@ import numpy as np
 from scipy.signal import find_peaks, peak_widths
 
 from .fitutil import FitError, covariance, run_least_squares, stderr
-from .units import TWO_PI, hz_to_omega, omega_to_hz
+from .units import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def dressed_frequencies(p: CavityQubitParams) -> tuple[float, float]:
     On resonance the splitting is the vacuum Rabi value 2g/2pi.
     """
     delta = p.f_r - p.f_q
-    g_hz = omega_to_hz(p.g)
+    g_hz = p.g / TWO_PI
     half_split = 0.5 * np.hypot(delta, 2.0 * g_hz)
     center = 0.5 * (p.f_r + p.f_q)
     return center + half_split, center - half_split
@@ -153,8 +153,8 @@ def transmission(p: CavityQubitParams, f_probe):
     normalized so the bare resonator (g = 0) peaks at 1 on resonance;
     |S21| <= 1 always.
     """
-    omega = hz_to_omega(np.asarray(f_probe, dtype=float))
-    omega_r, omega_q = hz_to_omega(p.f_r), hz_to_omega(p.f_q)
+    omega = TWO_PI * np.asarray(f_probe, dtype=float)
+    omega_r, omega_q = TWO_PI * p.f_r, TWO_PI * p.f_q
     denom = (1j * (omega - omega_r) + 0.5 * p.kappa
              + p.g**2 / (1j * (omega - omega_q) + 0.5 * p.gamma))
     result = np.asarray(0.5 * p.kappa / denom)
@@ -210,7 +210,7 @@ def fit_transmission(trace, known: dict) -> dict:
                               gamma=gamma, g=max(g, 0.0)), freqs)
         return np.abs(model) - amps
 
-    span = hz_to_omega(np.ptp(freqs))
+    span = TWO_PI * np.ptp(freqs)
     result = run_least_squares(
         residual, [g0, gamma0, f_q0],
         bounds=([0.0, 1e-6 * kappa, freqs[0] - np.ptp(freqs)],

@@ -2,19 +2,9 @@
 
 Plain frequencies are stored in Hz.  Rates that enter Lorentzian/exponential
 expressions directly (kappa, gamma, g, chi) are stored in rad/s.  Convert at
-the boundary with the two helpers below instead of sprinkling 2*pi factors.
+the boundary with TWO_PI: omega = TWO_PI * f and f = omega / TWO_PI.
 """
 
 import math
 
 TWO_PI = 2.0 * math.pi
-
-
-def hz_to_omega(f):
-    """Ordinary frequency in Hz -> angular frequency in rad/s."""
-    return TWO_PI * f
-
-
-def omega_to_hz(omega):
-    """Angular frequency in rad/s -> ordinary frequency in Hz."""
-    return omega / TWO_PI

@@ -4,6 +4,7 @@ Every public, undecorated, module-level function and class in src/qnl
 must be referenced (as a name or an attribute, not just imported) in
 src/qnl, demos/ or perfbench/ outside perfbench's tests.  Decorated
 definitions, the click commands, are reached through the CLI group.
+The package namespace itself binds only __version__.
 """
 
 import ast
@@ -48,3 +49,12 @@ def test_every_public_definition_has_a_non_test_caller():
     unused = [qualified for qualified, name in _public_definitions()
               if name not in referenced and name not in ALLOWED]
     assert unused == []
+
+
+
+def test_package_namespace_holds_only_the_version():
+    # each capability is reached through its submodule, never re-exported
+    module = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(module)
+    assert [ast.unparse(node).split(" = ")[0]
+            for node in module.body[1:]] == ["__version__"]

@@ -45,12 +45,10 @@ class TestConfig:
         loaded = AnalysisConfig.from_json(path)
         assert loaded.decay_traces == q1_config["decay_traces"]
         assert loaded.qubit == q1_config["qubit"]
-        assert loaded.stages == list(
-            ("decay", "scaling", "psd", "lowfreq", "thermal", "spectro"))
 
     def test_to_dict_inverts_constructor(self):
         config = AnalysisConfig(output_dir="x", temperatures_k=[0.1],
-                                stages=["decay"])
+                                frequency_series="drift.csv")
         assert AnalysisConfig(**config.to_dict()) == config
 
     def test_missing_required_key_is_diagnosed(self, tmp_path):
@@ -358,13 +356,6 @@ class TestRunPipeline:
         assert all(f["file"] != str(bad)
                    for f in report.sections["decay_fits"]["fits"])
 
-    def test_stage_subset(self, tmp_path):
-        config_dict = q1_dataset(tmp_path / "q1")
-        config = AnalysisConfig(**dict(config_dict, stages=["decay"]))
-        report = run_pipeline(config)
-        assert set(report.sections) == {"decay_fits",
-                                        "reference_charge_noise"}
-
     def test_deterministic_given_same_inputs(self, tmp_path):
         config_dict = q1_dataset(tmp_path / "q1")
         first = run_pipeline(AnalysisConfig(**config_dict)).to_dict()
@@ -412,9 +403,10 @@ CRASH_ERRORS = [
     # ValueError iterating the characters of "0.1"
     pytest.param(lambda c: c.update(temperatures_k="0.1"),
                  "positive numbers", id="temperatures_string"),
-    # an unknown stage was silently ignored
+    # an unknown stage was silently ignored; the inputs alone decide which
+    # stages write a section, so a stages key is an unknown key
     pytest.param(lambda c: c.update(stages=["decya"]),
-                 "must be a list drawn from", id="misspelled_stage"),
+                 "unknown config key 'stages'", id="misspelled_stage"),
     # validated clean, then the trace was dropped from the run
     pytest.param(lambda c: _set_sidecar(c, 3, {"kind": "echo",
                                                "n_pulses": 2}),
@@ -508,12 +500,16 @@ class TestCrashInputs:
     def test_error_diagnostic(self, tmp_path, mutate, message):
         config_dict = q1_dataset(tmp_path / "q1")
         mutate(config_dict)
-        config = AnalysisConfig(**config_dict)
-        errors = [d for d in validate_inputs(config)
-                  if d.severity == "error"]
+        path = tmp_path / "q1" / "config.json"
+        path.write_text(json.dumps(config_dict))
+        try:
+            diags = validate_inputs(AnalysisConfig.from_json(path))
+        except PipelineError as exc:
+            diags = exc.diagnostics
+        errors = [d for d in diags if d.severity == "error"]
         assert any(message in d.message for d in errors), errors
         with pytest.raises(PipelineError):
-            run_pipeline(config)
+            run_pipeline(AnalysisConfig.from_json(path))
         assert not (tmp_path / "q1" / "out").exists()
 
     def test_short_relaxation_trace_is_a_warning(self, tmp_path):
@@ -540,6 +536,19 @@ class TestCrashInputs:
         report = run_pipeline(AnalysisConfig(**config_dict))
         assert report.sections["low_frequency"]["powerlaw"] is None
         assert any("power-law fit failed" in w for w in report.warnings)
+
+    def test_two_cpmg_points_are_a_psd_warning(self, tmp_path):
+        # FitError: need at least 3 points, once dropped without a word
+        config_dict = q1_dataset(tmp_path / "q1")
+        config_dict["decay_traces"] = [
+            path for path in config_dict["decay_traces"]
+            if not path.endswith(("cpmg4.csv", "cpmg8.csv"))]
+        report = run_pipeline(AnalysisConfig(**config_dict))
+        psd = report.sections["psd"]
+        assert sorted(set(psd["points"]["n_pulses"]) - {0}) == [1, 2]
+        assert psd["powerlaw"] is None
+        assert ("[warning] psd: power-law fit failed (need at least 3 "
+                "points)") in report.warnings
 
 
 def test_each_input_is_parsed_once(q1_config, monkeypatch):
@@ -582,9 +591,7 @@ _MUTATION = st.one_of(
          ("decay_traces", "twice"), ("frequency_series", None),
          ("frequency_series", 5), ("temperatures_k", "0.1"),
          ("temperatures_k", [0.0]), ("temperatures_k", [1e-3, 10.0]),
-         ("temperatures_k", []), ("stages", ["decay", "psd"]),
-         ("stages", ["scaling"]), ("stages", []), ("stages", "decay"),
-         ("qubit", {}), ("qubit", [])])),
+         ("temperatures_k", []), ("qubit", {}), ("qubit", [])])),
 )
 
 

@@ -12,7 +12,6 @@ from qnl.noisespec import (FrequencySeries, PSDPoint, periodogram,
 from qnl.resonator import coupling_ratio
 from qnl.spectro import QubitDispersion, lever_arm, qubit_frequency
 from qnl.thermal import electron_temperature, thermal_population
-from qnl.units import hz_to_omega, omega_to_hz
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -84,14 +83,6 @@ def test_scaling_round_trip(beta, t0):
     fit = fit_scaling(points)
     assert fit.beta == pytest.approx(beta, abs=1e-9)
     assert fit.alpha == pytest.approx(beta / (1.0 - beta), rel=1e-6)
-
-
-@given(f=st.floats(-1e12, 1e12, **finite))
-def test_hz_omega_inverse_pair(f):
-    assert omega_to_hz(hz_to_omega(f)) == pytest.approx(f, rel=1e-15,
-                                                        abs=1e-300)
-    assert hz_to_omega(f) == pytest.approx(2.0 * np.pi * f, rel=1e-15,
-                                           abs=1e-300)
 
 
 @settings(deadline=None)
