@@ -1,10 +1,10 @@
 """Monte Carlo dephasing oracle.
 
 Synthesizes Gaussian noise records with a prescribed power-law PSD,
-accumulates the qubit phase under a CPMG sequence trajectory by
-trajectory, and evaluates the corresponding filter-function dephasing
-integral numerically.  Serves as the independent ground truth for the
-decay-fitting and PSD-reconstruction modules.
+ensemble-averages the qubit phase under a CPMG sequence, and evaluates the
+corresponding filter-function dephasing integral numerically.  Serves as
+the independent ground truth for the decay-fitting and PSD-reconstruction
+modules.
 
 Conventions.  S(f) = amplitude / f^alpha is the one-sided PSD of the
 noise variable lambda in (lambda units)^2/Hz; `sensitivity` is
@@ -15,10 +15,17 @@ flipping at the pulse centers tau*(j-1/2)/N, and for Gaussian noise
     chi(tau) = <phi^2>/2
              = (sensitivity^2 tau^2 / 2) * integral S(f) g_N(2 pi f, tau) df.
 
+The phase is linear in the record, phi(tau_k) = sensitivity * sum_j
+w_j(tau_k) lambda_j, and so linear in the record's spectral draws; the
+rfft of w is the discrete filter function.  simulate_sequence builds w
+once per call and gives each trajectory only its draws and one small
+matrix-vector product, with no noise record formed.
+
 Randomness: trajectory i draws from SeedSequence(seed, spawn_key=(i,)),
-so ensembles are bit-identical for a given (seed, n_traj) regardless of
-how the loop is scheduled, and the ensemble mean is reduced once over the
-assembled array in index order.
+the same normals in the same order whether synthesize_noise turns them
+into a record or simulate_sequence into a phase, so ensembles are
+bit-identical for a given (seed, n_traj), and the ensemble mean
+accumulates in trajectory index order.
 """
 
 from __future__ import annotations
@@ -92,6 +99,51 @@ def band_variance(spec: SyntheticNoise, f_lo: float, f_hi: float) -> float:
     return spec.amplitude * (f_hi**p - f_lo**p) / p
 
 
+def _spectrum_scales(spec: SyntheticNoise, dt: float, n: int):
+    """The spectral rules of a length-n record, shared by synthesize_noise
+    and simulate_sequence.
+
+    Returns (re, im, static_sd).  With z_re, z_im the record's two arrays
+    of standard normals, one per rfft bin, its rfft coefficient k is
+    (re[k] z_re[k] + 1j im[k] z_im[k]) / sqrt(2): in band re = im =
+    sqrt(S(f_k) n/(2 dt)), 0 out of band, and an even n's Nyquist
+    coefficient is real with variance S n/(2 dt) (im = 0 there).  When the
+    band reaches below the resolution 1/(n dt), the DC coefficient is
+    n * static_sd * g for one more normal g drawn after z_im; otherwise
+    static_sd is None.  Warns when the band is clipped at Nyquist and when
+    a static offset is needed.
+    """
+    freqs = np.fft.rfftfreq(n, dt)
+    f_res, f_nyq = freqs[1], freqs[-1]
+
+    if spec.amplitude > 0 and spec.f_max > f_nyq:
+        warnings.warn("f_max exceeds the Nyquist frequency 1/(2 dt); "
+                      "band clipped at Nyquist")
+    in_band = (freqs >= spec.f_min) & (freqs <= spec.f_max) & (freqs > 0)
+    psd = np.zeros(len(freqs))
+    psd[in_band] = spec.amplitude * freqs[in_band] ** -spec.alpha
+
+    re = np.sqrt(psd * n / (2.0 * dt))
+    im = re.copy()
+    if n % 2 == 0:
+        # the Nyquist coefficient of a real record is real and unmirrored
+        re[-1] = np.sqrt(psd[-1] * n / dt)
+        im[-1] = 0.0
+
+    static_sd = None
+    if spec.amplitude > 0 and spec.f_min < f_res:
+        warnings.warn("band extends below the record resolution 1/(n dt); "
+                      "that part enters as a per-record static offset")
+        static_sd = np.sqrt(
+            band_variance(spec, spec.f_min, min(spec.f_max, f_res)))
+    return re, im, static_sd
+
+
+def _rng(spec: SyntheticNoise, stream: int) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence(spec.seed, spawn_key=(stream,)))
+
+
 def synthesize_noise(spec: SyntheticNoise, dt: float, n: int,
                      stream: int = 0) -> Trajectory:
     """Draw one noise record by Gaussian spectral synthesis.
@@ -110,31 +162,49 @@ def synthesize_noise(spec: SyntheticNoise, dt: float, n: int,
         raise ValueError("n must be >= 4")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(spec.seed, spawn_key=(stream,)))
-    freqs = np.fft.rfftfreq(n, dt)
-    f_res, f_nyq = freqs[1], freqs[-1]
-
-    if spec.amplitude > 0 and spec.f_max > f_nyq:
-        warnings.warn("f_max exceeds the Nyquist frequency 1/(2 dt); "
-                      "band clipped at Nyquist")
-    in_band = (freqs >= spec.f_min) & (freqs <= spec.f_max) & (freqs > 0)
-    psd = np.zeros(len(freqs))
-    psd[in_band] = spec.amplitude * freqs[in_band] ** -spec.alpha
-
-    z = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
-    spectrum = np.sqrt(psd * n / (2.0 * dt)) * z / np.sqrt(2.0)
+    re, im, static_sd = _spectrum_scales(spec, dt, n)
+    rng = _rng(spec, stream)
+    z_re = rng.standard_normal(len(re))
+    z_im = rng.standard_normal(len(re))
+    spectrum = (re * z_re + 1j * (im * z_im)) / np.sqrt(2.0)
     if n % 2 == 0:
-        # the Nyquist coefficient of a real record is real and unmirrored
-        spectrum[-1] = np.sqrt(psd[-1] * n / dt) * z[-1].real / np.sqrt(2.0)
-
-    if spec.amplitude > 0 and spec.f_min < f_res:
-        warnings.warn("band extends below the record resolution 1/(n dt); "
-                      "that part enters as a per-record static offset")
-        var_static = band_variance(spec, spec.f_min, min(spec.f_max, f_res))
-        spectrum[0] = n * np.sqrt(var_static) * rng.standard_normal()
-
+        # the real Nyquist coefficient, divided as a real number
+        spectrum[-1] = re[-1] * z_re[-1] / np.sqrt(2.0)
+    if static_sd is not None:
+        spectrum[0] = n * static_sd * rng.standard_normal()
     return Trajectory(dt=dt, samples=np.fft.irfft(spectrum, n=n))
+
+
+def _phase_weights(seq: PulseSequence, tau: float, dt: float,
+                   n: int) -> np.ndarray:
+    """w (length n) with phi(tau) = sensitivity * w @ lambda.
+
+    The record lambda_j = lambda(j dt) enters the phase through its
+    trapezoid integral cum_j = sum_{m<j} dt (lambda_m + lambda_{m+1})/2,
+    interpolated linearly at the segment bounds and summed with the
+    segment signs.  w is the adjoint of those three linear steps: a holds
+    the interpolation coefficients at the bounds times each bound's net
+    sign, r_j = sum_{m >= j} a_m (r_0 = r_n = 0, since cum_0 = 0), and
+    w_j = dt (r_j + r_{j+1}) / 2.
+    """
+    # segment bounds: 0, the pulse centers tau*(j-1/2)/N, and tau itself;
+    # segment s carries the sign (-1)^s, so a bound carries the sign of the
+    # segment it ends minus that of the segment it starts
+    bounds = tau * np.concatenate(([0.0], pulse_times(seq) / seq.tau, [1.0]))
+    signs = np.concatenate(
+        ([0.0], (-1.0) ** np.arange(seq.n_pulses + 1), [0.0]))
+    net = signs[:-1] - signs[1:]
+
+    t_knots = np.arange(n) * dt
+    j = np.clip(np.searchsorted(t_knots, bounds, side="right") - 1, 0, n - 2)
+    f = (bounds - t_knots[j]) / dt
+    a = np.zeros(n)
+    np.add.at(a, j, net * (1.0 - f))
+    np.add.at(a, j + 1, net * f)
+
+    r = np.zeros(n + 1)
+    r[1:n] = np.cumsum(a[:0:-1])[::-1]
+    return 0.5 * dt * (r[:-1] + r[1:])
 
 
 def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
@@ -142,11 +212,16 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
                       taus=None) -> DecayTrace:
     """Ensemble-average coherence decay under a pulse sequence.
 
-    Each trajectory synthesizes an independent noise record (long enough
-    to oversample the filter lobe and to resolve f_min, capped at
-    _MAX_STRETCH times the longest delay), accumulates the signed phase
-    integral at every requested delay, and the trace reports
-    P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to P_e = 1.
+    Trajectory i is the noise record synthesize_noise(spec, dt, n, i)
+    would return (long enough to oversample the filter lobe and to resolve
+    f_min, capped at _MAX_STRETCH times the longest delay), and its phase
+    at every requested delay is the signed trapezoid integral of that
+    record.  The phase is linear in the record's spectral draws, so the
+    record itself is never formed: the phase weights and their rfft W are
+    built once per call, and a trajectory draws its normals from the same
+    substream and takes one product with the in-band part of W.  The trace
+    reports P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to
+    P_e = 1.
 
     taus defaults to 24 points up to seq.tau.  dt must satisfy
     dt <= tau/(10 N) so pulse boundaries are resolved.  Pulses are
@@ -169,24 +244,44 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     record_span = max(_RECORD_STRETCH * seq.tau,
                       min(1.0 / spec.f_min, _MAX_STRETCH * seq.tau))
     n = int(np.ceil(record_span / dt))
-    t_knots = np.arange(n) * dt
+    re, im, static_sd = _spectrum_scales(spec, dt, n)
 
-    # phase-segment boundaries for every requested delay: 0, the pulse
-    # centers tau*(j-1/2)/N, and tau itself; segment signs alternate +,-,...
-    frac = np.concatenate(([0.0], pulse_times(seq) / seq.tau, [1.0]))
-    bounds = np.multiply.outer(taus, frac)            # (n_tau, n_pi+2)
-    seg_signs = (-1.0) ** np.arange(n_pi + 1)
+    # phi = (sensitivity/n) Re sum_k c_k X_k conj(W_k) for the record's
+    # rfft X and the weights' rfft W, with c_k = 1 at DC and at an even n's
+    # Nyquist bin, 2 elsewhere; only the band and the static DC term count
+    c = np.full(len(re), 2.0)
+    c[0] = 1.0
+    if n % 2 == 0:
+        c[-1] = 1.0
+    gain = c * sensitivity / (n * np.sqrt(2.0))
+    nonzero = np.flatnonzero(re)
+    lo, hi = (nonzero[0], nonzero[-1] + 1) if len(nonzero) else (0, 0)
+    gain_re, gain_im = (gain * re)[lo:hi], (gain * im)[lo:hi]
+    g_re = np.empty((hi - lo, len(taus)))
+    g_im = np.empty((hi - lo, len(taus)))
+    g_static = np.empty(len(taus))
+    for k, tau in enumerate(taus):
+        w_hat = np.fft.rfft(_phase_weights(seq, tau, dt, n))
+        g_re[:, k] = gain_re * w_hat[lo:hi].real
+        g_im[:, k] = gain_im * w_hat[lo:hi].imag
+        g_static[k] = w_hat[0].real
+    if static_sd is not None:
+        g_static *= sensitivity * static_sd
+    # the static draw follows z_im, so z_im is drawn in full only then
+    n_im = len(re) if static_sd is not None else hi
 
-    phasors = np.empty((n_traj, len(taus)), dtype=complex)
+    cos_sum = np.zeros(len(taus))
+    sin_sum = np.zeros(len(taus))
     for i in range(n_traj):
-        lam = synthesize_noise(spec, dt, n, stream=i).samples
-        cum = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (lam[1:] + lam[:-1]) * dt)))
-        cum_at = np.interp(bounds.ravel(), t_knots, cum).reshape(bounds.shape)
-        phi = sensitivity * (np.diff(cum_at, axis=1) * seg_signs).sum(axis=1)
-        phasors[i] = np.exp(1j * phi)
-    mean_phasor = phasors.mean(axis=0)
-    coherence = np.abs(mean_phasor)
+        rng = _rng(spec, i)
+        z_re = rng.standard_normal(len(re))
+        z_im = rng.standard_normal(n_im)
+        phi = z_re[lo:hi] @ g_re + z_im[lo:hi] @ g_im
+        if static_sd is not None:
+            phi += rng.standard_normal() * g_static
+        cos_sum += np.cos(phi)
+        sin_sum += np.sin(phi)
+    coherence = np.hypot(cos_sum, sin_sum) / n_traj
 
     kind = {0: "ramsey", 1: "echo"}.get(n_pi, "cpmg")
     return DecayTrace(times=taus, populations=0.5 * (1.0 + coherence),

@@ -148,14 +148,14 @@ def powerlaw_fit(points) -> dict:
     amplitude, exponent and their standard errors.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.ndim > 0 and len(pts) < 3:
+        raise FitError("need at least 3 points")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise FitError("expected (freq, value) pairs")
     freqs, values = pts[:, 0], pts[:, 1]
     if not np.all((freqs > 0) & (freqs < np.inf) & np.isfinite(values)):
         raise FitError("frequencies must be finite and positive, values "
                        "finite")
-    if len(freqs) < 3:
-        raise FitError("need at least 3 points")
     if len(np.unique(freqs)) != len(freqs):
         raise FitError("frequencies must be distinct")
     if np.any(values <= 0):

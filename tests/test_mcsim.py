@@ -1,11 +1,16 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from qnl.ddfilter import PulseSequence
+from qnl import mcsim
+from qnl.ddfilter import PulseSequence, pulse_times
 from qnl.mcsim import (SyntheticNoise, Trajectory, band_variance,
                        dephasing_integral, simulate_sequence,
                        synthesize_noise)
 from qnl.noisespec import FrequencySeries, periodogram, powerlaw_fit
+from qnl.units import TWO_PI
 
 
 def spec(**kw):
@@ -122,6 +127,42 @@ class TestSynthesizeNoise:
         assert np.var(offsets) == pytest.approx(expected, rel=0.25)
 
 
+def reference_synthesis(s, dt, n, stream):
+    """synthesize_noise written out in one piece, without the spectral
+    helper it shares with simulate_sequence; the two agree bit for bit."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(s.seed, spawn_key=(stream,)))
+    freqs = np.fft.rfftfreq(n, dt)
+    in_band = (freqs >= s.f_min) & (freqs <= s.f_max) & (freqs > 0)
+    psd = np.zeros(len(freqs))
+    psd[in_band] = s.amplitude * freqs[in_band] ** -s.alpha
+    z = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+    spectrum = np.sqrt(psd * n / (2.0 * dt)) * z / np.sqrt(2.0)
+    if n % 2 == 0:
+        spectrum[-1] = np.sqrt(psd[-1] * n / dt) * z[-1].real / np.sqrt(2.0)
+    if s.amplitude > 0 and s.f_min < freqs[1]:
+        var_static = band_variance(s, s.f_min, min(s.f_max, freqs[1]))
+        spectrum[0] = n * np.sqrt(var_static) * rng.standard_normal()
+    return np.fft.irfft(spectrum, n=n)
+
+
+@pytest.mark.parametrize("fields, n", [
+    (dict(alpha=1.5, f_min=2e4, f_max=5e5), 3048),       # Nyquist in band
+    (dict(alpha=1.5, f_min=2e4, f_max=1e7), 64),         # clipped
+    (dict(alpha=0.0, f_min=1e3, f_max=2e5), 7681),       # odd n
+    (dict(alpha=1.0, f_min=10.0, f_max=1e5), 512),       # static offset
+    (dict(alpha=1.0, f_min=2e4, f_max=5e5, amplitude=0.0), 65),
+], ids=["nyquist", "clipped", "odd", "static", "no_noise"])
+def test_synthesis_is_bit_identical_to_reference(fields, n):
+    s = spec(**{"amplitude": 3e7, **fields})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stream in (0, 5):
+            samples = synthesize_noise(s, 1e-6, n, stream).samples
+            assert np.array_equal(samples,
+                                  reference_synthesis(s, 1e-6, n, stream))
+
+
 class TestSimulateSequence:
     def test_no_noise_full_coherence(self):
         seq = PulseSequence(n_pulses=2, tau=20e-6)
@@ -187,6 +228,112 @@ class TestSimulateSequence:
                                      dt=5e-7, taus=taus)
         assert 2 * ramsey.populations[0] - 1 < 0.5
         assert 2 * echo.populations[0] - 1 >= 0.99
+
+
+def record_length(s, seq, dt):
+    """The record length simulate_sequence synthesizes for (s, seq, dt)."""
+    span = max(mcsim._RECORD_STRETCH * seq.tau,
+               min(1.0 / s.f_min, mcsim._MAX_STRETCH * seq.tau))
+    return int(np.ceil(span / dt))
+
+
+def reference_populations(s, seq, sensitivity, n_traj, dt, taus=None):
+    """simulate_sequence record by record: synthesize_noise, its trapezoid
+    integral, linear interpolation at the segment bounds, signed sums."""
+    if taus is None:
+        taus = np.linspace(seq.tau / 24.0, seq.tau, 24)
+    taus = np.sort(np.asarray(taus, dtype=float))
+    n = record_length(s, seq, dt)
+    t_knots = np.arange(n) * dt
+    frac = np.concatenate(([0.0], pulse_times(seq) / seq.tau, [1.0]))
+    bounds = np.multiply.outer(taus, frac)
+    seg_signs = (-1.0) ** np.arange(seq.n_pulses + 1)
+    phasors = np.empty((n_traj, len(taus)), dtype=complex)
+    for i in range(n_traj):
+        lam = synthesize_noise(s, dt, n, stream=i).samples
+        cum = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (lam[1:] + lam[:-1]) * dt)))
+        cum_at = np.interp(bounds.ravel(), t_knots, cum).reshape(bounds.shape)
+        phi = sensitivity * (np.diff(cum_at, axis=1) * seg_signs).sum(axis=1)
+        phasors[i] = np.exp(1j * phi)
+    return 0.5 * (1.0 + np.abs(phasors.mean(axis=0)))
+
+
+TAU = 20e-6
+# (spec fields, N, dt, taus, parity of the record length or None)
+EQUIVALENCE_CASES = {
+    "even_nyquist_in_band": (
+        dict(amplitude=4e10, alpha=1.0, f_min=1e4, f_max="nyquist"),
+        2, 1.1e-7, None, 0),
+    "odd_clipped_at_nyquist": (
+        dict(amplitude=2e10, alpha=1.0, f_min=9e3, f_max=1e8),
+        1, 1.1e-7, [5e-6, 12e-6, TAU], 1),
+    "static_offset_ramsey": (
+        dict(amplitude=4e9, alpha=0.0, f_min=0.01, f_max=1.0),
+        0, 1.01e-7, [4e-6, 9e-6, TAU], 0),
+    "static_offset_and_band_odd": (
+        dict(amplitude=5e11, alpha=1.0, f_min=10.0, f_max=3e6),
+        16, 1e-7, None, 1),
+    "even_clipped_with_static_offset": (
+        dict(amplitude=3e10, alpha=1.0, f_min=100.0, f_max=1e8),
+        2, 1.01e-7, [TAU], 0),
+    "no_noise": (
+        dict(amplitude=0.0, alpha=1.0, f_min=1e4, f_max=1e6),
+        1, 1e-7, None, None),
+    "cpmg16_even": (
+        dict(amplitude=5e11, alpha=1.0, f_min=1e4, f_max=2e6),
+        16, 1.1e-7, None, 0),
+}
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_weights_match_record_by_record_reference(case):
+    fields, n_pulses, dt, taus, parity = EQUIVALENCE_CASES[case]
+    seq = PulseSequence(n_pulses=n_pulses, tau=TAU)
+    if fields["f_max"] == "nyquist":
+        n = record_length(SyntheticNoise(**{**fields, "f_max": 1e9}), seq, dt)
+        fields = {**fields, "f_max": np.fft.rfftfreq(n, dt)[-1]}
+    s = SyntheticNoise(seed=5, **fields)
+    if parity is not None:
+        assert record_length(s, seq, dt) % 2 == parity
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = reference_populations(s, seq, 1.0, 24, dt, taus)
+        trace = simulate_sequence(s, seq, sensitivity=1.0, n_traj=24,
+                                  dt=dt, taus=taus)
+    if s.amplitude > 0:
+        # the phases are O(1), so the comparison is not a trivial one
+        assert expected.min() < 0.95
+    np.testing.assert_allclose(trace.populations, expected, rtol=0,
+                               atol=1e-12)
+
+
+def test_each_warning_once_per_call():
+    # band both below the record resolution and above Nyquist
+    s = spec(f_min=0.01, f_max=1e8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simulate_sequence(s, PulseSequence(n_pulses=1, tau=TAU),
+                          sensitivity=1.0, n_traj=5, dt=1e-7)
+    messages = [str(w.message) for w in caught]
+    assert sum("Nyquist" in m for m in messages) == 1
+    assert sum("static offset" in m for m in messages) == 1
+    assert len(messages) == 2
+
+
+def test_memory_does_not_grow_with_trajectories():
+    # the benchmark's 24-delay ensemble: 6000 trajectories, dt = 25 us/160;
+    # a held (n_traj, n_band) draw matrix alone would need about 91 MiB
+    s = SyntheticNoise(amplitude=1e9, alpha=1.0, f_min=2.1e3, f_max=2e6)
+    seq = PulseSequence(n_pulses=8, tau=30e-6)
+    tracemalloc.start()
+    try:
+        simulate_sequence(s, seq, sensitivity=TWO_PI, n_traj=6000,
+                          dt=25e-6 / 160)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestDephasingIntegral:

@@ -550,6 +550,18 @@ class TestCrashInputs:
         assert ("[warning] psd: power-law fit failed (need at least 3 "
                 "points)") in report.warnings
 
+    def test_relaxation_only_is_a_point_count_warning(self, tmp_path):
+        # the T1 point alone leaves no CPMG point for the power law: the
+        # warning names the count, not the shape of an empty point list
+        config_dict = q1_dataset(tmp_path / "q1")
+        config_dict["decay_traces"] = [
+            path for path in config_dict["decay_traces"]
+            if path.endswith("q1_relax.csv")]
+        report = run_pipeline(AnalysisConfig(**config_dict))
+        assert report.sections["psd"]["powerlaw"] is None
+        assert ("[warning] psd: power-law fit failed (need at least 3 "
+                "points)") in report.warnings
+
 
 def test_each_input_is_parsed_once(q1_config, monkeypatch):
     opened = []
