@@ -10,30 +10,24 @@ from pathlib import Path
 
 import numpy as np
 
-from qnl.fileio import write_thermal_csv
-from qnl.thermal import (ThermalModel, electron_temperature,
-                         photon_occupation, resonator_dephasing,
-                         t1_vs_temperature, thermal_population)
+from qnl.fileio import atomic_write_text, format_csv
+from qnl.pipeline import thermal_curves
+from qnl.thermal import ThermalModel, electron_temperature
 from qnl.units import TWO_PI
 
 model = ThermalModel(f_q=5.065e9, f_r=5.668e9, kappa=TWO_PI * 0.38e6,
                      chi=-TWO_PI * 0.06e6, t1_zero=11.6e-6)
 
 temps = np.linspace(0.02, 0.40, 20)
-t1 = t1_vs_temperature(model, temps)
-pe = thermal_population(model.f_q, temps)
-n_th = photon_occupation(model.f_r, temps)
-gamma_phi = resonator_dephasing(model, n_th)
+curves = thermal_curves(model, temps)   # temp_k, t1_s, pe, n_th, gamma_phi
 
 print("T (mK)   T1 (us)    p_e       n_th      Gamma_phi (1/s)")
-for row in zip(temps, t1, pe, n_th, gamma_phi):
+for row in zip(*curves.values()):
     print(f"{row[0]*1e3:6.0f} {row[1]*1e6:9.2f} {row[2]:9.5f} "
           f"{row[3]:9.5f} {row[4]:12.3f}")
 
 out = Path(__file__).parent / "out"
-out.mkdir(exist_ok=True)
-write_thermal_csv(out / "thermal_model.csv",
-                  zip(temps, t1, pe, n_th, gamma_phi))
+atomic_write_text(out / "thermal_model.csv", format_csv(curves))
 print(f"\nwrote {out / 'thermal_model.csv'}")
 
 # reading a temperature off a measured residual population
@@ -43,5 +37,6 @@ print(f"\na residual excited population of {p_measured} implies an "
       f"{electron_temperature(p_measured, model.f_q)*1e3:.0f} mK")
 
 # half-T1 point: where stimulated emission has doubled the decay rate
+t1 = np.array(curves["t1_s"])
 half = temps[np.argmin(np.abs(t1 / model.t1_zero - 0.5))]
 print(f"T1 falls to half its base value near {half*1e3:.0f} mK")

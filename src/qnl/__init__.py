@@ -7,4 +7,4 @@ calculations, and a Monte Carlo dephasing simulator that serves as the
 internal ground truth.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -16,17 +16,16 @@ import click
 import numpy as np
 
 from .ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from .fileio import (DECAY_HEADER, PSD_HEADER, THERMAL_HEADER, InputError,
+from .fileio import (DECAY_HEADER, InputError, atomic_write_text,
                      format_csv, load_decay_trace, load_frequency_series,
                      load_psd_csv, load_spectroscopy_trace, load_two_tone_map,
-                     write_decay_trace, write_thermal_csv)
+                     write_decay_trace)
 from .fitutil import FitError
 from .mcsim import SyntheticNoise, simulate_sequence
-from .noisespec import (FREQ_NOISE, periodogram, powerlaw_fit,
-                        reconstruct_psd_point)
+from .noisespec import periodogram, powerlaw_fit, reconstruct_psd_point
 from .pipeline import (AnalysisConfig, PipelineError, fit_trace,
-                       fit_two_tone, run_pipeline, thermal_curves,
-                       validate_inputs)
+                       fit_two_tone, run_pipeline, spectrum_columns,
+                       thermal_curves, validate_inputs)
 from .resonator import FilmParams, kinetic_inductance, lumped_model
 from .spectro import fit_transmission
 from .thermal import ThermalModel
@@ -123,8 +122,7 @@ def reconstruct_psd_cmd(t_phi, n_pulses, tau_pi):
 def periodogram_cmd(series_path):
     """PSD of a uniformly sampled frequency time series, as CSV."""
     spectrum = periodogram(load_frequency_series(series_path))
-    rows = ((f, s, FREQ_NOISE) for f, s in spectrum.tolist())
-    click.echo(format_csv(PSD_HEADER, rows), nl=False)
+    click.echo(format_csv(spectrum_columns(spectrum)), nl=False)
 
 
 @main.command("powerlaw-fit")
@@ -159,12 +157,11 @@ def thermal_model_cmd(fq, fr, kappa, chi, t1_zero, temps, out):
     """Occupation, T1 and dephasing rate on a temperature grid, as CSV."""
     model = ThermalModel(f_q=fq, f_r=fr, kappa=kappa, chi=chi,
                          t1_zero=t1_zero)
-    rows = [tuple(row.values())
-            for row in thermal_curves(model, _parse_grid(temps))]
+    text = format_csv(thermal_curves(model, _parse_grid(temps)))
     if out:
-        write_thermal_csv(out, rows)
+        atomic_write_text(out, text)
     else:
-        click.echo(format_csv(THERMAL_HEADER, rows), nl=False)
+        click.echo(text, nl=False)
 
 
 @main.command("resonator-calc")
@@ -214,9 +211,8 @@ def simulate_cmd(amplitude, alpha, fmin, fmax, n_pulses, tau_grid,
     if out:
         write_decay_trace(out, trace)
     else:
-        click.echo(format_csv(DECAY_HEADER, zip(trace.times.tolist(),
-                                                trace.populations.tolist())),
-                   nl=False)
+        click.echo(format_csv(dict(zip(DECAY_HEADER, (
+            trace.times.tolist(), trace.populations.tolist())))), nl=False)
 
 
 @main.command("filter-fn")
@@ -234,8 +230,8 @@ def filter_fn_cmd(n_pulses, tau, tau_pi, grid, peak):
     seq = PulseSequence(n_pulses=n_pulses, tau=tau, tau_pi=tau_pi)
     freqs = _parse_grid(grid)
     values = filter_value(seq, 2.0 * np.pi * freqs)
-    click.echo(format_csv(["freq_hz", "g"], zip(freqs.tolist(),
-                                                values.tolist())), nl=False)
+    click.echo(format_csv({"freq_hz": freqs.tolist(),
+                           "g": values.tolist()}), nl=False)
     if peak:
         pk = first_harmonic_peak(seq)
         click.echo(f"peak freq_hz={pk.f_peak!r} "

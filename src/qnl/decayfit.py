@@ -31,7 +31,7 @@ STRETCH_BOUNDS = (0.5, 4.0)
 class DecayTrace:
     """A measured decay: excited-state population versus delay.
 
-    times       : delays (s), finite and strictly increasing
+    times       : delays (s), finite, non-negative and strictly increasing
     populations : P_e per delay; finite, in [-0.1, 1.1] (measurement
                   noise may push estimates slightly outside [0, 1])
     kind        : one of "relaxation", "ramsey", "echo", "cpmg"
@@ -54,8 +54,9 @@ class DecayTrace:
                              "equal length")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(pops))):
             raise ValueError("times and populations must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if np.any(times < 0) or np.any(np.diff(times) <= 0):
+            raise ValueError("times must be non-negative and strictly "
+                             "increasing")
         if np.any((pops < -0.1) | (pops > 1.1)):
             raise ValueError("populations outside the [-0.1, 1.1] tolerance")
         if self.kind not in _KINDS:

@@ -8,7 +8,6 @@ Formats, one header per data kind:
 - two-tone map:      ``voltage_v,freq_hz,phase_rad``
 - PSD table:         ``freq_hz,psd,units``
 - frequency series:  ``t_s,freq_hz``
-- thermal curves:    ``temp_k,t1_s,pe,n_th,gamma_phi``
 
 Every input-file loader reads through one parser, `_read_rows`, and builds
 the domain object; any fault in a file raises `InputError`, a ValueError
@@ -17,8 +16,9 @@ schema: decay trace 2, spectroscopy 20, two-tone map 3, PSD table 1,
 frequency series 8.  A blank line is a ragged row, so a row number is
 always the file's line number.
 
-All writers go through an atomic temp-file + rename so partially written
-outputs never appear under the final name.
+A written table is one dict of equal-length columns whose keys are its
+header (`format_csv`); every writer goes through an atomic temp-file +
+rename so partially written outputs never appear under the final name.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ SPECTRUM_HEADER = ["freq_hz", "amp"]
 TWO_TONE_HEADER = ["voltage_v", "freq_hz", "phase_rad"]
 PSD_HEADER = ["freq_hz", "psd", "units"]
 SERIES_HEADER = ["t_s", "freq_hz"]
-THERMAL_HEADER = ["temp_k", "t1_s", "pe", "n_th", "gamma_phi"]
 
 
 @dataclass(frozen=True)
@@ -144,11 +143,12 @@ def _cell(text: str, path, line: int, column: str):
     return value
 
 
-def format_csv(header: list[str], rows) -> str:
+def format_csv(columns: dict) -> str:
+    """CSV text of equal-length columns; the keys are the header."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values(), strict=True))
     return buffer.getvalue()
 
 
@@ -161,8 +161,11 @@ def load_decay_trace(path) -> tuple[DecayTrace, dict]:
     data = np.array(_read_rows(path, DECAY_HEADER, 2))
     bad = np.flatnonzero(np.diff(data[:, 0]) <= 0) + 1
     if bad.size:
-        raise InputError(f"non-monotone tau_s at value {data[bad[0], 0]!r}",
+        raise InputError(f"non-monotone tau_s at value {data[bad[0], 0]}",
                          path, row=int(bad[0]) + 2, column="tau_s")
+    if data[0, 0] < 0:      # tau_s increases, so row 2 holds the least
+        raise InputError(f"negative tau_s at value {data[0, 0]}", path,
+                         row=2, column="tau_s")
     meta = _read_sidecar(sidecar_path(path))
     bad = np.flatnonzero((data[:, 1] < -0.1) | (data[:, 1] > 1.1))
     if bad.size:
@@ -191,10 +194,11 @@ def _read_sidecar(meta_path: Path) -> dict:
         raise InputError(f"n_pulses must be an integer, got "
                          f"{meta['n_pulses']!r}", meta_path,
                          column="n_pulses")
-    bias = meta.get("bias_mv")
-    if bias is not None and not is_finite_number(bias):
-        raise InputError(f"bias_mv must be a finite number, got {bias!r}",
-                         meta_path, column="bias_mv")
+    for key in ("bias_mv", "temperature_mk"):
+        value = meta.get(key)
+        if value is not None and not is_finite_number(value):
+            raise InputError(f"{key} must be a finite number or null, got "
+                             f"{value!r}", meta_path, column=key)
     return meta
 
 
@@ -206,8 +210,8 @@ def is_finite_number(value) -> bool:
 
 def write_decay_trace(path, trace: DecayTrace, bias_mv: float = 0.0,
                       temperature_mk: float | None = None) -> None:
-    rows = zip(trace.times.tolist(), trace.populations.tolist())
-    atomic_write_text(path, format_csv(DECAY_HEADER, rows))
+    atomic_write_text(path, format_csv(dict(zip(DECAY_HEADER, (
+        trace.times.tolist(), trace.populations.tolist())))))
     meta = {"kind": trace.kind, "n_pulses": trace.n_pulses,
             "bias_mv": bias_mv, "temperature_mk": temperature_mk}
     atomic_write_text(sidecar_path(path), json.dumps(meta, indent=1) + "\n")
@@ -232,8 +236,8 @@ def load_frequency_series(path) -> FrequencySeries:
 
 
 def write_frequency_series(path, series: FrequencySeries) -> None:
-    rows = zip(series.timestamps.tolist(), series.freqs.tolist())
-    atomic_write_text(path, format_csv(SERIES_HEADER, rows))
+    atomic_write_text(path, format_csv(dict(zip(SERIES_HEADER, (
+        series.timestamps.tolist(), series.freqs.tolist())))))
 
 
 def load_psd_csv(path) -> list[PSDPoint]:
@@ -244,11 +248,6 @@ def load_psd_csv(path) -> list[PSDPoint]:
         except ValueError as exc:
             raise InputError(str(exc), path, row=line) from None
     return points
-
-
-def write_thermal_csv(path, rows) -> None:
-    """rows: iterable of (temp_k, t1_s, pe, n_th, gamma_phi)."""
-    atomic_write_text(path, format_csv(THERMAL_HEADER, rows))
 
 
 def load_charge_noise_table() -> list[dict]:

@@ -25,7 +25,7 @@ from .fileio import (PSD_HEADER, Diagnostic, InputError, atomic_write_text,
                      format_csv, is_finite_number, load_charge_noise_table,
                      load_decay_trace, load_frequency_series,
                      load_spectroscopy_trace, load_two_tone_map, sha256_of,
-                     sidecar_path, write_thermal_csv)
+                     sidecar_path)
 from .fitutil import FitError
 from .noisespec import (FREQ_NOISE, FrequencySeries, periodogram,
                         powerlaw_fit, reconstruct_psd_point,
@@ -48,8 +48,9 @@ class PipelineError(RuntimeError):
 class AnalysisConfig:
     """Pipeline inputs, qubit metadata, and output paths.
 
-    qubit keys used when present: f_ss, lever_c, v_ss (dispersion and
-    voltage-noise conversion), f_r, kappa (transmission fit), chi, t1
+    qubit keys, all optional (any other key is an error): f_ss, lever_c,
+    v_ss (dispersion and voltage-noise conversion), f_q (T1 point without
+    a dispersion; thermal curves), f_r, kappa (transmission fit), chi, t1
     (thermal curves; t1 doubles as the CPMG fallback when a bias point has
     no relaxation trace).  All in SI units (Hz, rad/s, V, s).
     """
@@ -164,6 +165,11 @@ def load_inputs(config: AnalysisConfig) -> tuple[LoadedInputs, list]:
     return loaded, diags
 
 
+# qubit metadata key -> whether its value must be positive
+_QUBIT_KEYS = {"f_ss": True, "lever_c": True, "v_ss": False, "f_q": True,
+              "f_r": True, "kappa": True, "chi": False, "t1": True}
+
+
 def _config_diagnostics(config: AnalysisConfig) -> list[Diagnostic]:
     """Type and range errors of the config fields themselves."""
     found = []
@@ -178,11 +184,13 @@ def _config_diagnostics(config: AnalysisConfig) -> list[Diagnostic]:
                                       f"{config.decay_traces!r}"))
     if isinstance(config.qubit, dict):
         for key, value in config.qubit.items():
-            if not is_finite_number(value):
+            if key not in _QUBIT_KEYS:
+                found.append((key, f"unknown qubit key {key!r}; expected "
+                                   f"keys from {sorted(_QUBIT_KEYS)}"))
+            elif not is_finite_number(value):
                 found.append((key, f"qubit metadata {key} must be a finite "
                                    f"number, got {value!r}"))
-            elif key in ("f_ss", "lever_c", "f_r", "kappa", "t1", "f_q") \
-                    and not value > 0:
+            elif _QUBIT_KEYS[key] and not value > 0:
                 found.append((key, f"qubit metadata {key} must be positive, "
                                    f"got {value}"))
     else:
@@ -316,9 +324,7 @@ def _lowfreq_stage(ctx: StageContext) -> dict | None:
     if ctx.loaded.series is None:
         return None
     spectrum = periodogram(ctx.loaded.series)
-    return {"points": {"freq_hz": spectrum[:, 0].tolist(),
-                       "psd": spectrum[:, 1].tolist(),
-                       "units": [FREQ_NOISE] * len(spectrum)},
+    return {"points": spectrum_columns(spectrum),
             "powerlaw": _fit_or_warn(ctx, path, "power-law", powerlaw_fit,
                                      spectrum),
             "sources": [path]}
@@ -415,37 +421,28 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
 
 
 def _write_outputs(config: AnalysisConfig, report: ReportBundle) -> None:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """report.json, then one CSV of columns per table the report holds."""
+    out, sections = Path(config.output_dir), report.sections
     report.save(out / "report.json")
-
-    decay = report.sections.get("decay_fits")
-    if decay:
-        rows = []
-        for f in decay["fits"]:
-            p = f["params"]
-            rows.append([f["file"], f["kind"], f["n_pulses"], f["bias_mv"],
-                         p.get("t1"), p.get("t2"), p.get("t_phi"),
-                         p.get("stretch"), p.get("amplitude"),
-                         p.get("offset"), p.get("detuning")])
-        header = ["file", "kind", "n_pulses", "bias_mv", "t1_s", "t2_s",
-                  "t_phi_s", "stretch", "amplitude", "offset", "detuning_hz"]
-        atomic_write_text(out / "coherence_fits.csv",
-                          format_csv(header, rows))
-
+    tables = {}
+    if "decay_fits" in sections:
+        # coherence_fits.csv header -> key of a decay record or its params
+        keys = {"file": "file", "kind": "kind", "n_pulses": "n_pulses",
+                "bias_mv": "bias_mv", "t1_s": "t1", "t2_s": "t2",
+                "t_phi_s": "t_phi", "stretch": "stretch",
+                "amplitude": "amplitude", "offset": "offset",
+                "detuning_hz": "detuning"}
+        fits = [{**f, **f["params"]} for f in sections["decay_fits"]["fits"]]
+        tables["coherence_fits.csv"] = {column: [f[key] for f in fits]
+                                        for column, key in keys.items()}
     for name, key in (("psd_points.csv", "psd"),
                       ("periodogram.csv", "low_frequency")):
-        section = report.sections.get(key)
-        if section:
-            points = section["points"]
-            atomic_write_text(out / name, format_csv(
-                PSD_HEADER, zip(*(points[c] for c in PSD_HEADER))))
-
-    thermal = report.sections.get("thermal")
-    if thermal:
-        write_thermal_csv(out / "thermal_model.csv",
-                          [(r["temp_k"], r["t1_s"], r["pe"], r["n_th"],
-                            r["gamma_phi"]) for r in thermal["curves"]])
+        if key in sections:
+            tables[name] = {c: sections[key]["points"][c] for c in PSD_HEADER}
+    if "thermal" in sections:
+        tables["thermal_model.csv"] = sections["thermal"]["curves"]
+    for name, columns in tables.items():
+        atomic_write_text(out / name, format_csv(columns))
 
 
 def _fit_record(path: str, trace, meta: dict, fit) -> dict:
@@ -504,16 +501,20 @@ def fit_two_tone(table: np.ndarray) -> dict:
             "v_ss": fitted.v_ss, **report}
 
 
-def thermal_curves(model: ThermalModel, temps) -> list[dict]:
-    """One row of thermal-model values per temperature (K)."""
-    rows = []
-    for temp in temps:
-        n_th = photon_occupation(model.f_r, temp)
-        rows.append({"temp_k": temp, "t1_s": t1_vs_temperature(model, temp),
-                     "pe": thermal_population(model.f_q, temp),
-                     "n_th": n_th,
-                     "gamma_phi": resonator_dephasing(model, n_th)})
-    return rows
+def thermal_curves(model: ThermalModel, temps) -> dict:
+    """Columns temp_k (K, as given), t1_s, pe, n_th and gamma_phi."""
+    n_th = photon_occupation(model.f_r, temps)
+    return {"temp_k": list(temps),
+            "t1_s": t1_vs_temperature(model, temps).tolist(),
+            "pe": thermal_population(model.f_q, temps).tolist(),
+            "n_th": n_th.tolist(),
+            "gamma_phi": resonator_dephasing(model, n_th).tolist()}
+
+
+def spectrum_columns(spectrum: np.ndarray) -> dict:
+    """A periodogram's (n, 2) spectrum as PSD table columns."""
+    freqs, psd = spectrum.T.tolist()
+    return dict(zip(PSD_HEADER, (freqs, psd, [FREQ_NOISE] * len(freqs))))
 
 
 def _ridge_points(table: np.ndarray) -> list[tuple[float, float]]:

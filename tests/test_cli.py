@@ -108,8 +108,8 @@ class TestPeriodogramAndPowerlaw:
 
     def test_powerlaw_needs_three_points(self, tmp_path):
         path = tmp_path / "psd.csv"
-        path.write_text(format_csv(PSD_HEADER, [(1.0, 2.0, "freq_noise"),
-                                                (2.0, 1.0, "freq_noise")]))
+        path.write_text(format_csv(dict(zip(PSD_HEADER, (
+            [1.0, 2.0], [2.0, 1.0], ["freq_noise", "freq_noise"])))))
         result = runner.invoke(main, ["powerlaw-fit", str(path)])
         assert result.exit_code == 1
         assert "at least 3" in result.stderr

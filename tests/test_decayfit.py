@@ -21,6 +21,13 @@ class TestDecayTrace:
         with pytest.raises(ValueError):
             DecayTrace(times=t, populations=p, kind="cpmg", n_pulses=0)
 
+    def test_negative_delay_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            DecayTrace(times=[-5.0, 1e-6, 2e-6], populations=[0.9, 0.5, 0.4],
+                       kind="relaxation")
+        DecayTrace(times=[0.0, 1e-6], populations=[0.9, 0.5],
+                   kind="relaxation")
+
     @pytest.mark.parametrize("times, populations", [
         ([0.0, np.nan, 2.0], [1.0, 0.5, np.nan]),
         ([0.0, 1.0, np.inf], [1.0, 0.5, 0.2]),

@@ -5,13 +5,16 @@ import pytest
 
 from qnl.decayfit import DecayTrace
 from qnl.fileio import (DECAY_HEADER, PSD_HEADER, SERIES_HEADER,
-                        THERMAL_HEADER, InputError, atomic_write_text,
-                        format_csv, load_charge_noise_table, load_decay_trace,
+                        InputError, atomic_write_text, format_csv,
+                        load_charge_noise_table, load_decay_trace,
                         load_frequency_series, load_psd_csv,
                         load_spectroscopy_trace, load_two_tone_map,
                         sha256_of, sidecar_path, write_decay_trace,
-                        write_frequency_series, write_thermal_csv)
+                        write_frequency_series)
 from qnl.noisespec import FrequencySeries, PSDPoint
+from qnl.pipeline import thermal_curves
+from qnl.thermal import (ThermalModel, photon_occupation, resonator_dephasing,
+                         t1_vs_temperature, thermal_population)
 
 
 class TestAtomicWrite:
@@ -108,8 +111,8 @@ class TestPSDTableIO:
     points = [PSDPoint(freq=1e3, value=2.5e8, units="freq_noise"),
               PSDPoint(freq=1e4, value=3.1e7, units="freq_noise"),
               PSDPoint(freq=1e5, value=4.0e-6, units="voltage_noise")]
-    text = format_csv(PSD_HEADER, [(p.freq, p.value, p.units)
-                                   for p in points])
+    text = format_csv(dict(zip(PSD_HEADER, zip(*(
+        (p.freq, p.value, p.units) for p in points)))))
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "psd.csv"
@@ -150,16 +153,28 @@ class TestFrequencySeriesIO:
         assert path.read_text().splitlines()[0] == ",".join(SERIES_HEADER)
 
 
-def test_thermal_csv_header_and_rows(tmp_path):
-    path = tmp_path / "thermal.csv"
-    write_thermal_csv(path, [(0.05, 1.2e-5, 0.01, 0.002, 150.0),
-                             (0.10, 1.1e-5, 0.05, 0.030, 900.0)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(THERMAL_HEADER)
+def test_thermal_csv_header_and_rows():
+    model = ThermalModel(f_q=5.065e9, f_r=5.668e9, kappa=2.4e6, chi=-3.8e5,
+                         t1_zero=11.6e-6)
+    lines = format_csv(thermal_curves(model, [0.05, 0.10])).splitlines()
     assert lines[0] == "temp_k,t1_s,pe,n_th,gamma_phi"
     assert len(lines) == 3
+    n_th = photon_occupation(model.f_r, 0.05)
     assert [float(c) for c in lines[1].split(",")] == \
-        [0.05, 1.2e-5, 0.01, 0.002, 150.0]
+        [0.05, t1_vs_temperature(model, 0.05),
+         thermal_population(model.f_q, 0.05), n_th,
+         resonator_dephasing(model, n_th)]
+
+
+def test_format_csv_writes_columns_under_their_keys():
+    text = format_csv({"a": [1.5, 2e-06], "b": ["x", None]})
+    assert text == "a,b\n1.5,x\n2e-06,\n"
+    assert format_csv({"a": [], "b": []}) == "a,b\n"
+
+
+def test_format_csv_rejects_ragged_columns():
+    with pytest.raises(ValueError):
+        format_csv({"a": [1.0, 2.0], "b": [1.0]})
 
 
 def test_load_spectroscopy_trace(tmp_path):
@@ -223,6 +238,30 @@ def test_read_errors_are_located(tmp_path, body, row, column, message):
     diag = info.value.diagnostic
     assert (diag.severity, diag.file, diag.row, diag.column) == \
         ("error", str(path), row, column)
+
+
+def test_non_monotone_message_prints_the_plain_value(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("tau_s,pe\n1e-6,0.9\n3e-6,0.5\n2e-6,0.4\n")
+    sidecar_path(path).write_text('{"kind": "relaxation"}')
+    with pytest.raises(InputError) as info:
+        load_decay_trace(path)
+    assert str(info.value) == (f"[error] {path}:row 4:column tau_s: "
+                               "non-monotone tau_s at value 2e-06")
+
+
+@pytest.mark.parametrize("key", ["bias_mv", "temperature_mk"])
+def test_sidecar_numbers_are_located(tmp_path, key):
+    path = tmp_path / "trace.csv"
+    path.write_text("tau_s,pe\n1e-6,0.9\n2e-6,0.5\n")
+    sidecar_path(path).write_text(json.dumps({"kind": "ramsey",
+                                              key: {"x": [1]}}))
+    with pytest.raises(InputError) as info:
+        load_decay_trace(path)
+    diag = info.value.diagnostic
+    assert (diag.file, diag.column) == (str(sidecar_path(path)), key)
+    assert diag.message == (f"{key} must be a finite number or null, got "
+                            "{'x': [1]}")
 
 
 @pytest.mark.parametrize("sidecar, message", [

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qnl.fileio import sidecar_path
 from qnl import pipeline
@@ -113,6 +113,21 @@ class TestValidateInputs:
         # the offending value 2e-6 sits on file line 4
         assert diags[0].row == 4
         assert diags[0].column == "tau_s"
+
+    def test_negative_delay(self, tmp_path):
+        config = self._config_with_trace(
+            tmp_path, "tau_s,pe\n-5,0.9\n3e-6,0.5\n4e-6,0.4\n",
+            meta={"kind": "relaxation"})
+        diags = validate_inputs(config)
+        assert [(d.severity, d.row, d.column) for d in diags] == \
+            [("error", 2, "tau_s")]
+        assert diags[0].message == "negative tau_s at value -5.0"
+
+    def test_unknown_qubit_key(self, q1_config):
+        q1_config["qubit"]["T1"] = q1_config["qubit"].pop("t1")
+        diags = validate_inputs(AnalysisConfig(**q1_config))
+        assert [(d.severity, d.column) for d in diags] == [("error", "T1")]
+        assert diags[0].message.startswith("unknown qubit key 'T1'; ")
 
     def test_population_out_of_tolerance_is_soft(self, tmp_path):
         config = self._config_with_trace(
@@ -279,13 +294,15 @@ class TestRunPipeline:
 
     def test_thermal_section(self, q1_run):
         _, report = q1_run
-        rows = report.sections["thermal"]["curves"]
-        assert [r["temp_k"] for r in rows] == [0.05, 0.1, 0.2, 0.3, 0.4]
-        t1s = [r["t1_s"] for r in rows]
+        curves = report.sections["thermal"]["curves"]
+        assert list(curves) == ["temp_k", "t1_s", "pe", "n_th", "gamma_phi"]
+        assert curves["temp_k"] == [0.05, 0.1, 0.2, 0.3, 0.4]
+        assert all(len(c) == 5 for c in curves.values())
+        t1s = curves["t1_s"]
         assert all(a > b for a, b in zip(t1s, t1s[1:]))
-        pes = [r["pe"] for r in rows]
+        pes = curves["pe"]
         assert all(a < b for a, b in zip(pes, pes[1:]))
-        assert all(0 <= r["pe"] < 0.5 for r in rows)
+        assert all(0 <= pe < 0.5 for pe in pes)
 
     def test_reference_section_always_present(self, q1_run):
         _, report = q1_run
@@ -646,6 +663,8 @@ def _mutate(config, files, mutation):
 
 @settings(max_examples=40, deadline=None)
 @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+# a negative first delay once validated clean and overflowed the CPMG fit
+@example(mutations=[("cell", 2, 1, "0", "-5")])
 def test_validated_configs_never_crash_the_run(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         config_dict = q1_dataset(Path(tmp) / "q1")
