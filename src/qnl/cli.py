@@ -16,9 +16,9 @@ import click
 import numpy as np
 
 from .ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from .fileio import (DECAY_HEADER, InputError, atomic_write_text,
-                     format_csv, load_decay_trace, load_frequency_series,
-                     load_psd_csv, load_spectroscopy_trace, load_two_tone_map,
+from .fileio import (DECAY_HEADER, atomic_write_text, format_csv,
+                     load_decay_trace, load_frequency_series, load_psd_csv,
+                     load_spectroscopy_trace, load_two_tone_map,
                      write_decay_trace)
 from .fitutil import FitError
 from .mcsim import SyntheticNoise, simulate_sequence
@@ -129,14 +129,7 @@ def periodogram_cmd(series_path):
 @click.argument("psd_path", type=click.Path(exists=True, dir_okay=False))
 def powerlaw_fit_cmd(psd_path):
     """Fit S = A/f^alpha to PSD points from a CSV with one units tag."""
-    points = load_psd_csv(psd_path)
-    for row, p in enumerate(points, start=2):
-        if p.units != points[0].units:
-            raise InputError(f"units {p.units!r} differ from row 2's "
-                             f"{points[0].units!r}; a power-law fit needs "
-                             "one units tag", psd_path, row=row,
-                             column="units")
-    _echo_json(powerlaw_fit([(p.freq, p.value) for p in points]))
+    _echo_json(powerlaw_fit(load_psd_csv(psd_path)))
 
 
 @main.command("thermal-model")

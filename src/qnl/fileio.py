@@ -6,7 +6,7 @@ Formats, one header per data kind:
                      with ``{kind, n_pulses, bias_mv, temperature_mk}``
 - spectroscopy:      ``freq_hz,amp``
 - two-tone map:      ``voltage_v,freq_hz,phase_rad``
-- PSD table:         ``freq_hz,psd,units``
+- PSD table:         ``freq_hz,psd,units``, one units tag per table
 - frequency series:  ``t_s,freq_hz``
 
 Every input-file loader reads through one parser, `_read_rows`, and builds
@@ -240,14 +240,21 @@ def write_frequency_series(path, series: FrequencySeries) -> None:
         series.timestamps.tolist(), series.freqs.tolist())))))
 
 
-def load_psd_csv(path) -> list[PSDPoint]:
+def load_psd_csv(path) -> np.ndarray:
+    """(n, 2) array of (freq_hz, psd) from a table with one units tag; a
+    row whose units differ from row 2's is reported at its units cell."""
     points = []
     for line, row in enumerate(_read_rows(path, PSD_HEADER, 1), start=2):
         try:
             points.append(PSDPoint(*row))
         except ValueError as exc:
             raise InputError(str(exc), path, row=line) from None
-    return points
+    for line, p in enumerate(points, start=2):
+        if p.units != points[0].units:
+            raise InputError(f"units {p.units!r} differ from row 2's "
+                             f"{points[0].units!r}; a power-law fit needs "
+                             "one units tag", path, row=line, column="units")
+    return np.array([(p.freq, p.value) for p in points])
 
 
 def load_charge_noise_table() -> list[dict]:

@@ -100,18 +100,18 @@ def band_variance(spec: SyntheticNoise, f_lo: float, f_hi: float) -> float:
 
 
 def _spectrum_scales(spec: SyntheticNoise, dt: float, n: int):
-    """The spectral rules of a length-n record, shared by synthesize_noise
-    and simulate_sequence.
+    """The bin rules of a length-n record: the one statement of them that
+    synthesize_noise and simulate_sequence both follow.
 
     Returns (re, im, static_sd).  With z_re, z_im the record's two arrays
     of standard normals, one per rfft bin, its rfft coefficient k is
     (re[k] z_re[k] + 1j im[k] z_im[k]) / sqrt(2): in band re = im =
-    sqrt(S(f_k) n/(2 dt)), 0 out of band, and an even n's Nyquist
-    coefficient is real with variance S n/(2 dt) (im = 0 there).  When the
-    band reaches below the resolution 1/(n dt), the DC coefficient is
-    n * static_sd * g for one more normal g drawn after z_im; otherwise
-    static_sd is None.  Warns when the band is clipped at Nyquist and when
-    a static offset is needed.
+    sqrt(S(f_k) n/(2 dt)), 0 out of band and at DC, and an even n's
+    Nyquist coefficient is real with variance S n/(2 dt) (im = 0 there).
+    When the band reaches below the resolution 1/(n dt), the DC
+    coefficient is n * static_sd * g for one more normal g drawn after
+    z_im; otherwise static_sd is None.  Warns when the band is clipped at
+    Nyquist and when a static offset is needed.
     """
     freqs = np.fft.rfftfreq(n, dt)
     f_res, f_nyq = freqs[1], freqs[-1]
@@ -148,13 +148,12 @@ def synthesize_noise(spec: SyntheticNoise, dt: float, n: int,
                      stream: int = 0) -> Trajectory:
     """Draw one noise record by Gaussian spectral synthesis.
 
-    Each resolved Fourier bin f_k in the band gets an independent complex
-    Gaussian coefficient with variance S(f_k) * n/(2 dt), so the ensemble
-    periodogram reproduces S(f) exactly on the grid [1/(n dt), 1/(2 dt)].
-    Band below the record resolution is not dropped: its integrated
-    variance enters as a per-record static offset (with a warning), which
-    is the physical meaning of noise slower than the record.  Band above
-    Nyquist is clipped with a warning.
+    Its rfft coefficients follow the bin rules of _spectrum_scales, so the
+    ensemble periodogram reproduces S(f) exactly on the grid
+    [1/(n dt), 1/(2 dt)].  Band below the record resolution is not
+    dropped: its integrated variance enters as a per-record static offset
+    (with a warning), which is the physical meaning of noise slower than
+    the record.  Band above Nyquist is clipped with a warning.
 
     `stream` selects the independent substream (trajectory index).
     """
@@ -219,9 +218,9 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     record.  The phase is linear in the record's spectral draws, so the
     record itself is never formed: the phase weights and their rfft W are
     built once per call, and a trajectory draws its normals from the same
-    substream and takes one product with the in-band part of W.  The trace
-    reports P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to
-    P_e = 1.
+    substream and takes one product with the in-band part of W, scaled by
+    the bin rules of _spectrum_scales.  The trace reports
+    P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to P_e = 1.
 
     taus defaults to 24 points up to seq.tau.  dt must satisfy
     dt <= tau/(10 N) so pulse boundaries are resolved.  Pulses are
@@ -237,9 +236,9 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
         raise ValueError("dt too coarse: need dt <= tau/(10 N)")
     if taus is None:
         taus = np.linspace(seq.tau / 24.0, seq.tau, 24)
-    taus = np.sort(np.asarray(taus, dtype=float))
-    if taus[0] <= 0 or taus[-1] > seq.tau * (1 + 1e-12):
-        raise ValueError("taus must lie in (0, seq.tau]")
+    taus = np.sort(np.asarray(taus, dtype=float))     # a NaN sorts last
+    if not (taus.size and 0 < taus[0] and taus[-1] <= seq.tau * (1 + 1e-12)):
+        raise ValueError("taus must be one or more delays in (0, seq.tau]")
 
     record_span = max(_RECORD_STRETCH * seq.tau,
                       min(1.0 / spec.f_min, _MAX_STRETCH * seq.tau))
@@ -247,24 +246,18 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     re, im, static_sd = _spectrum_scales(spec, dt, n)
 
     # phi = (sensitivity/n) Re sum_k c_k X_k conj(W_k) for the record's
-    # rfft X and the weights' rfft W, with c_k = 1 at DC and at an even n's
-    # Nyquist bin, 2 elsewhere; only the band and the static DC term count
-    c = np.full(len(re), 2.0)
-    c[0] = 1.0
-    if n % 2 == 0:
-        c[-1] = 1.0
-    gain = c * sensitivity / (n * np.sqrt(2.0))
+    # rfft X and the weights' rfft W, with c_k = 1 at DC (where re = 0) and
+    # at an even n's Nyquist bin (where W = dt/2 (r_0 - r_n) = 0), 2
+    # elsewhere: so every band bin takes c = 2, and DC only the static term
+    gain = 2.0 * sensitivity / (n * np.sqrt(2.0))
     nonzero = np.flatnonzero(re)
     lo, hi = (nonzero[0], nonzero[-1] + 1) if len(nonzero) else (0, 0)
-    gain_re, gain_im = (gain * re)[lo:hi], (gain * im)[lo:hi]
-    g_re = np.empty((hi - lo, len(taus)))
-    g_im = np.empty((hi - lo, len(taus)))
-    g_static = np.empty(len(taus))
-    for k, tau in enumerate(taus):
-        w_hat = np.fft.rfft(_phase_weights(seq, tau, dt, n))
-        g_re[:, k] = gain_re * w_hat[lo:hi].real
-        g_im[:, k] = gain_im * w_hat[lo:hi].imag
-        g_static[k] = w_hat[0].real
+    w_hat = np.fft.rfft([_phase_weights(seq, tau, dt, n) for tau in taus])
+    # (bins, delays) in C order: the layout fixes BLAS's summation order in
+    # z @ g, and so the last bits of phi
+    g_re = np.ascontiguousarray(((gain * re)[lo:hi] * w_hat[:, lo:hi].real).T)
+    g_im = np.ascontiguousarray(((gain * im)[lo:hi] * w_hat[:, lo:hi].imag).T)
+    g_static = w_hat[:, 0].real
     if static_sd is not None:
         g_static *= sensitivity * static_sd
     # the static draw follows z_im, so z_im is drawn in full only then

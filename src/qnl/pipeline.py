@@ -179,6 +179,11 @@ def _config_diagnostics(config: AnalysisConfig) -> list[Diagnostic]:
         if not isinstance(value, str) and (value is not None
                                            or name == "output_dir"):
             found.append((name, f"must be a path string, got {value!r}"))
+    if isinstance(config.output_dir, str):
+        out = Path(config.output_dir)
+        found += [("output_dir", f"{str(p)!r} exists and is not a directory")
+                  for p in (out, *out.parents)
+                  if p.exists() and not p.is_dir()]
     if not _is_path_list(config.decay_traces):
         found.append(("decay_traces", "must be a list of path strings, got "
                                       f"{config.decay_traces!r}"))
@@ -225,6 +230,9 @@ class StageContext:
     sections: dict
     warnings: list
 
+    def warn(self, message: str, file: str | None = None) -> None:
+        self.warnings.append(Diagnostic("warning", message, file=file))
+
 
 def _decay_stage(ctx: StageContext) -> dict | None:
     if not ctx.config.decay_traces:
@@ -236,13 +244,13 @@ def _decay_stage(ctx: StageContext) -> dict | None:
             ctx.loaded.traces, key=lambda item: item[1].kind != "relaxation"):
         t1 = _t1_for(_bias_of(meta), relax_by_bias, ctx.config.qubit)
         if trace.n_pulses and t1 is None:
-            ctx.warnings.append(f"[warning] {path}: no T1 available for this "
-                                "bias and no qubit.t1 fallback; trace skipped")
+            ctx.warn("no T1 available for this bias and no qubit.t1 "
+                     "fallback; trace skipped", path)
             continue
         try:
             fit = fit_trace(trace, t1)
         except (FitError, ValueError) as exc:
-            ctx.warnings.append(f"[warning] {path}: fit failed ({exc})")
+            ctx.warn(f"fit failed ({exc})", path)
             continue
         record = _fit_record(path, trace, meta, fit)
         fits.append(record)
@@ -266,7 +274,7 @@ def _scaling_stage(ctx: StageContext) -> dict | None:
         try:
             scaling = fit_scaling(points)
         except FitError as exc:
-            ctx.warnings.append(f"[warning] scaling at bias {bias} mV: {exc}")
+            ctx.warn(f"scaling at bias {bias} mV: {exc}")
             continue
         rows.append({"bias_mv": bias, "beta": scaling.beta,
                      "alpha": scaling.alpha, "beta_err": scaling.beta_err,
@@ -314,8 +322,8 @@ def _psd_stage(ctx: StageContext) -> dict | None:
     if not points["freq_hz"]:
         return None
     return {"points": points,
-            "powerlaw": _fit_or_warn(ctx, "psd", "power-law", powerlaw_fit,
-                                     box_points),
+            "powerlaw": _fit_or_warn(ctx, None, "psd: power-law",
+                                     powerlaw_fit, box_points),
             "sources": sorted(set(points["source"]))}
 
 
@@ -388,15 +396,13 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise PipelineError(errors)
-    ctx = StageContext(config, loaded, sections={},
-                       warnings=[str(d) for d in diags])
+    ctx = StageContext(config, loaded, sections={}, warnings=diags)
     for stage, (key, build) in STAGES.items():
         try:
             section = build(ctx)
         except (FitError, ValueError, ArithmeticError) as exc:
-            ctx.warnings.append(f"[warning] stage {stage} failed "
-                                f"({type(exc).__name__}: {exc}); "
-                                "section omitted")
+            ctx.warn(f"stage {stage} failed ({type(exc).__name__}: {exc}); "
+                     "section omitted")
             continue
         if section is not None:
             ctx.sections[key] = section
@@ -414,7 +420,7 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
         config=config.to_dict(),
         provenance={"inputs": {path: sha256_of(path) for path in sources}},
         sections=ctx.sections,
-        warnings=ctx.warnings,
+        warnings=[str(d) for d in ctx.warnings],
     )
     _write_outputs(config, report)
     return report
@@ -461,12 +467,12 @@ def _fit_record(path: str, trace, meta: dict, fit) -> dict:
     }
 
 
-def _fit_or_warn(ctx: StageContext, path: str, what: str, fit, *args):
-    """fit(*args), or None and a report warning when it raises FitError."""
+def _fit_or_warn(ctx: StageContext, path, what: str, fit, *args):
+    """fit(*args), or None and a warning at path when it raises FitError."""
     try:
         return fit(*args)
     except FitError as exc:
-        ctx.warnings.append(f"[warning] {path}: {what} fit failed ({exc})")
+        ctx.warn(f"{what} fit failed ({exc})", path)
         return None
 
 

@@ -4,7 +4,9 @@ Every public, undecorated, module-level function and class in src/qnl
 must be referenced (as a name or an attribute, not just imported) in
 src/qnl, demos/ or perfbench/ outside perfbench's tests.  Decorated
 definitions, the click commands, are reached through the CLI group.
-The package namespace itself binds only __version__.
+The package namespace itself binds only __version__, and the
+"[warning] <place>: message" format of a diagnostic is written only in
+fileio.Diagnostic.
 """
 
 import ast
@@ -51,10 +53,23 @@ def test_every_public_definition_has_a_non_test_caller():
     assert unused == []
 
 
-
 def test_package_namespace_holds_only_the_version():
     # each capability is reached through its submodule, never re-exported
     module = ast.parse((PACKAGE / "__init__.py").read_text())
     assert ast.get_docstring(module)
     assert [ast.unparse(node).split(" = ")[0]
             for node in module.body[1:]] == ["__version__"]
+
+
+def test_diagnostic_format_is_written_only_in_fileio():
+    # every warning and error reaches the user as a fileio.Diagnostic, so
+    # no other module spells out its "[severity] " prefix
+    modules = [p for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "fileio.py"]
+    assert "pipeline.py" in {p.name for p in modules}
+    spelled = [f"{path.name}:{node.lineno}" for path in modules
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)
+               and node.value.startswith(("[warning]", "[error]"))]
+    assert spelled == []

@@ -110,14 +110,28 @@ class TestDecayTraceIO:
 class TestPSDTableIO:
     points = [PSDPoint(freq=1e3, value=2.5e8, units="freq_noise"),
               PSDPoint(freq=1e4, value=3.1e7, units="freq_noise"),
-              PSDPoint(freq=1e5, value=4.0e-6, units="voltage_noise")]
+              PSDPoint(freq=1e5, value=4.0e-6, units="freq_noise")]
     text = format_csv(dict(zip(PSD_HEADER, zip(*(
         (p.freq, p.value, p.units) for p in points)))))
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "psd.csv"
         path.write_text(self.text)
-        assert load_psd_csv(path) == self.points
+        table = load_psd_csv(path)
+        assert table.shape == (3, 2)
+        assert table.tolist() == [[p.freq, p.value] for p in self.points]
+
+    def test_mixed_units_located(self, tmp_path):
+        path = tmp_path / "psd.csv"
+        path.write_text(format_csv(dict(zip(PSD_HEADER, (
+            [1e3, 1e4, 1e5], [2.5e8, 3.1e7, 4.0e-6],
+            ["freq_noise", "freq_noise", "voltage_noise"])))))
+        with pytest.raises(InputError) as info:
+            load_psd_csv(path)
+        assert str(info.value) == (
+            f"[error] {path}:row 4:column units: units 'voltage_noise' "
+            "differ from row 2's 'freq_noise'; a power-law fit needs one "
+            "units tag")
 
     def test_header(self):
         assert self.text.splitlines()[0] == ",".join(PSD_HEADER)

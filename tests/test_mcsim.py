@@ -198,6 +198,18 @@ class TestSimulateSequence:
             simulate_sequence(spec(), seq, sensitivity=1.0, n_traj=8,
                               dt=1e-7)
 
+    @pytest.mark.parametrize("taus", [[], [np.nan], [5e-6, np.nan]],
+                             ids=["empty", "nan", "nan_among_delays"])
+    def test_bad_delays_rejected_before_any_draw(self, taus, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew normals before checking taus")
+
+        monkeypatch.setattr(mcsim, "_rng", no_draws)
+        seq = PulseSequence(n_pulses=1, tau=20e-6)
+        with pytest.raises(ValueError, match="taus"):
+            simulate_sequence(spec(), seq, sensitivity=1.0, n_traj=8,
+                              dt=1e-7, taus=taus)
+
     def test_quasi_static_gaussian_ramsey(self):
         # static Gaussian detuning noise: C(tau) = exp(-(sigma tau)^2/2)
         tau = 20e-6
@@ -306,6 +318,26 @@ def test_weights_match_record_by_record_reference(case):
         assert expected.min() < 0.95
     np.testing.assert_allclose(trace.populations, expected, rtol=0,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [910, 4096])
+def test_dc_and_nyquist_weights_never_reach_the_phase(n):
+    # simulate_sequence weights every band bin of W twice, as if no band
+    # bin were DC or an even n's Nyquist bin: re is 0 at DC, and W at
+    # Nyquist telescopes to dt/2 (r_0 - r_n) = 0
+    dt = 1.1e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for f_min in (1e4, 10.0):       # without and with a static offset
+            re, im, _ = mcsim._spectrum_scales(
+                spec(f_min=f_min, f_max=1e9), dt, n)
+            assert re[0] == im[0] == 0.0
+            assert re[-1] > 0.0         # the Nyquist bin is in band
+    for n_pulses in (0, 1, 2, 16):
+        seq = PulseSequence(n_pulses=n_pulses, tau=20e-6)
+        for tau in np.linspace(seq.tau / 24, seq.tau, 24):
+            w_hat = np.abs(np.fft.rfft(mcsim._phase_weights(seq, tau, dt, n)))
+            assert w_hat[-1] <= 1e-15 * w_hat.max()
 
 
 def test_each_warning_once_per_call():

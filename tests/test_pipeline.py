@@ -199,6 +199,14 @@ class TestValidateInputs:
         diags = validate_inputs(config)
         assert any("uniform" in d.message for d in diags)
 
+    def test_output_dir_under_a_file(self, q1_config):
+        relax = q1_config["decay_traces"][0]
+        q1_config["output_dir"] = str(Path(relax) / "out")
+        diags = validate_inputs(AnalysisConfig(**q1_config))
+        assert [(d.severity, d.column) for d in diags] == \
+            [("error", "output_dir")]
+        assert diags[0].message == f"{relax!r} exists and is not a directory"
+
     def test_series_too_short(self, tmp_path):
         config = self._config_with_series(tmp_path, [0.0, 1.0], [0.0, 0.0])
         diags = validate_inputs(config)
@@ -424,6 +432,13 @@ CRASH_ERRORS = [
     # stages write a section, so a stages key is an unknown key
     pytest.param(lambda c: c.update(stages=["decya"]),
                  "unknown config key 'stages'", id="misspelled_stage"),
+    # FileExistsError from mkdir
+    pytest.param(lambda c: c.update(output_dir=c["decay_traces"][0]),
+                 "exists and is not a directory", id="output_dir_is_a_file"),
+    # NotADirectoryError from mkdir
+    pytest.param(lambda c: c.update(
+        output_dir=str(Path(c["decay_traces"][0]) / "out")),
+        "exists and is not a directory", id="output_dir_under_a_file"),
     # validated clean, then the trace was dropped from the run
     pytest.param(lambda c: _set_sidecar(c, 3, {"kind": "echo",
                                                "n_pulses": 2}),
