@@ -9,12 +9,23 @@ Formats, one header per data kind:
 - PSD table:         ``freq_hz,psd,units``, one units tag per table
 - frequency series:  ``t_s,freq_hz``
 
-Every input-file loader reads through one parser, `_read_rows`, and builds
-the domain object; any fault in a file raises `InputError`, a ValueError
-carrying a `Diagnostic` with file, row and column.  Minimum data rows per
-schema: decay trace 2, spectroscopy 20, two-tone map 3, PSD table 1,
-frequency series 8.  A blank line is a ragged row, so a row number is
-always the file's line number.
+Every input-file loader reads its file once and builds the domain object;
+any fault in a file raises `InputError`, a ValueError carrying a
+`Diagnostic` with file, row and column.  Minimum data rows per schema:
+decay trace 2, spectroscopy 20, two-tone map 3, PSD table 1, frequency
+series 8.  A blank line is a ragged row, so a row number is always the
+file's line number.
+
+`_read_rows` is the per-cell parser and defines what a file means: the csv
+module splits it, and each cell becomes a float (or, in the PSD table's
+``units`` column, stripped text), with a located error at the first bad
+one.  The numeric schemas first try `_fast_table`, one numpy conversion of
+the whole body, which answers only for plain text: no quote, no line end
+but ``\n`` or ``\r\n``, the exact header, ``width`` cells on every line,
+none over csv's field size limit, each a finite float.  Anything else (a
+blank or ragged line, a quote, a cell numpy rejects, a non-finite value,
+too few rows) reruns `_read_rows` on the same bytes, so arrays and
+diagnostics are the per-cell path's.
 
 A written table is one dict of equal-length columns whose keys are its
 header (`format_csv`); every writer goes through an atomic temp-file +
@@ -57,11 +68,11 @@ class Diagnostic:
     column: str | None = None
 
     def __str__(self):
-        place = self.file or ""
-        if self.row is not None:
-            place += f":row {self.row}"
-        if self.column is not None:
-            place += f":column {self.column}"
+        place = ":".join(part for part in (
+            self.file,
+            None if self.row is None else f"row {self.row}",
+            None if self.column is None else f"column {self.column}")
+            if part)
         prefix = f"[{self.severity}] "
         return prefix + (f"{place}: " if place else "") + self.message
 
@@ -99,29 +110,82 @@ def sidecar_path(trace_path) -> Path:
     return Path(trace_path).with_suffix(".json")
 
 
-def _read_rows(path, header: list[str], min_rows: int) -> list[list]:
+def _read_table(path, header: list[str], min_rows: int) -> np.ndarray:
+    """(n, width) float array of a numeric schema's data rows: the fast
+    path's, else the per-cell path's on the same bytes, which raises the
+    located InputError when the file has a fault."""
+    data = _read_bytes(path)
+    table = _fast_table(data, header)
+    if table is not None and len(table) >= min_rows:
+        return table
+    return np.array(_read_rows(data, path, header, min_rows))
+
+
+def _read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputError(f"unreadable file: {exc}", path) from None
+
+
+# str.translate table that keeps only the "," and "\n" separators of
+# ASCII text (anything else left over fails the layout check)
+_SEPARATORS_ONLY = dict.fromkeys(c for c in range(128) if chr(c) not in ",\n")
+
+
+def _fast_table(data: bytes, header: list[str]) -> np.ndarray | None:
+    """The data body from one numpy conversion, or None where `_read_rows`
+    might read other cells (see the module docstring)."""
+    try:   # decoded as open(path, newline="") decodes
+        text = io.TextIOWrapper(io.BytesIO(data), newline="").read()
+    except UnicodeDecodeError:
+        return None
+    if "\r\n" in text:
+        text = text.replace("\r\n", "\n")
+    first, _, body = text.partition("\n")
+    width = len(header)
+    if ('"' in text or "\r" in text or not body
+            or [c.strip() for c in first.split(",")] != header):
+        return None
+    body = body.removesuffix("\n")
+    n_rows = body.count("\n") + 1
+    if body.translate(_SEPARATORS_ONLY) != \
+            "\n".join(["," * (width - 1)] * n_rows):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    if max(map(len, cells)) > csv.field_size_limit():
+        return None
+    try:
+        table = np.array(cells, dtype=float).reshape(n_rows, width)
+    except ValueError:
+        return None
+    return table if np.isfinite(table).all() else None
+
+
+def _read_rows(data: bytes, path, header: list[str],
+               min_rows: int) -> list[list]:
     """Data rows under an exact header; numeric cells become floats and
-    "units" cells stay text.  Raises InputError on an empty or unreadable
+    "units" cells stay text.  Raises InputError on an empty or undecodable
     file, a wrong header, a ragged row, a non-numeric or non-finite cell,
     or fewer than `min_rows` rows."""
     rows = []
     try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            first = next(reader, None)
-            if first is None:
-                raise InputError("empty file", path)
-            if [c.strip() for c in first] != header:
-                raise InputError(f"expected header {','.join(header)}, "
-                                 f"got {','.join(first)}", path,
-                                 column=first[0] if first else None)
-            for line, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise InputError(f"expected {len(header)} cells, got "
-                                     f"{len(row)}", path, row=line)
-                rows.append([_cell(text, path, line, column)
-                             for text, column in zip(row, header)])
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
+        first = next(reader, None)
+        if first is None:
+            raise InputError("empty file", path)
+        if [c.strip() for c in first] != header:
+            raise InputError(f"expected header {','.join(header)}, "
+                             f"got {','.join(first)}", path,
+                             column=first[0] if first else None)
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise InputError(f"expected {len(header)} cells, got "
+                                 f"{len(row)}", path, row=line)
+            rows.append([_cell(text, path, line, column)
+                         for text, column in zip(row, header)])
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"unreadable file: {exc}", path) from None
     if len(rows) < min_rows:
         raise InputError(f"need at least {min_rows} data rows, got "
@@ -158,7 +222,7 @@ def load_decay_trace(path) -> tuple[DecayTrace, dict]:
     A population outside [-0.1, 1.1] raises a warning-severity InputError:
     the trace is unusable but the rest of a batch is not.
     """
-    data = np.array(_read_rows(path, DECAY_HEADER, 2))
+    data = _read_table(path, DECAY_HEADER, 2)
     bad = np.flatnonzero(np.diff(data[:, 0]) <= 0) + 1
     if bad.size:
         raise InputError(f"non-monotone tau_s at value {data[bad[0], 0]}",
@@ -219,16 +283,16 @@ def write_decay_trace(path, trace: DecayTrace, bias_mv: float = 0.0,
 
 def load_spectroscopy_trace(path) -> np.ndarray:
     """(n, 2) array of (freq_hz, amp)."""
-    return np.array(_read_rows(path, SPECTRUM_HEADER, 20))
+    return _read_table(path, SPECTRUM_HEADER, 20)
 
 
 def load_two_tone_map(path) -> np.ndarray:
     """(n, 3) array of (voltage_v, freq_hz, phase_rad)."""
-    return np.array(_read_rows(path, TWO_TONE_HEADER, 3))
+    return _read_table(path, TWO_TONE_HEADER, 3)
 
 
 def load_frequency_series(path) -> FrequencySeries:
-    data = np.array(_read_rows(path, SERIES_HEADER, 8))
+    data = _read_table(path, SERIES_HEADER, 8)
     try:
         return FrequencySeries(timestamps=data[:, 0], freqs=data[:, 1])
     except ValueError as exc:
@@ -244,7 +308,8 @@ def load_psd_csv(path) -> np.ndarray:
     """(n, 2) array of (freq_hz, psd) from a table with one units tag; a
     row whose units differ from row 2's is reported at its units cell."""
     points = []
-    for line, row in enumerate(_read_rows(path, PSD_HEADER, 1), start=2):
+    for line, row in enumerate(
+            _read_rows(_read_bytes(path), path, PSD_HEADER, 1), start=2):
         try:
             points.append(PSDPoint(*row))
         except ValueError as exc:

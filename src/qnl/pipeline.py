@@ -118,8 +118,19 @@ class ReportBundle:
                 "sections": self.sections, "warnings": self.warnings}
 
     def save(self, path) -> None:
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=1,
-                                           sort_keys=True) + "\n")
+        atomic_write_text(path, _json_text(self.to_dict()) + "\n")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """JSON with each object one key per line in sorted order, indented one
+    space per level, and each list or scalar on one line from the C
+    encoder (with `indent` set, json.dumps runs its pure-Python one)."""
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value, sort_keys=True)
+    inner = indent + " "
+    return "{\n" + ",\n".join(
+        f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
+        for key, item in sorted(value.items())) + f"\n{indent}}}"
 
 
 @dataclass

@@ -387,6 +387,19 @@ class TestRunValidate:
                                  "missing required config key "
                                  "'output_dir'\n")
 
+    def test_output_dir_that_is_a_file_has_no_leading_colon(self, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        config = q1_dataset(tmp_path / "q1")
+        config["output_dir"] = str(blocker)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == (f"[error] column output_dir: "
+                                 f"{str(blocker)!r} exists and is not a "
+                                 "directory\n")
+
     def test_malformed_json_reports_cleanly(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"output_dir": ')

@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -31,6 +32,14 @@ class TestDiagnostic:
     def test_str_message_only(self):
         assert str(Diagnostic("warning", "nothing to do")) == \
             "[warning] nothing to do"
+
+    def test_str_row_without_file(self):
+        assert str(Diagnostic("error", "bad value", row=3)) == \
+            "[error] row 3: bad value"
+
+    def test_str_column_without_file(self):
+        d = Diagnostic("error", "must be a path string", column="output_dir")
+        assert str(d) == "[error] column output_dir: must be a path string"
 
     def test_pipeline_error_carries_diagnostics(self):
         diags = [Diagnostic("error", "first"), Diagnostic("error", "second")]
@@ -380,6 +389,28 @@ class TestRunPipeline:
         assert any("skipped" in w for w in report.warnings)
         assert all(f["file"] != str(bad)
                    for f in report.sections["decay_fits"]["fits"])
+
+    def test_report_file_is_byte_deterministic(self, tmp_path):
+        config = AnalysisConfig(**q1_dataset(tmp_path / "q1"))
+        path = Path(config.output_dir) / "report.json"
+        texts = []
+        for _ in range(2):
+            report = run_pipeline(config)
+            texts.append(path.read_bytes())
+            assert json.loads(texts[-1]) == report.to_dict()
+        # perfbench's digest drops the created line with this pattern
+        created = re.compile(rb'\n *"created": "[^"]*",?\n')
+        first, second = (created.sub(b"\n", text) for text in texts)
+        assert first != texts[0] and first == second
+
+    def test_report_layout_one_key_or_list_per_line(self, q1_run):
+        config, report = q1_run
+        lines = (Path(config.output_dir) /
+                 "report.json").read_text().splitlines()
+        assert lines[:2] == ["{", ' "config": {']
+        assert f' "created": "{report.created}",' in lines
+        periodogram = report.sections["low_frequency"]["points"]["freq_hz"]
+        assert f'    "freq_hz": {json.dumps(periodogram)},' in lines
 
     def test_deterministic_given_same_inputs(self, tmp_path):
         config_dict = q1_dataset(tmp_path / "q1")
