@@ -17,15 +17,15 @@ flipping at the pulse centers tau*(j-1/2)/N, and for Gaussian noise
 
 The phase is linear in the record, phi(tau_k) = sensitivity * sum_j
 w_j(tau_k) lambda_j, and so linear in the record's spectral draws; the
-rfft of w is the discrete filter function.  simulate_sequence builds w
-once per call and gives each trajectory only its draws and one small
-matrix-vector product, with no noise record formed.
+rfft of w is the discrete filter function.  simulate_sequence turns
+each block of trajectories' draws into phases with one matrix product,
+with no noise record formed.
 
-Randomness: trajectory i draws from SeedSequence(seed, spawn_key=(i,)),
-the same normals in the same order whether synthesize_noise turns them
-into a record or simulate_sequence into a phase, so ensembles are
-bit-identical for a given (seed, n_traj), and the ensemble mean
-accumulates in trajectory index order.
+Randomness: a call draws from one generator, default_rng(seed), and
+trajectory i is row i of its stream: one standard normal per nonzero
+bin scale, in the order of _row_layout.  synthesize_noise returns row
+0's record, so ensembles are bit-identical for a given (seed, n_traj),
+and the first k trajectories do not depend on n_traj.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ _RECORD_STRETCH = 2.0
 # cap on record length when resolving very low f_min; anything slower than
 # 1/(_MAX_STRETCH * tau) is indistinguishable from static over one shot
 _MAX_STRETCH = 64.0
+# bytes of normals and phases per block of simulate_sequence trajectories
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class SyntheticNoise:
     alpha     : exponent in [0, 3]
     f_min     : lower band edge (Hz), > 0
     f_max     : upper band edge (Hz), > f_min
-    seed      : base seed for the trajectory streams
+    seed      : seed of the one generator a call draws from
     """
 
     amplitude: float
@@ -103,14 +105,13 @@ def _spectrum_scales(spec: SyntheticNoise, dt: float, n: int):
     """The bin rules of a length-n record: the one statement of them that
     synthesize_noise and simulate_sequence both follow.
 
-    Returns (re, im, static_sd).  With z_re, z_im the record's two arrays
-    of standard normals, one per rfft bin, its rfft coefficient k is
-    (re[k] z_re[k] + 1j im[k] z_im[k]) / sqrt(2): in band re = im =
-    sqrt(S(f_k) n/(2 dt)), 0 out of band and at DC, and an even n's
-    Nyquist coefficient is real with variance S n/(2 dt) (im = 0 there).
-    When the band reaches below the resolution 1/(n dt), the DC
-    coefficient is n * static_sd * g for one more normal g drawn after
-    z_im; otherwise static_sd is None.  Warns when the band is clipped at
+    Returns (re, im, static_sd).  With standard normals z_re, z_im, the
+    record's rfft coefficient k is (re[k] z_re[k] + 1j im[k] z_im[k]) /
+    sqrt(2): in band re = im = sqrt(S(f_k) n/(2 dt)), 0 out of band and at
+    DC, and an even n's Nyquist coefficient is real with variance
+    S n/(2 dt) (im = 0 there).  When the band reaches below the resolution
+    1/(n dt), the DC coefficient is n * static_sd * g for one more normal
+    g; otherwise static_sd is None.  Warns when the band is clipped at
     Nyquist and when a static offset is needed.
     """
     freqs = np.fft.rfftfreq(n, dt)
@@ -139,13 +140,26 @@ def _spectrum_scales(spec: SyntheticNoise, dt: float, n: int):
     return re, im, static_sd
 
 
-def _rng(spec: SyntheticNoise, stream: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(spec.seed, spawn_key=(stream,)))
+def _row_layout(spec: SyntheticNoise, dt: float, n: int):
+    """(bins, scales) of one trajectory's row z of standard normals: rfft
+    coefficient k is the sum of scales * z over the entries in bin k.  The
+    row takes z_re for each bin with re > 0, then z_im for each with
+    im > 0, then g if _spectrum_scales asks for a static offset."""
+    re, im, static_sd = _spectrum_scales(spec, dt, n)
+    k_re, k_im = np.flatnonzero(re), np.flatnonzero(im)
+    bins = [k_re, k_im]
+    scales = [re[k_re] / np.sqrt(2.0), 1j * (im[k_im] / np.sqrt(2.0))]
+    if static_sd is not None:
+        bins.append([0])
+        scales.append([n * static_sd])
+    return np.concatenate(bins), np.concatenate(scales)
 
 
-def synthesize_noise(spec: SyntheticNoise, dt: float, n: int,
-                     stream: int = 0) -> Trajectory:
+def _rng(spec: SyntheticNoise) -> np.random.Generator:
+    return np.random.default_rng(spec.seed)
+
+
+def synthesize_noise(spec: SyntheticNoise, dt: float, n: int) -> Trajectory:
     """Draw one noise record by Gaussian spectral synthesis.
 
     Its rfft coefficients follow the bin rules of _spectrum_scales, so the
@@ -155,22 +169,15 @@ def synthesize_noise(spec: SyntheticNoise, dt: float, n: int,
     (with a warning), which is the physical meaning of noise slower than
     the record.  Band above Nyquist is clipped with a warning.
 
-    `stream` selects the independent substream (trajectory index).
+    The record is trajectory 0 of simulate_sequence on the same grid.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    re, im, static_sd = _spectrum_scales(spec, dt, n)
-    rng = _rng(spec, stream)
-    z_re = rng.standard_normal(len(re))
-    z_im = rng.standard_normal(len(re))
-    spectrum = (re * z_re + 1j * (im * z_im)) / np.sqrt(2.0)
-    if n % 2 == 0:
-        # the real Nyquist coefficient, divided as a real number
-        spectrum[-1] = re[-1] * z_re[-1] / np.sqrt(2.0)
-    if static_sd is not None:
-        spectrum[0] = n * static_sd * rng.standard_normal()
+    bins, scales = _row_layout(spec, dt, n)
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    np.add.at(spectrum, bins, scales * _rng(spec).standard_normal(len(bins)))
     return Trajectory(dt=dt, samples=np.fft.irfft(spectrum, n=n))
 
 
@@ -211,15 +218,14 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
                       taus=None) -> DecayTrace:
     """Ensemble-average coherence decay under a pulse sequence.
 
-    Trajectory i is the noise record synthesize_noise(spec, dt, n, i)
-    would return (long enough to oversample the filter lobe and to resolve
-    f_min, capped at _MAX_STRETCH times the longest delay), and its phase
-    at every requested delay is the signed trapezoid integral of that
-    record.  The phase is linear in the record's spectral draws, so the
-    record itself is never formed: the phase weights and their rfft W are
-    built once per call, and a trajectory draws its normals from the same
-    substream and takes one product with the in-band part of W, scaled by
-    the bin rules of _spectrum_scales.  The trace reports
+    Trajectory i is the noise record of row i of spec.seed's stream (row
+    0's is what synthesize_noise returns), long enough to oversample the
+    filter lobe and to resolve f_min, capped at _MAX_STRETCH times the
+    longest delay, and its phase at every requested delay is the signed
+    trapezoid integral of that record.  The phase is linear in the row, so
+    no record is formed: the weights' rfft W and the row's scales fold into
+    one (row width, delays) gain matrix per call, and each block of rows
+    takes one matrix product with it.  The trace reports
     P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to P_e = 1.
 
     taus defaults to 24 points up to seq.tau.  dt must satisfy
@@ -243,37 +249,26 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     record_span = max(_RECORD_STRETCH * seq.tau,
                       min(1.0 / spec.f_min, _MAX_STRETCH * seq.tau))
     n = int(np.ceil(record_span / dt))
-    re, im, static_sd = _spectrum_scales(spec, dt, n)
+    bins, scales = _row_layout(spec, dt, n)
 
     # phi = (sensitivity/n) Re sum_k c_k X_k conj(W_k) for the record's
-    # rfft X and the weights' rfft W, with c_k = 1 at DC (where re = 0) and
-    # at an even n's Nyquist bin (where W = dt/2 (r_0 - r_n) = 0), 2
-    # elsewhere: so every band bin takes c = 2, and DC only the static term
-    gain = 2.0 * sensitivity / (n * np.sqrt(2.0))
-    nonzero = np.flatnonzero(re)
-    lo, hi = (nonzero[0], nonzero[-1] + 1) if len(nonzero) else (0, 0)
+    # rfft X and the weights' rfft W, with c_k = 1 at DC (only the static
+    # offset's bin) and at an even n's Nyquist bin (where W = dt/2 (r_0 -
+    # r_n) = 0), 2 elsewhere: so every band bin takes c = 2
     w_hat = np.fft.rfft([_phase_weights(seq, tau, dt, n) for tau in taus])
-    # (bins, delays) in C order: the layout fixes BLAS's summation order in
-    # z @ g, and so the last bits of phi
-    g_re = np.ascontiguousarray(((gain * re)[lo:hi] * w_hat[:, lo:hi].real).T)
-    g_im = np.ascontiguousarray(((gain * im)[lo:hi] * w_hat[:, lo:hi].imag).T)
-    g_static = w_hat[:, 0].real
-    if static_sd is not None:
-        g_static *= sensitivity * static_sd
-    # the static draw follows z_im, so z_im is drawn in full only then
-    n_im = len(re) if static_sd is not None else hi
+    c = np.where(bins == 0, 1.0, 2.0)
+    gain = np.ascontiguousarray(
+        ((sensitivity / n) * c * scales * w_hat[:, bins].conj()).real.T)
 
+    rng = _rng(spec)
+    block = max(1, _BLOCK_BYTES // (8 * (len(bins) + len(taus))))
     cos_sum = np.zeros(len(taus))
     sin_sum = np.zeros(len(taus))
-    for i in range(n_traj):
-        rng = _rng(spec, i)
-        z_re = rng.standard_normal(len(re))
-        z_im = rng.standard_normal(n_im)
-        phi = z_re[lo:hi] @ g_re + z_im[lo:hi] @ g_im
-        if static_sd is not None:
-            phi += rng.standard_normal() * g_static
-        cos_sum += np.cos(phi)
-        sin_sum += np.sin(phi)
+    for start in range(0, n_traj, block):
+        z = rng.standard_normal((min(block, n_traj - start), len(bins)))
+        phi = z @ gain
+        cos_sum += np.cos(phi).sum(axis=0)
+        sin_sum += np.sin(phi).sum(axis=0)
     coherence = np.hypot(cos_sum, sin_sum) / n_traj
 
     kind = {0: "ramsey", 1: "echo"}.get(n_pi, "cpmg")

@@ -130,7 +130,7 @@ def test_criterion_06_psd_round_trip():
     elapsed = time.perf_counter() - start
     print(f"exponent={exponent:.3f}  ({elapsed:.1f} s)")
     assert abs(exponent - 1.5) <= 0.25
-    assert elapsed < 300.0
+    assert elapsed < 25.0
 
 
 def test_criterion_07_integral_vs_monte_carlo():
@@ -155,7 +155,7 @@ def test_criterion_07_integral_vs_monte_carlo():
             assert err < 0.10
     elapsed = time.perf_counter() - start
     print(f"({elapsed:.1f} s)")
-    assert elapsed < 120.0
+    assert elapsed < 15.0
 
 
 def test_criterion_08_echo_refocusing():
@@ -176,10 +176,10 @@ def test_criterion_08_echo_refocusing():
         coherence[n_pulses] = 2.0 * trace.populations[0] - 1.0
     elapsed = time.perf_counter() - start
     print(f"ramsey={coherence[0]:.4f}  echo={coherence[1]:.6f}  "
-          f"({elapsed:.1f} s)")
+          f"({elapsed:.3f} s)")
     assert coherence[0] < 0.5
     assert coherence[1] >= 0.99
-    assert elapsed < 60.0
+    assert elapsed < 0.1
 
 
 def test_criterion_09_periodogram_parseval_and_drift_exponent():

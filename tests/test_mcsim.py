@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -17,6 +18,10 @@ def spec(**kw):
     base = dict(amplitude=1e4, alpha=1.0, f_min=1e4, f_max=1e5, seed=0)
     base.update(kw)
     return SyntheticNoise(**base)
+
+
+def reseed(s, seed):
+    return dataclasses.replace(s, seed=seed)
 
 
 class TestSpecValidation:
@@ -53,9 +58,9 @@ class TestBandVariance:
 
 class TestSynthesizeNoise:
     def test_deterministic(self):
-        a = synthesize_noise(spec(), dt=1e-6, n=512, stream=3)
-        b = synthesize_noise(spec(), dt=1e-6, n=512, stream=3)
-        c = synthesize_noise(spec(), dt=1e-6, n=512, stream=4)
+        a = synthesize_noise(spec(seed=3), dt=1e-6, n=512)
+        b = synthesize_noise(spec(seed=3), dt=1e-6, n=512)
+        c = synthesize_noise(spec(seed=4), dt=1e-6, n=512)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
@@ -68,7 +73,7 @@ class TestSynthesizeNoise:
         # flat spectrum so the discrete synthesis grid integrates exactly
         s = spec(alpha=0.0, amplitude=1e4, f_min=1e3, f_max=4e5)
         dt, n = 1e-6, 1024
-        var = np.mean([synthesize_noise(s, dt, n, stream=i).samples.var()
+        var = np.mean([synthesize_noise(reseed(s, i), dt, n).samples.var()
                        for i in range(300)])
         expected = band_variance(s, s.f_min, s.f_max)
         assert var == pytest.approx(expected, rel=0.03)
@@ -80,7 +85,7 @@ class TestSynthesizeNoise:
         dt, n = 1e-6, 256
         psd = np.zeros(n // 2)
         for i in range(200):
-            traj = synthesize_noise(s, dt, n, stream=i)
+            traj = synthesize_noise(reseed(s, i), dt, n)
             series = FrequencySeries(timestamps=np.arange(n) * dt,
                                      freqs=traj.samples)
             psd += periodogram(series)[:, 1]
@@ -96,7 +101,7 @@ class TestSynthesizeNoise:
         dt, n = 1e-6, 512
         psd = np.zeros(n // 2)
         for i in range(200):
-            traj = synthesize_noise(s, dt, n, stream=i)
+            traj = synthesize_noise(reseed(s, i), dt, n)
             series = FrequencySeries(timestamps=np.arange(n) * dt,
                                      freqs=traj.samples)
             psd += periodogram(series)[:, 1]
@@ -119,7 +124,7 @@ class TestSynthesizeNoise:
         offsets = []
         with pytest.warns(UserWarning, match="static"):
             for i in range(400):
-                traj = synthesize_noise(s, dt, n, stream=i)
+                traj = synthesize_noise(reseed(s, i), dt, n)
                 assert np.ptp(traj.samples) < 1e-9 * max(
                     1.0, abs(traj.samples[0]))
                 offsets.append(traj.samples[0])
@@ -127,23 +132,43 @@ class TestSynthesizeNoise:
         assert np.var(offsets) == pytest.approx(expected, rel=0.25)
 
 
-def reference_synthesis(s, dt, n, stream):
-    """synthesize_noise written out in one piece, without the spectral
-    helper it shares with simulate_sequence; the two agree bit for bit."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(s.seed, spawn_key=(stream,)))
+def reference_spectra(s, dt, n, n_traj):
+    """The rfft of the records that the first n_traj rows of s.seed's
+    stream make, written out in one piece from the documented layout and
+    without the spectral helpers of mcsim.
+
+    A row holds one standard normal per in-band real part, in bin order,
+    then one per in-band imaginary part (an even n's Nyquist coefficient
+    is real and has none), then the static offset's when the band reaches
+    below the record resolution.
+    """
     freqs = np.fft.rfftfreq(n, dt)
     in_band = (freqs >= s.f_min) & (freqs <= s.f_max) & (freqs > 0)
     psd = np.zeros(len(freqs))
     psd[in_band] = s.amplitude * freqs[in_band] ** -s.alpha
-    z = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
-    spectrum = np.sqrt(psd * n / (2.0 * dt)) * z / np.sqrt(2.0)
+    scale_im = np.sqrt(psd * n / (2.0 * dt)) / np.sqrt(2.0)
+    scale_re = scale_im.copy()
     if n % 2 == 0:
-        spectrum[-1] = np.sqrt(psd[-1] * n / dt) * z[-1].real / np.sqrt(2.0)
-    if s.amplitude > 0 and s.f_min < freqs[1]:
+        scale_re[-1] = np.sqrt(psd[-1] * n / dt) / np.sqrt(2.0)
+    k_re = np.flatnonzero(psd)
+    k_im = k_re[k_re < n / 2]
+    static = s.amplitude > 0 and s.f_min < freqs[1]
+    z = np.random.default_rng(s.seed).standard_normal(
+        (n_traj, len(k_re) + len(k_im) + static))
+    spectra = np.zeros((n_traj, len(freqs)), dtype=complex)
+    spectra.real[:, k_re] = scale_re[k_re] * z[:, :len(k_re)]
+    spectra.imag[:, k_im] = (scale_im[k_im]
+                             * z[:, len(k_re):len(k_re) + len(k_im)])
+    if static:
         var_static = band_variance(s, s.f_min, min(s.f_max, freqs[1]))
-        spectrum[0] = n * np.sqrt(var_static) * rng.standard_normal()
-    return np.fft.irfft(spectrum, n=n)
+        spectra[:, 0] = n * np.sqrt(var_static) * z[:, -1]
+    return spectra
+
+
+def reference_synthesis(s, dt, n):
+    """synthesize_noise written out: the record of row 0; the two agree
+    bit for bit."""
+    return np.fft.irfft(reference_spectra(s, dt, n, 1)[0], n=n)
 
 
 @pytest.mark.parametrize("fields, n", [
@@ -157,10 +182,10 @@ def test_synthesis_is_bit_identical_to_reference(fields, n):
     s = spec(**{"amplitude": 3e7, **fields})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for stream in (0, 5):
-            samples = synthesize_noise(s, 1e-6, n, stream).samples
-            assert np.array_equal(samples,
-                                  reference_synthesis(s, 1e-6, n, stream))
+        for seed in (0, 5):
+            samples = synthesize_noise(reseed(s, seed), 1e-6, n).samples
+            assert np.array_equal(
+                samples, reference_synthesis(reseed(s, seed), 1e-6, n))
 
 
 class TestSimulateSequence:
@@ -249,9 +274,10 @@ def record_length(s, seq, dt):
     return int(np.ceil(span / dt))
 
 
-def reference_populations(s, seq, sensitivity, n_traj, dt, taus=None):
-    """simulate_sequence record by record: synthesize_noise, its trapezoid
-    integral, linear interpolation at the segment bounds, signed sums."""
+def reference_phasors(s, seq, sensitivity, n_traj, dt, taus=None):
+    """e^{i phi}, (n_traj, delays), record by record: the records of
+    reference_spectra, their trapezoid integral, linear interpolation at
+    the segment bounds, signed sums."""
     if taus is None:
         taus = np.linspace(seq.tau / 24.0, seq.tau, 24)
     taus = np.sort(np.asarray(taus, dtype=float))
@@ -261,13 +287,17 @@ def reference_populations(s, seq, sensitivity, n_traj, dt, taus=None):
     bounds = np.multiply.outer(taus, frac)
     seg_signs = (-1.0) ** np.arange(seq.n_pulses + 1)
     phasors = np.empty((n_traj, len(taus)), dtype=complex)
-    for i in range(n_traj):
-        lam = synthesize_noise(s, dt, n, stream=i).samples
+    for i, spectrum in enumerate(reference_spectra(s, dt, n, n_traj)):
+        lam = np.fft.irfft(spectrum, n=n)
         cum = np.concatenate(
             ([0.0], np.cumsum(0.5 * (lam[1:] + lam[:-1]) * dt)))
         cum_at = np.interp(bounds.ravel(), t_knots, cum).reshape(bounds.shape)
         phi = sensitivity * (np.diff(cum_at, axis=1) * seg_signs).sum(axis=1)
         phasors[i] = np.exp(1j * phi)
+    return phasors
+
+
+def populations(phasors):
     return 0.5 * (1.0 + np.abs(phasors.mean(axis=0)))
 
 
@@ -310,7 +340,7 @@ def test_weights_match_record_by_record_reference(case):
         assert record_length(s, seq, dt) % 2 == parity
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        expected = reference_populations(s, seq, 1.0, 24, dt, taus)
+        expected = populations(reference_phasors(s, seq, 1.0, 24, dt, taus))
         trace = simulate_sequence(s, seq, sensitivity=1.0, n_traj=24,
                                   dt=dt, taus=taus)
     if s.amplitude > 0:
@@ -318,6 +348,91 @@ def test_weights_match_record_by_record_reference(case):
         assert expected.min() < 0.95
     np.testing.assert_allclose(trace.populations, expected, rtol=0,
                                atol=1e-12)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The shape of every standard_normal draw from mcsim._rng's
+    generators, in call order."""
+    shapes = []
+    make_rng = mcsim._rng
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size=None):
+            out = self.rng.standard_normal(size)
+            shapes.append(np.shape(out))
+            return out
+
+    monkeypatch.setattr(mcsim, "_rng", lambda s: Counting(make_rng(s)))
+    return shapes
+
+
+# case: (n_traj inside one block, n_traj over three or more blocks)
+BLOCK_CASES = {"odd_clipped_at_nyquist": (100, 300),
+               "static_offset_and_band_odd": (10, 40)}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocks_change_nothing(case, drawn):
+    fields, n_pulses, dt, taus, _ = EQUIVALENCE_CASES[case]
+    inside, across = BLOCK_CASES[case]
+    s = SyntheticNoise(seed=5, **fields)
+    seq = PulseSequence(n_pulses=n_pulses, tau=TAU)
+    rows = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # one (across, width) draw: its first n_traj rows are the phases of
+        # every smaller ensemble, so they must not depend on n_traj
+        phasors = reference_phasors(s, seq, 1.0, across, dt, taus)
+        for n_traj in (1, 2, inside, across):
+            drawn.clear()
+            trace = simulate_sequence(s, seq, sensitivity=1.0,
+                                      n_traj=n_traj, dt=dt, taus=taus)
+            np.testing.assert_allclose(
+                trace.populations, populations(phasors[:n_traj]), rtol=0,
+                atol=1e-12)
+            rows[n_traj] = [shape[0] for shape in drawn]
+    assert populations(phasors[:2]).min() < 0.95
+    assert rows[inside] == [inside]
+    # three or more blocks, the last one partial
+    assert len(rows[across]) >= 3 and rows[across][-1] < rows[across][0]
+    assert sum(rows[across]) == across
+
+
+@pytest.mark.parametrize("case", [c for c in EQUIVALENCE_CASES
+                                  if c != "even_nyquist_in_band"])
+def test_each_trajectory_draws_one_normal_per_nonzero_scale(case, drawn):
+    fields, n_pulses, dt, taus, _ = EQUIVALENCE_CASES[case]
+    s = SyntheticNoise(seed=5, **fields)
+    seq = PulseSequence(n_pulses=n_pulses, tau=TAU)
+    n = record_length(s, seq, dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        re, im, static_sd = mcsim._spectrum_scales(s, dt, n)
+        simulate_sequence(s, seq, sensitivity=1.0, n_traj=7, dt=dt,
+                          taus=taus)
+        synthesize_noise(s, dt, n)
+    width = (np.count_nonzero(re) + np.count_nonzero(im)
+             + (static_sd is not None))
+    *blocks, record = drawn
+    assert all(shape[1:] == (width,) for shape in blocks)
+    assert sum(shape[0] for shape in blocks) == 7
+    assert record == (width,)
+
+
+@pytest.mark.parametrize("n_pulses", [0, 1])
+def test_criterion_8_band_draws_one_normal_per_trajectory(n_pulses, drawn):
+    s = SyntheticNoise(amplitude=1.2e5**2 / 0.99, alpha=0.0, f_min=0.01,
+                       f_max=1.0, seed=8)
+    with pytest.warns(UserWarning, match="static"):
+        simulate_sequence(s, PulseSequence(n_pulses=n_pulses, tau=12e-6),
+                          sensitivity=TWO_PI, n_traj=3000, dt=0.1e-6,
+                          taus=[12e-6])
+    assert all(shape[1:] == (1,) for shape in drawn)
+    assert sum(shape[0] for shape in drawn) == 3000
 
 
 @pytest.mark.parametrize("n", [910, 4096])
@@ -355,7 +470,7 @@ def test_each_warning_once_per_call():
 
 def test_memory_does_not_grow_with_trajectories():
     # the benchmark's 24-delay ensemble: 6000 trajectories, dt = 25 us/160;
-    # a held (n_traj, n_band) draw matrix alone would need about 91 MiB
+    # a held (n_traj, row width) draw matrix alone would need about 87 MiB
     s = SyntheticNoise(amplitude=1e9, alpha=1.0, f_min=2.1e3, f_max=2e6)
     seq = PulseSequence(n_pulses=8, tau=30e-6)
     tracemalloc.start()
@@ -365,7 +480,7 @@ def test_memory_does_not_grow_with_trajectories():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20
 
 
 class TestDephasingIntegral:
