@@ -195,8 +195,17 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
         p0, a, t2, f, phi = p
         return p0 + a * np.exp(-t / t2) * np.cos(2 * np.pi * f * t + phi) - y
 
+    def jac(p):
+        _, a, t2, f, phi = p
+        x = t / t2
+        env = np.exp(-x)
+        arg = 2 * np.pi * f * t + phi
+        ec, es = env * np.cos(arg), a * env * np.sin(arg)
+        return np.column_stack((np.ones_like(t), ec, a * ec * x / t2,
+                                -2 * np.pi * t * es, -es))
+
     result = run_least_squares(
-        residual, [p0_0, a_0, t2_0, f_0, phi_0],
+        residual, jac, [p0_0, a_0, t2_0, f_0, phi_0],
         bounds=([-np.inf, 0.0, 1e-300, 0.0, -2 * np.pi],
                 [np.inf, np.inf, np.inf, 1.5 * freqs[-1], 2 * np.pi]))
     p0, a, t2, f, phi = result.x
@@ -256,8 +265,8 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
     a_0 = max(y[0] - y[-1], 1e-3)
     # strip the known relaxation envelope to place the 1/e point of chi_N
     with np.errstate(divide="ignore", invalid="ignore"):
-        coh = np.clip((y - p0_0) / (a_0 * np.exp(-t / (2.0 * t1))),
-                      1e-9, None)
+        relax = np.exp(-t / (2.0 * t1))
+        coh = np.clip((y - p0_0) / (a_0 * relax), 1e-9, None)
     above = np.nonzero(coh > np.exp(-1.0))[0]
     t_phi_0 = t[above[-1]] if len(above) else t[max(len(t) // 3, 1) - 1]
     t_phi_0 = float(np.clip(t_phi_0, t[0], t[-1]))
@@ -266,11 +275,21 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
 
     def residual(p):
         p0, a, t_phi, s = p
-        return (p0 + a * np.exp(-t / (2.0 * t1))
-                * np.exp(-(t / t_phi) ** s) - y)
+        return p0 + a * relax * np.exp(-(t / t_phi) ** s) - y
+
+    def jac(p):
+        _, a, t_phi, s = p
+        q = t / t_phi
+        qs = q ** s
+        m = relax * np.exp(-qs)
+        # m q^s ln q -> 0 as q -> 0, so ln q is taken as 0 at t = 0
+        amq = a * m * qs
+        log_q = np.log(q, out=np.zeros_like(q), where=q > 0)
+        return np.column_stack((np.ones_like(t), m, amq * s / t_phi,
+                                -amq * log_q))
 
     result = run_least_squares(
-        residual, [p0_0, a_0, t_phi_0, 2.0],
+        residual, jac, [p0_0, a_0, t_phi_0, 2.0],
         bounds=([-np.inf, -np.inf, t[0] * 1e-3, lo_s],
                 [np.inf, np.inf, t[-1] * 1e3, hi_s]))
     p0, a, t_phi, s = result.x
@@ -322,7 +341,13 @@ def _fit_exponential(t, y):
         p0, a, tau = p
         return p0 + a * np.exp(-t / tau) - y
 
-    result = run_least_squares(residual,
+    def jac(p):
+        _, a, tau = p
+        x = t / tau
+        e = np.exp(-x)
+        return np.column_stack((np.ones_like(t), e, a * e * x / tau))
+
+    result = run_least_squares(residual, jac,
                                [p0_0, a_0, _efold_guess(t, y, p0_0, a_0)],
                                bounds=([-np.inf, -np.inf, 1e-300],
                                        [np.inf, np.inf, np.inf]))

@@ -10,9 +10,14 @@ class FitError(RuntimeError):
     """A fit could not be set up or did not converge."""
 
 
-def run_least_squares(residual, x0, bounds):
-    """Damped least squares with Jacobian-based scaling; raises FitError."""
-    result = least_squares(residual, np.asarray(x0, dtype=float),
+def run_least_squares(residual, jac, x0, bounds):
+    """Damped least squares with Jacobian-based scaling; raises FitError.
+
+    Every caller passes jac(p), the analytic (n_points, n_params) Jacobian
+    of residual(p); no fit uses finite differences.  Returns scipy's
+    result, which carries nfev, njev, cost, status and optimality.
+    """
+    result = least_squares(residual, np.asarray(x0, dtype=float), jac=jac,
                            bounds=bounds, x_scale="jac")
     if not result.success:
         raise FitError(f"least-squares did not converge: {result.message}")

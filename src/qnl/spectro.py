@@ -119,8 +119,15 @@ def fit_dispersion(points) -> tuple[QubitDispersion, dict]:
         f_ss, lever, v_ss = p
         return np.hypot(f_ss, lever * (volts - v_ss)) - freqs
 
+    def jac(p):
+        f_ss, lever, v_ss = p
+        dv = volts - v_ss
+        h = np.hypot(f_ss, lever * dv)
+        slope = lever * dv / h
+        return np.column_stack((f_ss / h, slope * dv, -lever * slope))
+
     result = run_least_squares(
-        residual, [f_ss0, lever0, v_ss0],
+        residual, jac, [f_ss0, lever0, v_ss0],
         bounds=([1e-300, 0.0, -np.inf], [np.inf, np.inf, np.inf]))
     disp = QubitDispersion(f_ss=float(result.x[0]), lever_c=float(result.x[1]),
                            v_ss=float(result.x[2]))
@@ -154,11 +161,16 @@ def transmission(p: CavityQubitParams, f_probe):
     |S21| <= 1 always.
     """
     omega = TWO_PI * np.asarray(f_probe, dtype=float)
-    omega_r, omega_q = TWO_PI * p.f_r, TWO_PI * p.f_q
-    denom = (1j * (omega - omega_r) + 0.5 * p.kappa
-             + p.g**2 / (1j * (omega - omega_q) + 0.5 * p.gamma))
+    _, denom = _s21_denominator(omega, p.f_r, p.kappa, p.f_q, p.gamma, p.g)
     result = np.asarray(0.5 * p.kappa / denom)
     return complex(result) if result.ndim == 0 else result
+
+
+def _s21_denominator(omega, f_r, kappa, f_q, gamma, g):
+    """(Q, D): the qubit term Q = i(omega - omega_q) + gamma/2 and
+    S21's denominator D = i(omega - omega_r) + kappa/2 + g^2/Q."""
+    q = 1j * (omega - TWO_PI * f_q) + 0.5 * gamma
+    return q, 1j * (omega - TWO_PI * f_r) + 0.5 * kappa + g**2 / q
 
 
 def fit_transmission(trace, known: dict) -> dict:
@@ -203,16 +215,24 @@ def fit_transmission(trace, known: dict) -> dict:
         f_q0 = f_r
     gamma0 = kappa
 
+    omega = TWO_PI * freqs
+
     def residual(p):
         g, gamma, f_q = p
-        model = transmission(
-            CavityQubitParams(f_r=f_r, kappa=kappa, f_q=f_q,
-                              gamma=gamma, g=max(g, 0.0)), freqs)
-        return np.abs(model) - amps
+        _, d = _s21_denominator(omega, f_r, kappa, f_q, gamma, g)
+        return np.abs(0.5 * kappa / d) - amps
+
+    def jac(p):
+        # dS21/dp = -(S21/D) dD/dp, so d|S21|/dp = -|S21| Re(dD/dp / D)
+        g, gamma, f_q = p
+        q, d = _s21_denominator(omega, f_r, kappa, f_q, gamma, g)
+        gq = g**2 / q**2
+        d_denom = np.column_stack((2.0 * g / q, -0.5 * gq, 1j * TWO_PI * gq))
+        return -np.abs(0.5 * kappa / d)[:, None] * (d_denom / d[:, None]).real
 
     span = TWO_PI * np.ptp(freqs)
     result = run_least_squares(
-        residual, [g0, gamma0, f_q0],
+        residual, jac, [g0, gamma0, f_q0],
         bounds=([0.0, 1e-6 * kappa, freqs[0] - np.ptp(freqs)],
                 [10.0 * span, 100.0 * span, freqs[-1] + np.ptp(freqs)]))
     cov = covariance(result, len(freqs))
