@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .fitutil import FitError, covariance, run_least_squares, stderr
 from .units import TWO_PI
@@ -197,7 +196,7 @@ def fit_transmission(trace, known: dict) -> dict:
     f_r, kappa = float(known["f_r"]), float(known["kappa"])
 
     notes = []
-    peaks, _ = find_peaks(amps, prominence=0.1 * np.ptp(amps))
+    peaks, widths = _prominent_peaks(amps, 0.1 * np.ptp(amps))
     if len(peaks) >= 2:
         # two tallest peaks bracket the avoided crossing
         tallest = peaks[np.argsort(amps[peaks])[-2:]]
@@ -208,10 +207,9 @@ def fit_transmission(trace, known: dict) -> dict:
         notes.append("splitting not resolved: single-peak trace; "
                      "confidence intervals will be wide")
         warnings.warn(notes[-1])
-        widths = peak_widths(amps, peaks, rel_height=0.5)[0] if len(peaks) \
-            else np.array([len(freqs) / 4])
+        width = widths.max() if len(peaks) else len(freqs) / 4
         df = np.median(np.diff(freqs))
-        g0 = max(np.pi * widths.max() * df, 0.25 * kappa)
+        g0 = max(np.pi * width * df, 0.25 * kappa)
         f_q0 = f_r
     gamma0 = kappa
 
@@ -246,6 +244,73 @@ def fit_transmission(trace, known: dict) -> dict:
         "covariance_diag": np.diag(cov).tolist(),
         "warnings": notes,
     }
+
+
+def _prominent_peaks(x, min_prominence):
+    """Peaks of x whose prominence is at least min_prominence.
+
+    Follows SciPy's find_peaks(x, prominence=min_prominence) and
+    peak_widths(x, peaks, rel_height=0.5) to the bit.  A peak is a run of
+    equal samples above the runs on both sides (so never at an end of x),
+    placed at the run's middle sample (rounded down).  A side's base is
+    its lowest sample before the first higher one, or before the end of
+    x; the prominence is the peak's height above the higher base.  The
+    width, in samples, joins the two points at half the prominence below
+    the peak, each interpolated linearly between the samples around it.
+    Returns (indices, widths).
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    level = x[starts]
+    top = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    peaks = (starts[1:-1] + starts[2:] - 1)[top] // 2
+    k = len(peaks)
+    # Every search runs leftwards: z holds x, then a sample higher than
+    # all, then x reversed, so a peak's right side is its mirror's left.
+    z = np.r_[x, np.inf, x[::-1]]
+    at = np.r_[peaks, 2 * n - peaks]
+    tops = z[at]
+    # the nearest higher sample, and the lowest one between it and the peak
+    wall = _reach_left(_blocks(z, np.maximum), at, np.less_equal, tops) - 1
+    base = np.minimum.reduceat(
+        z, np.column_stack((wall + 1, at + 1)).ravel())[::2]
+    prominences = tops[:k] - np.maximum(base[:k], base[k:])
+    keep = prominences >= min_prominence
+    at = at[np.tile(keep, 2)]
+    height = np.tile(tops[:k][keep] - prominences[keep] * 0.5, 2)
+    # the nearest sample at or below that height, plus the fraction of the
+    # step to its neighbour (towards the peak) where the crossing lies
+    cross = _reach_left(_blocks(z, np.minimum), at + 1, np.greater,
+                        height) - 1
+    frac = np.divide(height - z[cross], z[cross + 1] - z[cross],
+                     out=np.zeros(len(cross)), where=z[cross] < height)
+    m = len(cross) // 2
+    left = cross[:m] + frac[:m]
+    right = (2 * n - cross[m:]) - frac[m:]      # back from mirror indices
+    return peaks[keep], right - left
+
+
+def _blocks(z, reduce):
+    """Levels j = 0, 1, ...: entry i of level j reduces z[i : i + 2**j]."""
+    blocks = [z]
+    while 2 ** len(blocks) <= len(z):
+        size = 2 ** (len(blocks) - 1)
+        blocks.append(reduce(blocks[-1][:-size], blocks[-1][size:]))
+    return blocks
+
+
+def _reach_left(blocks, end, inside, limit):
+    """Per entry, the smallest start <= end such that z[start:end] is
+    covered by blocks b with inside(b, limit): every sample is at most
+    limit for max blocks and np.less_equal, above it for min blocks and
+    np.greater.  Binary lifting, largest blocks first."""
+    start = end
+    for j in range(len(blocks) - 1, -1, -1):
+        step = start - 2**j
+        ok = (step >= 0) & inside(blocks[j][np.maximum(step, 0)], limit)
+        start = np.where(ok, step, start)
+    return start
 
 
 def purcell_rate(p: CavityQubitParams) -> float:

@@ -4,12 +4,16 @@ Every public, undecorated, module-level function and class in src/qnl
 must be referenced (as a name or an attribute, not just imported) in
 src/qnl, demos/ or perfbench/ outside perfbench's tests.  Decorated
 definitions, the click commands, are reached through the CLI group.
-The package namespace itself binds only __version__, and the
+The package namespace itself binds only __version__, the
 "[warning] <place>: message" format of a diagnostic is written only in
-fileio.Diagnostic.
+fileio.Diagnostic, and no module loads the scipy subpackages that cost
+most of a cold start.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,3 +77,20 @@ def test_diagnostic_format_is_written_only_in_fileio():
                and isinstance(node.value, str)
                and node.value.startswith(("[warning]", "[error]"))]
     assert spelled == []
+
+
+def test_no_module_loads_the_slow_scipy_subpackages():
+    # qnl needs only scipy.optimize and scipy.constants; scipy.signal alone
+    # pulls in stats, ndimage and interpolate, about 0.9 s of every start
+    modules = sorted(f"qnl.{p.stem}" for p in PACKAGE.glob("[!_]*.py"))
+    assert "qnl.cli" in modules
+    code = (f"import sys\nfor name in {modules!r}: __import__(name)\n"
+            "print(' '.join(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert set(modules) <= set(loaded)
+    assert {"scipy.signal", "scipy.stats", "scipy.ndimage",
+            "scipy.interpolate"}.isdisjoint(loaded)

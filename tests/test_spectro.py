@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qnl.fitutil import FitError
+from qnl import spectro
+from qnl.fitutil import FitError, run_least_squares
 from qnl.spectro import (CavityQubitParams, QubitDispersion,
-                         dressed_frequencies, fit_dispersion,
-                         fit_transmission, lever_arm, purcell_rate,
-                         qubit_frequency, transmission)
+                         _prominent_peaks, dressed_frequencies,
+                         fit_dispersion, fit_transmission, lever_arm,
+                         purcell_rate, qubit_frequency, transmission)
 
 DISP = QubitDispersion(f_ss=5.065e9, lever_c=2.348e12)  # 2.348 GHz/mV
 
@@ -211,6 +213,75 @@ class TestFitTransmission:
             errs.append(max(abs(result["g"] / p.g - 1),
                             abs(result["gamma"] / p.gamma - 1)))
         assert np.median(errs) < 0.05
+
+    def record_starts(self, monkeypatch):
+        starts = []
+
+        def run(residual, jac, x0, bounds):
+            starts.append(x0)
+            return run_least_squares(residual, jac, x0, bounds)
+        monkeypatch.setattr(spectro, "run_least_squares", run)
+        return starts
+
+    def test_clipped_single_peak_takes_its_plateau_width(self, monkeypatch):
+        p = CavityQubitParams(f_r=5.668e9, kappa=2 * np.pi * 0.38e6,
+                              f_q=5.0e9, gamma=2 * np.pi * 3.18e6, g=0.0)
+        trace = self.make_trace(p, span=2e6, n=801)
+        top = 0.6
+        trace[:, 1] = np.minimum(trace[:, 1], top)
+        assert np.count_nonzero(trace[:, 1] == top) > 50
+        starts = self.record_starts(monkeypatch)
+        with pytest.warns(UserWarning, match="single-peak"):
+            result = fit_transmission(trace, {"f_r": p.f_r, "kappa": p.kappa})
+        assert np.isfinite([result["g"], result["gamma"], result["f_q"]]).all()
+        # the bare |S21| = 1/sqrt(1 + (2 dw/kappa)^2) crosses half the
+        # plateau's prominence, level h, at dw = (kappa/2) sqrt(1/h^2 - 1),
+        # and g0 = pi * (width in Hz) = dw
+        h = 0.5 * (top + max(trace[0, 1], trace[-1, 1]))
+        assert starts[0][0] == pytest.approx(
+            0.5 * p.kappa * np.sqrt(1 / h**2 - 1), rel=1e-3)
+
+    def test_trace_without_a_peak_starts_from_a_quarter_span(self,
+                                                             monkeypatch):
+        freqs = np.linspace(5.66e9, 5.676e9, 41)
+        trace = np.column_stack([freqs, np.linspace(0.1, 0.9, freqs.size)])
+        kappa = 2 * np.pi * 0.38e6
+        starts = self.record_starts(monkeypatch)
+        with pytest.warns(UserWarning, match="single-peak"):
+            result = fit_transmission(trace, {"f_r": 5.668e9,
+                                              "kappa": kappa})
+        assert np.isfinite([result["g"], result["gamma"], result["f_q"]]).all()
+        assert starts[0][0] == pytest.approx(
+            np.pi * (freqs.size / 4) * (freqs[1] - freqs[0]), rel=1e-9)
+        assert starts[0][0] > 0.25 * kappa
+
+
+# few distinct levels, so plateaus and ties, at the ends too, are common
+_levels = st.lists(st.integers(0, 4), min_size=3, max_size=40).map(
+    lambda v: np.array(v) / 4.0)
+_walks = st.lists(st.integers(-1, 1), min_size=3, max_size=60).map(
+    lambda steps: 0.1 * np.cumsum(steps))
+_noise = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=40).map(
+    np.array)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.one_of(_levels, _walks, _noise),
+       share=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+@example(x=np.arange(6.0), share=0.0)
+@example(x=np.arange(6.0)[::-1], share=0.0)
+@example(x=np.array([0.0, 1.0, 0.0]), share=0.0)
+@example(x=np.array([0.0, 1.0, 1.0]), share=0.0)
+@example(x=np.array([1.0, 1.0, 0.0]), share=0.0)
+@example(x=np.array([1.0, 1.0, 1.0]), share=0.0)
+def test_prominent_peaks_match_scipy_to_the_bit(x, share):
+    from scipy.signal import find_peaks, peak_widths
+    min_prominence = share * np.ptp(x)
+    expected = find_peaks(x, prominence=min_prominence)[0]
+    expected_widths = peak_widths(x, expected, rel_height=0.5)[0]
+    peaks, widths = _prominent_peaks(x, min_prominence)
+    assert peaks.tolist() == expected.tolist()
+    assert widths.tobytes() == expected_widths.tobytes()
 
 
 class TestPurcellRate:
