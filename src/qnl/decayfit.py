@@ -25,6 +25,8 @@ from .fitutil import FitError, run_least_squares, stderr
 _KINDS = ("relaxation", "ramsey", "echo", "cpmg")
 
 STRETCH_BOUNDS = (0.5, 4.0)
+# P_e a trace may hold: measurement noise may push estimates just past [0, 1]
+_POPULATION_BOUNDS = (-0.1, 1.1)
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,7 @@ class DecayTrace:
     """A measured decay: excited-state population versus delay.
 
     times       : delays (s), finite, non-negative and strictly increasing
-    populations : P_e per delay; finite, in [-0.1, 1.1] (measurement
-                  noise may push estimates slightly outside [0, 1])
+    populations : P_e per delay; finite, within _POPULATION_BOUNDS
     kind        : one of "relaxation", "ramsey", "echo", "cpmg"
     n_pulses    : pi-pulse count (0 for relaxation/ramsey, 1 for echo,
                   >= 1 for cpmg)
@@ -57,8 +58,9 @@ class DecayTrace:
         if np.any(times < 0) or np.any(np.diff(times) <= 0):
             raise ValueError("times must be non-negative and strictly "
                              "increasing")
-        if np.any((pops < -0.1) | (pops > 1.1)):
-            raise ValueError("populations outside the [-0.1, 1.1] tolerance")
+        lo, hi = _POPULATION_BOUNDS
+        if np.any((pops < lo) | (pops > hi)):
+            raise ValueError(f"populations outside the [{lo}, {hi}] tolerance")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.kind == "echo" and self.n_pulses == 0:
@@ -209,7 +211,7 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
         bounds=([-np.inf, 0.0, 1e-300, 0.0, -2 * np.pi],
                 [np.inf, np.inf, np.inf, 1.5 * freqs[-1], 2 * np.pi]))
     p0, a, t2, f, phi = result.x
-    errs = stderr(result, len(t))
+    errs = stderr(result)
     flags = ()
     if abs(a) < 1e-3 * max(abs(p0), 1e-30):
         flags = ("detuning_unconstrained",)
@@ -298,7 +300,7 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
         bounds=([-np.inf, -np.inf, t[0] * 1e-3, lo_s],
                 [np.inf, np.inf, t[-1] * 1e3, hi_s]))
     p0, a, t_phi, s = result.x
-    errs = stderr(result, len(t))
+    errs = stderr(result)
     flags = []
     if min(abs(s - lo_s), abs(s - hi_s)) < 1e-6:
         flags.append("stretch_at_bound")
@@ -356,7 +358,7 @@ def _fit_exponential(t, y):
                                [p0_0, a_0, _efold_guess(t, y, p0_0, a_0)],
                                bounds=([-np.inf, -np.inf, 1e-300],
                                        [np.inf, np.inf, np.inf]))
-    return result.x, stderr(result, len(t))
+    return result.x, stderr(result)
 
 
 def _efold_guess(t, y, p0, a):

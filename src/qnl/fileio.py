@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decayfit import DecayTrace
+from .decayfit import _POPULATION_BOUNDS, DecayTrace
 from .noisespec import FrequencySeries, PSDPoint
 
 DECAY_HEADER = ["tau_s", "pe"]
@@ -219,8 +219,8 @@ def format_csv(columns: dict) -> str:
 def load_decay_trace(path) -> tuple[DecayTrace, dict]:
     """Read a tau_s,pe trace and its JSON sidecar; returns (trace, meta).
 
-    A population outside [-0.1, 1.1] raises a warning-severity InputError:
-    the trace is unusable but the rest of a batch is not.
+    A population outside decayfit's tolerance raises a warning-severity
+    InputError: the trace is unusable but the rest of a batch is not.
     """
     data = _read_table(path, DECAY_HEADER, 2)
     bad = np.flatnonzero(np.diff(data[:, 0]) <= 0) + 1
@@ -231,10 +231,11 @@ def load_decay_trace(path) -> tuple[DecayTrace, dict]:
         raise InputError(f"negative tau_s at value {data[0, 0]}", path,
                          row=2, column="tau_s")
     meta = _read_sidecar(sidecar_path(path))
-    bad = np.flatnonzero((data[:, 1] < -0.1) | (data[:, 1] > 1.1))
+    lo, hi = _POPULATION_BOUNDS
+    bad = np.flatnonzero((data[:, 1] < lo) | (data[:, 1] > hi))
     if bad.size:
-        raise InputError(f"population {data[bad[0], 1]} outside the "
-                         "[-0.1, 1.1] tolerance; trace will be skipped", path,
+        raise InputError(f"population {data[bad[0], 1]} outside the [{lo}, "
+                         f"{hi}] tolerance; trace will be skipped", path,
                          row=int(bad[0]) + 2, column="pe", severity="warning")
     try:
         trace = DecayTrace(times=data[:, 0], populations=data[:, 1],

@@ -13,7 +13,7 @@ class FitError(RuntimeError):
 def run_least_squares(residual, jac, x0, bounds):
     """Damped least squares with Jacobian-based scaling; raises FitError.
 
-    Every caller passes jac(p), the analytic (n_points, n_params) Jacobian
+    Every caller passes jac(p), the analytic (n_residuals, n_params) Jacobian
     of residual(p); no fit uses finite differences.  Returns scipy's
     result, which carries nfev, njev, cost, status and optimality.
     """
@@ -24,16 +24,16 @@ def run_least_squares(residual, jac, x0, bounds):
     return result
 
 
-def covariance(result, n_points: int) -> np.ndarray:
+def covariance(result) -> np.ndarray:
     """Parameter covariance from the Jacobian at the solution.
 
     Scales inv(J^T J) by the reduced chi-square estimate
-    2*cost/(n_points - n_params).  Columns are equilibrated before the
-    pseudo-inverse so parameters of wildly different magnitude (Hz vs V)
-    do not shadow each other; genuinely unconstrained directions still
-    come back with zero instead of spuriously huge variance.
+    2*cost/(n_residuals - n_params), both counts read off the result.
+    Columns are equilibrated before the pseudo-inverse so parameters of
+    wildly different magnitude (Hz vs V) do not shadow each other; truly
+    unconstrained directions still come back with zero variance.
     """
-    dof = max(n_points - result.x.size, 1)
+    dof = max(result.fun.size - result.x.size, 1)
     s_sq = 2.0 * result.cost / dof
     jac = np.atleast_2d(result.jac)
     scale = np.linalg.norm(jac, axis=0)
@@ -42,6 +42,6 @@ def covariance(result, n_points: int) -> np.ndarray:
     return (np.linalg.pinv(jtj) / np.outer(scale, scale)) * s_sq
 
 
-def stderr(result, n_points: int) -> np.ndarray:
+def stderr(result) -> np.ndarray:
     """1-sigma standard errors of the fitted parameters."""
-    return np.sqrt(np.clip(np.diag(covariance(result, n_points)), 0.0, None))
+    return np.sqrt(np.clip(np.diag(covariance(result)), 0.0, None))

@@ -23,9 +23,10 @@ with no noise record formed.
 
 Randomness: a call draws from one generator, default_rng(seed), and
 trajectory i is row i of its stream: one standard normal per nonzero
-bin scale, in the order of _row_layout.  synthesize_noise returns row
-0's record, so ensembles are bit-identical for a given (seed, n_traj),
-and the first k trajectories do not depend on n_traj.
+bin scale, in the order of _row_layout, the one statement of a record's
+bin rules.  synthesize_noise returns row 0's record, so ensembles are
+bit-identical for a given (seed, n_traj), and the first k trajectories
+do not depend on n_traj.
 """
 
 from __future__ import annotations
@@ -101,18 +102,20 @@ def band_variance(spec: SyntheticNoise, f_lo: float, f_hi: float) -> float:
     return spec.amplitude * (f_hi**p - f_lo**p) / p
 
 
-def _spectrum_scales(spec: SyntheticNoise, dt: float, n: int):
-    """The bin rules of a length-n record: the one statement of them that
-    synthesize_noise and simulate_sequence both follow.
+def _row_layout(spec: SyntheticNoise, dt: float, n: int):
+    """(bins, scales) of one trajectory's row z of standard normals: the
+    one statement of the bin rules that synthesize_noise and
+    simulate_sequence both follow.
 
-    Returns (re, im, static_sd).  With standard normals z_re, z_im, the
-    record's rfft coefficient k is (re[k] z_re[k] + 1j im[k] z_im[k]) /
-    sqrt(2): in band re = im = sqrt(S(f_k) n/(2 dt)), 0 out of band and at
-    DC, and an even n's Nyquist coefficient is real with variance
-    S n/(2 dt) (im = 0 there).  When the band reaches below the resolution
-    1/(n dt), the DC coefficient is n * static_sd * g for one more normal
-    g; otherwise static_sd is None.  Warns when the band is clipped at
-    Nyquist and when a static offset is needed.
+    rfft coefficient k of the length-n record is the sum of scales * z over
+    the entries in bin k.  A band bin takes sqrt(S(f_k) n/(4 dt)) on one
+    normal and 1j times that on another; DC and bins out of band take
+    none; an even n's Nyquist bin is real, with variance S n/(2 dt).  Band
+    below the resolution 1/(n dt) adds one normal to bin 0, scaled by n
+    times its standard deviation (a static offset).  The row holds the
+    real parts, then the imaginary parts, then the static offset; a scale
+    of 0 (a PSD value that underflows) draws no normal.  Warns when the
+    band is clipped at Nyquist and when a static offset is needed.
     """
     freqs = np.fft.rfftfreq(n, dt)
     f_res, f_nyq = freqs[1], freqs[-1]
@@ -124,34 +127,21 @@ def _spectrum_scales(spec: SyntheticNoise, dt: float, n: int):
     psd = np.zeros(len(freqs))
     psd[in_band] = spec.amplitude * freqs[in_band] ** -spec.alpha
 
-    re = np.sqrt(psd * n / (2.0 * dt))
-    im = re.copy()
+    re = np.sqrt(psd * n / (2.0 * dt)) / np.sqrt(2.0)
+    im = 1j * re
     if n % 2 == 0:
         # the Nyquist coefficient of a real record is real and unmirrored
-        re[-1] = np.sqrt(psd[-1] * n / dt)
+        re[-1] = np.sqrt(psd[-1] * n / dt) / np.sqrt(2.0)
         im[-1] = 0.0
+    bins = [np.flatnonzero(re), np.flatnonzero(im)]
+    scales = [re[bins[0]], im[bins[1]]]
 
-    static_sd = None
     if spec.amplitude > 0 and spec.f_min < f_res:
         warnings.warn("band extends below the record resolution 1/(n dt); "
                       "that part enters as a per-record static offset")
-        static_sd = np.sqrt(
-            band_variance(spec, spec.f_min, min(spec.f_max, f_res)))
-    return re, im, static_sd
-
-
-def _row_layout(spec: SyntheticNoise, dt: float, n: int):
-    """(bins, scales) of one trajectory's row z of standard normals: rfft
-    coefficient k is the sum of scales * z over the entries in bin k.  The
-    row takes z_re for each bin with re > 0, then z_im for each with
-    im > 0, then g if _spectrum_scales asks for a static offset."""
-    re, im, static_sd = _spectrum_scales(spec, dt, n)
-    k_re, k_im = np.flatnonzero(re), np.flatnonzero(im)
-    bins = [k_re, k_im]
-    scales = [re[k_re] / np.sqrt(2.0), 1j * (im[k_im] / np.sqrt(2.0))]
-    if static_sd is not None:
         bins.append([0])
-        scales.append([n * static_sd])
+        scales.append([n * np.sqrt(
+            band_variance(spec, spec.f_min, min(spec.f_max, f_res)))])
     return np.concatenate(bins), np.concatenate(scales)
 
 
@@ -162,7 +152,7 @@ def _rng(spec: SyntheticNoise) -> np.random.Generator:
 def synthesize_noise(spec: SyntheticNoise, dt: float, n: int) -> Trajectory:
     """Draw one noise record by Gaussian spectral synthesis.
 
-    Its rfft coefficients follow the bin rules of _spectrum_scales, so the
+    Its rfft coefficients follow the bin rules of _row_layout, so the
     ensemble periodogram reproduces S(f) exactly on the grid
     [1/(n dt), 1/(2 dt)].  Band below the record resolution is not
     dropped: its integrated variance enters as a per-record static offset
@@ -252,9 +242,9 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     bins, scales = _row_layout(spec, dt, n)
 
     # phi = (sensitivity/n) Re sum_k c_k X_k conj(W_k) for the record's
-    # rfft X and the weights' rfft W, with c_k = 1 at DC (only the static
-    # offset's bin) and at an even n's Nyquist bin (where W = dt/2 (r_0 -
-    # r_n) = 0), 2 elsewhere: so every band bin takes c = 2
+    # rfft X and the weights' rfft W, with c_k = 1 at DC (in _row_layout,
+    # only the static offset's bin) and at an even n's Nyquist bin (where
+    # W = dt/2 (r_0 - r_n) = 0), 2 elsewhere: so every band bin takes c = 2
     w_hat = np.fft.rfft([_phase_weights(seq, tau, dt, n) for tau in taus])
     c = np.where(bins == 0, 1.0, 2.0)
     gain = np.ascontiguousarray(

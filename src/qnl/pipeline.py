@@ -35,6 +35,10 @@ from .spectro import (QubitDispersion, fit_dispersion, fit_transmission,
 from .thermal import (ThermalModel, photon_occupation, resonator_dephasing,
                       t1_vs_temperature, thermal_population)
 
+# data faults: each costs one fit (_fit_or_warn) or one stage's section
+# (run_pipeline) and leaves a warning; any other exception is a bug
+_FIT_FAILURES = (FitError, ValueError, ArithmeticError)
+
 
 class PipelineError(RuntimeError):
     """Raised when validation finds errors; carries the diagnostics."""
@@ -147,8 +151,8 @@ def load_inputs(config: AnalysisConfig) -> tuple[LoadedInputs, list]:
     """Type-check the config and parse every configured file exactly once.
 
     Returns the loaded objects and every diagnostic: errors abort
-    run_pipeline; warnings (a population outside the [-0.1, 1.1]
-    tolerance) let it proceed with the offending trace excluded.
+    run_pipeline; warnings (a population outside decayfit's tolerance)
+    let it proceed with the offending trace excluded.
     """
     diags = _config_diagnostics(config)
     loaded = LoadedInputs()
@@ -258,10 +262,8 @@ def _decay_stage(ctx: StageContext) -> dict | None:
             ctx.warn("no T1 available for this bias and no qubit.t1 "
                      "fallback; trace skipped", path)
             continue
-        try:
-            fit = fit_trace(trace, t1)
-        except (FitError, ValueError) as exc:
-            ctx.warn(f"fit failed ({exc})", path)
+        fit = _fit_or_warn(ctx, path, "fit", fit_trace, trace, t1)
+        if fit is None:
             continue
         record = _fit_record(path, trace, meta, fit)
         fits.append(record)
@@ -282,10 +284,9 @@ def _scaling_stage(ctx: StageContext) -> dict | None:
         points = [(r["n_pulses"], r["params"]["t_phi"]) for r in records]
         if len(points) < 3:
             continue
-        try:
-            scaling = fit_scaling(points)
-        except FitError as exc:
-            ctx.warn(f"scaling at bias {bias} mV: {exc}")
+        scaling = _fit_or_warn(ctx, None, f"scaling at bias {bias} mV: fit",
+                               fit_scaling, points)
+        if scaling is None:
             continue
         rows.append({"bias_mv": bias, "beta": scaling.beta,
                      "alpha": scaling.alpha, "beta_err": scaling.beta_err,
@@ -333,7 +334,7 @@ def _psd_stage(ctx: StageContext) -> dict | None:
     if not points["freq_hz"]:
         return None
     return {"points": points,
-            "powerlaw": _fit_or_warn(ctx, None, "psd: power-law",
+            "powerlaw": _fit_or_warn(ctx, None, "psd: power-law fit",
                                      powerlaw_fit, box_points),
             "sources": sorted(set(points["source"]))}
 
@@ -344,7 +345,7 @@ def _lowfreq_stage(ctx: StageContext) -> dict | None:
         return None
     spectrum = periodogram(ctx.loaded.series)
     return {"points": spectrum_columns(spectrum),
-            "powerlaw": _fit_or_warn(ctx, path, "power-law", powerlaw_fit,
+            "powerlaw": _fit_or_warn(ctx, path, "power-law fit", powerlaw_fit,
                                      spectrum),
             "sources": [path]}
 
@@ -367,14 +368,14 @@ def _spectro_stage(ctx: StageContext) -> dict | None:
     section: dict = {"sources": []}
     if loaded.transmission is not None and qubit.get("f_r") \
             and qubit.get("kappa"):
-        fit = _fit_or_warn(ctx, config.transmission_trace, "transmission",
+        fit = _fit_or_warn(ctx, config.transmission_trace, "transmission fit",
                            fit_transmission, loaded.transmission,
                            {"f_r": qubit["f_r"], "kappa": qubit["kappa"]})
         if fit is not None:
             section["transmission"] = fit
             section["sources"].append(config.transmission_trace)
     if loaded.two_tone is not None:
-        fit = _fit_or_warn(ctx, config.two_tone_map, "dispersion",
+        fit = _fit_or_warn(ctx, config.two_tone_map, "dispersion fit",
                            fit_two_tone, loaded.two_tone)
         if fit is not None:
             section["dispersion"] = fit
@@ -399,8 +400,8 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     Parses the inputs once through load_inputs and raises PipelineError
     (writing nothing) when it reports errors; its warnings, and fits that
     fail, are carried into the report's warnings list.  A stage that
-    raises FitError, ValueError or ArithmeticError loses its section and
-    leaves a "stage <name> failed" warning; the other stages still run.
+    raises one of _FIT_FAILURES loses its section and leaves a "stage
+    <name> failed" warning; the other stages still run.
     Provenance hashes exactly the files listed in the sections' sources.
     """
     loaded, diags = load_inputs(config)
@@ -411,7 +412,7 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     for stage, (key, build) in STAGES.items():
         try:
             section = build(ctx)
-        except (FitError, ValueError, ArithmeticError) as exc:
+        except _FIT_FAILURES as exc:
             ctx.warn(f"stage {stage} failed ({type(exc).__name__}: {exc}); "
                      "section omitted")
             continue
@@ -479,11 +480,11 @@ def _fit_record(path: str, trace, meta: dict, fit) -> dict:
 
 
 def _fit_or_warn(ctx: StageContext, path, what: str, fit, *args):
-    """fit(*args), or None and a warning at path when it raises FitError."""
+    """fit(*args), or None and a "<what> failed (...)" warning at path."""
     try:
         return fit(*args)
-    except FitError as exc:
-        ctx.warn(f"{what} fit failed ({exc})", path)
+    except _FIT_FAILURES as exc:
+        ctx.warn(f"{what} failed ({exc})", path)
         return None
 
 

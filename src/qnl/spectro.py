@@ -133,7 +133,7 @@ def fit_dispersion(points) -> tuple[QubitDispersion, dict]:
     report = {
         "residual_norm": float(np.linalg.norm(result.fun)),
         "stderr": dict(zip(("f_ss", "lever_c", "v_ss"),
-                           stderr(result, len(volts)).tolist())),
+                           stderr(result).tolist())),
     }
     return disp, report
 
@@ -233,7 +233,7 @@ def fit_transmission(trace, known: dict) -> dict:
         residual, jac, [g0, gamma0, f_q0],
         bounds=([0.0, 1e-6 * kappa, freqs[0] - np.ptp(freqs)],
                 [10.0 * span, 100.0 * span, freqs[-1] + np.ptp(freqs)]))
-    cov = covariance(result, len(freqs))
+    cov = covariance(result)
     errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return {
         "g": float(result.x[0]),

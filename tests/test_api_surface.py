@@ -6,8 +6,8 @@ src/qnl, demos/ or perfbench/ outside perfbench's tests.  Decorated
 definitions, the click commands, are reached through the CLI group.
 The package namespace itself binds only __version__, the
 "[warning] <place>: message" format of a diagnostic is written only in
-fileio.Diagnostic, and no module loads the scipy subpackages that cost
-most of a cold start.
+fileio.Diagnostic, no pipeline stage builder catches an exception itself,
+and no module loads the scipy subpackages that cost most of a cold start.
 """
 
 import ast
@@ -15,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from qnl.pipeline import STAGES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qnl"
@@ -77,6 +79,21 @@ def test_diagnostic_format_is_written_only_in_fileio():
                and isinstance(node.value, str)
                and node.value.startswith(("[warning]", "[error]"))]
     assert spelled == []
+
+
+def test_no_stage_builder_catches_exceptions():
+    # which failures become warnings is decided in pipeline._fit_or_warn
+    # and the stage driver, against one exception tuple; a try in a stage
+    # would restate that policy with its own exception set
+    builders = {build.__name__ for _, build in STAGES.values()}
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text())
+    found = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in builders}
+    assert set(found) == builders
+    catching = sorted(name for name, node in found.items()
+                      if any(isinstance(inner, ast.Try)
+                             for inner in ast.walk(node)))
+    assert catching == []
 
 
 def test_no_module_loads_the_slow_scipy_subpackages():

@@ -411,12 +411,10 @@ def test_each_trajectory_draws_one_normal_per_nonzero_scale(case, drawn):
     n = record_length(s, seq, dt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        re, im, static_sd = mcsim._spectrum_scales(s, dt, n)
+        width = len(mcsim._row_layout(s, dt, n)[0])
         simulate_sequence(s, seq, sensitivity=1.0, n_traj=7, dt=dt,
                           taus=taus)
         synthesize_noise(s, dt, n)
-    width = (np.count_nonzero(re) + np.count_nonzero(im)
-             + (static_sd is not None))
     *blocks, record = drawn
     assert all(shape[1:] == (width,) for shape in blocks)
     assert sum(shape[0] for shape in blocks) == 7
@@ -438,16 +436,16 @@ def test_criterion_8_band_draws_one_normal_per_trajectory(n_pulses, drawn):
 @pytest.mark.parametrize("n", [910, 4096])
 def test_dc_and_nyquist_weights_never_reach_the_phase(n):
     # simulate_sequence weights every band bin of W twice, as if no band
-    # bin were DC or an even n's Nyquist bin: re is 0 at DC, and W at
-    # Nyquist telescopes to dt/2 (r_0 - r_n) = 0
+    # bin were DC or an even n's Nyquist bin: only the static offset enters
+    # bin 0, and W at Nyquist telescopes to dt/2 (r_0 - r_n) = 0
     dt = 1.1e-7
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for f_min in (1e4, 10.0):       # without and with a static offset
-            re, im, _ = mcsim._spectrum_scales(
-                spec(f_min=f_min, f_max=1e9), dt, n)
-            assert re[0] == im[0] == 0.0
-            assert re[-1] > 0.0         # the Nyquist bin is in band
+            bins, _ = mcsim._row_layout(spec(f_min=f_min, f_max=1e9), dt, n)
+            assert np.count_nonzero(bins == 0) == (f_min == 10.0)
+            # the Nyquist bin is in band, real: one normal
+            assert np.count_nonzero(bins == n // 2) == 1
     for n_pulses in (0, 1, 2, 16):
         seq = PulseSequence(n_pulses=n_pulses, tau=20e-6)
         for tau in np.linspace(seq.tau / 24, seq.tau, 24):

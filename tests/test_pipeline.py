@@ -5,13 +5,18 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qnl.fileio import sidecar_path
+from qnl.fileio import (SPECTRUM_HEADER, TWO_TONE_HEADER, format_csv,
+                        sidecar_path)
 from qnl import pipeline
 from qnl.pipeline import (STAGES, AnalysisConfig, Diagnostic, PipelineError,
                           run_pipeline, validate_inputs)
+from qnl.spectro import (CavityQubitParams, QubitDispersion, qubit_frequency,
+                         transmission)
+from qnl.units import TWO_PI
 
 from conftest import q1_dataset
 
@@ -624,6 +629,38 @@ class TestCrashInputs:
         assert report.sections["psd"]["powerlaw"] is None
         assert ("[warning] psd: power-law fit failed (need at least 3 "
                 "points)") in report.warnings
+
+    def test_resonator_below_the_trace_loses_only_the_transmission_fit(
+            self, tmp_path):
+        # f_r 53 MHz below a 5.653-5.683 GHz trace puts the start
+        # f_q0 = f_lo + f_hi - f_r above its bound, and scipy raises
+        # ValueError; the dispersion fit does not use f_r and stays
+        kappa = TWO_PI * 0.38e6
+        cavity = CavityQubitParams(f_r=5.668e9, kappa=kappa, f_q=5.668e9,
+                                   gamma=TWO_PI * 3.18e6, g=TWO_PI * 5e6)
+        freqs = np.linspace(5.653e9, 5.683e9, 201)
+        s21 = tmp_path / "s21.csv"
+        s21.write_text(format_csv(dict(zip(SPECTRUM_HEADER, (
+            freqs.tolist(), np.abs(transmission(cavity, freqs)).tolist())))))
+        disp = QubitDispersion(f_ss=5.065e9, lever_c=2.348e12)
+        probe = np.linspace(5.0e9, 5.6e9, 301)
+        rows = [(v, f, 0.9 / (1.0 + ((f - qubit_frequency(disp, v)) / 5e6)
+                                ** 2))
+                for v in np.linspace(-1e-3, 1e-3, 11) for f in probe]
+        two_tone = tmp_path / "two_tone.csv"
+        two_tone.write_text(format_csv(dict(zip(TWO_TONE_HEADER,
+                                                zip(*rows)))))
+        config = AnalysisConfig(output_dir=str(tmp_path / "out"),
+                                transmission_trace=str(s21),
+                                two_tone_map=str(two_tone),
+                                qubit={"f_r": 5.60e9, "kappa": kappa})
+        assert validate_inputs(config) == []
+        report = run_pipeline(config)
+        assert set(report.sections["spectro"]) == {"dispersion", "sources"}
+        assert report.sections["spectro"]["sources"] == [str(two_tone)]
+        assert len(report.warnings) == 1
+        assert report.warnings[0].startswith(
+            f"[warning] {s21}: transmission fit failed (")
 
 
 def test_each_input_is_parsed_once(q1_config, monkeypatch):
