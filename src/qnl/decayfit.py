@@ -167,7 +167,8 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
         raise FitError("need at least 10 points")
 
     dt = float(np.median(np.diff(t)))
-    spectrum = np.abs(np.fft.rfft(y - y.mean())) ** 2
+    fringes = np.fft.rfft(y - y.mean())
+    spectrum = np.abs(fringes) ** 2
     spectrum[0] = 0.0
     freqs = np.fft.rfftfreq(len(t), dt)
     k = int(np.argmax(spectrum))
@@ -188,7 +189,7 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
                                    "detuning_unconstrained"))
 
     f_0 = freqs[k]
-    phi_0 = float(np.angle(np.fft.rfft(y - y.mean())[k]))
+    phi_0 = float(np.angle(fringes[k]))
     a_0 = float(np.sqrt(2.0) * np.std(y))
     p0_0 = float(y.mean())
     t2_0 = (t[-1] - t[0]) / 2.0

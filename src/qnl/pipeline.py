@@ -274,10 +274,15 @@ def _decay_stage(ctx: StageContext) -> dict | None:
                               | {str(sidecar_path(f["file"])) for f in fits})}
 
 
+def _has_t_phi(record: dict) -> bool:
+    """Whether a decay fit is an echo or CPMG fit with a nonzero T_phi."""
+    return record["n_pulses"] >= 1 and bool(record["params"].get("t_phi"))
+
+
 def _scaling_stage(ctx: StageContext) -> dict | None:
     by_bias: dict[float, list[dict]] = {}
     for record in ctx.sections.get("decay_fits", {"fits": []})["fits"]:
-        if record["n_pulses"] >= 1 and record["params"].get("t_phi"):
+        if _has_t_phi(record):
             by_bias.setdefault(record["bias_mv"], []).append(record)
     rows = []
     for bias, records in sorted(by_bias.items()):
@@ -314,7 +319,7 @@ def _psd_stage(ctx: StageContext) -> dict | None:
 
     for record in ctx.sections.get("decay_fits", {"fits": []})["fits"]:
         params = record["params"]
-        if record["n_pulses"] >= 1 and params.get("t_phi"):
+        if _has_t_phi(record):
             seq = PulseSequence(n_pulses=record["n_pulses"],
                                 tau=params["t_phi"])
             point = reconstruct_psd_point(params["t_phi"], seq)

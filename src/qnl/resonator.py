@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k
 
-from .units import TWO_PI
+from .units import HBAR, K_B, TWO_PI
 
 # BCS weak-coupling gap: Delta_0 = 1.76 k_B T_c
 _GAP_COEFF = 1.76
@@ -74,8 +73,8 @@ def kinetic_inductance(film: FilmParams) -> float:
     L_k = hbar * R_square / (pi * Delta_0) with Delta_0 = 1.76 k_B T_c.
     Linear in R_square and inversely proportional to T_c.
     """
-    delta0 = _GAP_COEFF * k * film.t_c
-    return hbar * film.r_square / (np.pi * delta0)
+    delta0 = _GAP_COEFF * K_B * film.t_c
+    return HBAR * film.r_square / (np.pi * delta0)
 
 
 def lumped_model(l_k: float, width: float, length: float,

@@ -249,8 +249,8 @@ def fit_transmission(trace, known: dict) -> dict:
 def _prominent_peaks(x, min_prominence):
     """Peaks of x whose prominence is at least min_prominence.
 
-    Follows SciPy's find_peaks(x, prominence=min_prominence) and
-    peak_widths(x, peaks, rel_height=0.5) to the bit.  A peak is a run of
+    SciPy's find_peaks(x, prominence=min_prominence) and peak_widths(x,
+    peaks, rel_height=0.5) in direct form, to the bit.  A peak is a run of
     equal samples above the runs on both sides (so never at an end of x),
     placed at the run's middle sample (rounded down).  A side's base is
     its lowest sample before the first higher one, or before the end of
@@ -260,57 +260,45 @@ def _prominent_peaks(x, min_prominence):
     Returns (indices, widths).
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
     starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
     level = x[starts]
     top = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
     peaks = (starts[1:-1] + starts[2:] - 1)[top] // 2
-    k = len(peaks)
-    # Every search runs leftwards: z holds x, then a sample higher than
-    # all, then x reversed, so a peak's right side is its mirror's left.
-    z = np.r_[x, np.inf, x[::-1]]
-    at = np.r_[peaks, 2 * n - peaks]
-    tops = z[at]
-    # the nearest higher sample, and the lowest one between it and the peak
-    wall = _reach_left(_blocks(z, np.maximum), at, np.less_equal, tops) - 1
-    base = np.minimum.reduceat(
-        z, np.column_stack((wall + 1, at + 1)).ravel())[::2]
-    prominences = tops[:k] - np.maximum(base[:k], base[k:])
+    base = np.maximum(_left_bases(x), _left_bases(x[::-1])[::-1])[peaks]
+    prominences = x[peaks] - base
     keep = prominences >= min_prominence
-    at = at[np.tile(keep, 2)]
-    height = np.tile(tops[:k][keep] - prominences[keep] * 0.5, 2)
-    # the nearest sample at or below that height, plus the fraction of the
-    # step to its neighbour (towards the peak) where the crossing lies
-    cross = _reach_left(_blocks(z, np.minimum), at + 1, np.greater,
-                        height) - 1
-    frac = np.divide(height - z[cross], z[cross + 1] - z[cross],
-                     out=np.zeros(len(cross)), where=z[cross] < height)
-    m = len(cross) // 2
-    left = cross[:m] + frac[:m]
-    right = (2 * n - cross[m:]) - frac[m:]      # back from mirror indices
-    return peaks[keep], right - left
+    peaks = peaks[keep]
+    heights = x[peaks] - prominences[keep] * 0.5
+    xs, widths = x.tolist(), []
+    for p, h in zip(peaks.tolist(), heights.tolist()):
+        # walk out to the nearest sample at or below h (the base at the
+        # latest), then back by the share of the step where h is crossed
+        i = p
+        while h < xs[i]:
+            i -= 1
+        lo = i + (h - xs[i]) / (xs[i + 1] - xs[i]) if xs[i] < h else i
+        i = p
+        while h < xs[i]:
+            i += 1
+        hi = i - (h - xs[i]) / (xs[i - 1] - xs[i]) if xs[i] < h else i
+        widths.append(hi - lo)
+    return peaks, np.array(widths, dtype=float)
 
 
-def _blocks(z, reduce):
-    """Levels j = 0, 1, ...: entry i of level j reduces z[i : i + 2**j]."""
-    blocks = [z]
-    while 2 ** len(blocks) <= len(z):
-        size = 2 ** (len(blocks) - 1)
-        blocks.append(reduce(blocks[-1][:-size], blocks[-1][size:]))
-    return blocks
-
-
-def _reach_left(blocks, end, inside, limit):
-    """Per entry, the smallest start <= end such that z[start:end] is
-    covered by blocks b with inside(b, limit): every sample is at most
-    limit for max blocks and np.less_equal, above it for min blocks and
-    np.greater.  Binary lifting, largest blocks first."""
-    start = end
-    for j in range(len(blocks) - 1, -1, -1):
-        step = start - 2**j
-        ok = (step >= 0) & inside(blocks[j][np.maximum(step, 0)], limit)
-        start = np.where(ok, step, start)
-    return start
+def _left_bases(x):
+    """Per sample i, the lowest of x[j + 1 : i + 1], where j is the nearest
+    sample left of i higher than x[i] (or -1): the left base of a peak at
+    i.  One pass with a stack of (sample, lowest since the entry below)."""
+    stack, bases = [], []
+    for v in x.tolist():
+        low = v
+        while stack and stack[-1][0] <= v:
+            _, below = stack.pop()
+            if below < low:
+                low = below
+        stack.append((v, low))
+        bases.append(low)
+    return np.array(bases)
 
 
 def purcell_rate(p: CavityQubitParams) -> float:

@@ -3,7 +3,7 @@
 Single-phonon relaxation versus temperature, two-level thermal population
 and the effective electron temperature inferred from it, resonator photon
 occupation, and dephasing from thermal photons in a dispersively coupled
-resonator.  Physical constants are exact CODATA values via scipy.
+resonator.  Physical constants are the exact SI values of qnl.units.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import h, k
+
+from .units import H, K_B
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def _boltzmann_exponent(f: float, temperature) -> np.ndarray:
     if np.any(temperature < 0):
         raise ValueError("temperature must be non-negative")
     x = np.full_like(temperature, np.inf)
-    np.divide(h * f, k * temperature, out=x, where=temperature > 0)
+    np.divide(H * f, K_B * temperature, out=x, where=temperature > 0)
     return x
 
 
@@ -84,7 +85,7 @@ def electron_temperature(p_e: float, f_q: float) -> float:
     if not 0.0 < p_e < 0.5:
         raise ValueError("p_e must lie in (0, 0.5) for a positive "
                          "two-level temperature")
-    return h * f_q / (k * np.log(1.0 / p_e - 1.0))
+    return H * f_q / (K_B * np.log(1.0 / p_e - 1.0))
 
 
 def photon_occupation(f_r: float, temperature):

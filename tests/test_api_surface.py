@@ -7,7 +7,8 @@ definitions, the click commands, are reached through the CLI group.
 The package namespace itself binds only __version__, the
 "[warning] <place>: message" format of a diagnostic is written only in
 fileio.Diagnostic, no pipeline stage builder catches an exception itself,
-and no module loads the scipy subpackages that cost most of a cold start.
+no module loads the scipy subpackages that cost most of a cold start, and
+the physical constants load no scipy at all.
 """
 
 import ast
@@ -96,11 +97,8 @@ def test_no_stage_builder_catches_exceptions():
     assert catching == []
 
 
-def test_no_module_loads_the_slow_scipy_subpackages():
-    # qnl needs only scipy.optimize and scipy.constants; scipy.signal alone
-    # pulls in stats, ndimage and interpolate, about 0.9 s of every start
-    modules = sorted(f"qnl.{p.stem}" for p in PACKAGE.glob("[!_]*.py"))
-    assert "qnl.cli" in modules
+def _loaded_by(modules):
+    """Names in sys.modules after a fresh interpreter imports modules."""
     code = (f"import sys\nfor name in {modules!r}: __import__(name)\n"
             "print(' '.join(sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -109,5 +107,20 @@ def test_no_module_loads_the_slow_scipy_subpackages():
                             capture_output=True, text=True,
                             check=True).stdout.split()
     assert set(modules) <= set(loaded)
+    return set(loaded)
+
+
+def test_no_module_loads_the_slow_scipy_subpackages():
+    # qnl needs only scipy.optimize; scipy.signal alone pulls in stats,
+    # ndimage and interpolate, about 0.9 s of every start
+    modules = sorted(f"qnl.{p.stem}" for p in PACKAGE.glob("[!_]*.py"))
+    assert "qnl.cli" in modules
     assert {"scipy.signal", "scipy.stats", "scipy.ndimage",
-            "scipy.interpolate"}.isdisjoint(loaded)
+            "scipy.interpolate"}.isdisjoint(_loaded_by(modules))
+
+
+def test_constants_load_no_scipy():
+    # h and k_B live in qnl.units; scipy.optimize itself loads
+    # scipy.constants, so this holds only for modules that fit nothing
+    loaded = _loaded_by(["qnl.thermal", "qnl.resonator"])
+    assert not any(name.split(".")[0] == "scipy" for name in loaded)

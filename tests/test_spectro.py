@@ -265,6 +265,16 @@ _noise = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=40).map(
     np.array)
 
 
+def _noisy_crossing(n):
+    """A two-peak |S21| trace across the avoided crossing, seeded noise."""
+    p = CavityQubitParams(f_r=5.668e9, kappa=2 * np.pi * 0.38e6,
+                          f_q=5.668e9, gamma=2 * np.pi * 3.18e6,
+                          g=2 * np.pi * 6.43e6)
+    f = np.linspace(p.f_r - 25e6, p.f_r + 25e6, n)
+    return (np.abs(transmission(p, f))
+            + 0.01 * np.random.default_rng(0).normal(size=n))
+
+
 @settings(max_examples=400, deadline=None)
 @given(x=st.one_of(_levels, _walks, _noise),
        share=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
@@ -274,6 +284,9 @@ _noise = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=40).map(
 @example(x=np.array([0.0, 1.0, 1.0]), share=0.0)
 @example(x=np.array([1.0, 1.0, 0.0]), share=0.0)
 @example(x=np.array([1.0, 1.0, 1.0]), share=0.0)
+@example(x=np.random.default_rng(0).normal(size=20001), share=0.1)
+@example(x=_noisy_crossing(2001), share=0.1)
+@example(x=np.r_[np.arange(5000.0), 0.0], share=0.0)  # one wide peak
 def test_prominent_peaks_match_scipy_to_the_bit(x, share):
     from scipy.signal import find_peaks, peak_widths
     min_prominence = share * np.ptp(x)
