@@ -20,7 +20,7 @@ from .fileio import (DECAY_HEADER, atomic_write_text, format_csv,
                      load_decay_trace, load_frequency_series, load_psd_csv,
                      load_spectroscopy_trace, load_two_tone_map,
                      write_decay_trace)
-from .fitutil import FitError
+from .fitutil import FIT_FAILURES
 from .mcsim import SyntheticNoise, simulate_sequence
 from .noisespec import periodogram, powerlaw_fit, reconstruct_psd_point
 from .pipeline import (AnalysisConfig, PipelineError, fit_trace,
@@ -48,17 +48,17 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 class _Main(click.Group):
-    """A failed fit or a bad value ends as one stderr line and exit 1.
-
-    An InputError's message is its located diagnostic.
-    """
+    """A FIT_FAILURES fault or a PipelineError ends on stderr, exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (FitError, ValueError) as exc:
+        except PipelineError as exc:
+            for diag in exc.diagnostics:
+                click.echo(str(diag), err=True)
+        except FIT_FAILURES as exc:
             click.echo(str(exc), err=True)
-            ctx.exit(1)
+        ctx.exit(1)
 
 
 @click.group(cls=_Main)
@@ -235,13 +235,8 @@ def filter_fn_cmd(n_pulses, tau, tau_pi, grid, peak):
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def run_cmd(config_path):
     """Run the full analysis pipeline from a JSON config."""
-    try:
-        config = AnalysisConfig.from_json(config_path)
-        report = run_pipeline(config)
-    except PipelineError as exc:
-        for diag in exc.diagnostics:
-            click.echo(str(diag), err=True)
-        sys.exit(1)
+    config = AnalysisConfig.from_json(config_path)
+    report = run_pipeline(config)
     for line in report.warnings:
         click.echo(line, err=True)
     click.echo(str(os.path.join(config.output_dir, "report.json")))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .fitutil import FitError, run_least_squares, stderr
+from .fitutil import FitError, line_fit, run_least_squares, stderr
 
 _KINDS = ("relaxation", "ramsey", "echo", "cpmg")
 
@@ -329,9 +329,7 @@ def fit_scaling(points) -> ScalingFit:
     if np.all(n == n[0]):
         raise FitError("need at least 2 distinct N")
 
-    coeffs, cov = np.polyfit(np.log(n), np.log(t_phi), 1, cov=True)
-    beta = float(coeffs[0])
-    beta_err = float(np.sqrt(max(cov[0, 0], 0.0)))
+    beta, _, beta_err, _ = line_fit(np.log(n), np.log(t_phi))
     if not 0.0 < beta < 1.0:
         raise FitError(
             f"fitted beta = {beta:.4g} outside (0, 1): alpha undefined")

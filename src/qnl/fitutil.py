@@ -1,4 +1,8 @@
-"""Shared nonlinear least-squares plumbing used by the fitting modules."""
+"""The fault contract and the fit statistics shared by every fit.
+
+FIT_FAILURES is the one tuple of data faults; any other exception is a
+bug.  The pipeline turns a fault into a warning, the CLI into exit 1.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,9 @@ from scipy.optimize import least_squares
 
 class FitError(RuntimeError):
     """A fit could not be set up or did not converge."""
+
+
+FIT_FAILURES = (FitError, ValueError, ArithmeticError)
 
 
 def run_least_squares(residual, jac, x0, bounds):
@@ -45,3 +52,11 @@ def covariance(result) -> np.ndarray:
 def stderr(result) -> np.ndarray:
     """1-sigma standard errors of the fitted parameters."""
     return np.sqrt(np.clip(np.diag(covariance(result)), 0.0, None))
+
+
+def line_fit(x, y):
+    """Least-squares line: (slope, intercept, slope_err, intercept_err)."""
+    coeffs, cov = np.polyfit(x, y, 1, cov=True)
+    return (float(coeffs[0]), float(coeffs[1]),
+            float(np.sqrt(max(cov[0, 0], 0.0))),
+            float(np.sqrt(max(cov[1, 1], 0.0))))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from .fitutil import FitError
+from .fitutil import FitError, line_fit
 from .units import TWO_PI
 
 #: units tag for qubit-frequency noise, Hz^2/Hz
@@ -161,13 +161,12 @@ def powerlaw_fit(points) -> dict:
     if np.any(values <= 0):
         raise FitError("power-law fit undefined for non-positive values")
 
-    coeffs, cov = np.polyfit(np.log(freqs), np.log(values), 1, cov=True)
-    exponent = -float(coeffs[0])
-    amplitude = float(np.exp(coeffs[1]))
-    exp_err = float(np.sqrt(max(cov[0, 0], 0.0)))
-    amp_err = amplitude * float(np.sqrt(max(cov[1, 1], 0.0)))
-    return {"amplitude": amplitude, "exponent": exponent,
-            "amplitude_err": amp_err, "exponent_err": exp_err}
+    slope, intercept, slope_err, intercept_err = line_fit(np.log(freqs),
+                                                          np.log(values))
+    amplitude = float(np.exp(intercept))
+    return {"amplitude": amplitude, "exponent": -slope,
+            "amplitude_err": amplitude * intercept_err,
+            "exponent_err": slope_err}
 
 
 def periodogram(series: FrequencySeries) -> np.ndarray:

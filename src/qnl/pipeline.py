@@ -26,7 +26,7 @@ from .fileio import (PSD_HEADER, Diagnostic, InputError, atomic_write_text,
                      load_decay_trace, load_frequency_series,
                      load_spectroscopy_trace, load_two_tone_map, sha256_of,
                      sidecar_path)
-from .fitutil import FitError
+from .fitutil import FIT_FAILURES
 from .noisespec import (FREQ_NOISE, FrequencySeries, periodogram,
                         powerlaw_fit, reconstruct_psd_point,
                         to_voltage_noise, transverse_noise)
@@ -34,10 +34,6 @@ from .spectro import (QubitDispersion, fit_dispersion, fit_transmission,
                       lever_arm, qubit_frequency)
 from .thermal import (ThermalModel, photon_occupation, resonator_dephasing,
                       t1_vs_temperature, thermal_population)
-
-# data faults: each costs one fit (_fit_or_warn) or one stage's section
-# (run_pipeline) and leaves a warning; any other exception is a bug
-_FIT_FAILURES = (FitError, ValueError, ArithmeticError)
 
 
 class PipelineError(RuntimeError):
@@ -405,7 +401,7 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     Parses the inputs once through load_inputs and raises PipelineError
     (writing nothing) when it reports errors; its warnings, and fits that
     fail, are carried into the report's warnings list.  A stage that
-    raises one of _FIT_FAILURES loses its section and leaves a "stage
+    raises one of FIT_FAILURES loses its section and leaves a "stage
     <name> failed" warning; the other stages still run.
     Provenance hashes exactly the files listed in the sections' sources.
     """
@@ -417,7 +413,7 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     for stage, (key, build) in STAGES.items():
         try:
             section = build(ctx)
-        except _FIT_FAILURES as exc:
+        except FIT_FAILURES as exc:
             ctx.warn(f"stage {stage} failed ({type(exc).__name__}: {exc}); "
                      "section omitted")
             continue
@@ -488,7 +484,7 @@ def _fit_or_warn(ctx: StageContext, path, what: str, fit, *args):
     """fit(*args), or None and a "<what> failed (...)" warning at path."""
     try:
         return fit(*args)
-    except _FIT_FAILURES as exc:
+    except FIT_FAILURES as exc:
         ctx.warn(f"{what} failed ({exc})", path)
         return None
 

@@ -233,15 +233,13 @@ def fit_transmission(trace, known: dict) -> dict:
         residual, jac, [g0, gamma0, f_q0],
         bounds=([0.0, 1e-6 * kappa, freqs[0] - np.ptp(freqs)],
                 [10.0 * span, 100.0 * span, freqs[-1] + np.ptp(freqs)]))
-    cov = covariance(result)
-    errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return {
         "g": float(result.x[0]),
         "gamma": float(result.x[1]),
         "f_q": float(result.x[2]),
         "residual_norm": float(np.linalg.norm(result.fun)),
-        "stderr": dict(zip(("g", "gamma", "f_q"), errors.tolist())),
-        "covariance_diag": np.diag(cov).tolist(),
+        "stderr": dict(zip(("g", "gamma", "f_q"), stderr(result).tolist())),
+        "covariance_diag": np.diag(covariance(result)).tolist(),
         "warnings": notes,
     }
 

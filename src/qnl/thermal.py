@@ -110,8 +110,6 @@ def resonator_dephasing(model: ThermalModel, n_th):
     with the principal square-root branch, the only branch that vanishes
     at n_th = 0.  The rate is even in chi and has no fitted constants.
     """
-    if model.kappa == 0:
-        raise ValueError("kappa must be non-zero")
     n_th = np.asarray(n_th, dtype=float)
     if np.any(n_th < 0):
         raise ValueError("n_th must be non-negative")

@@ -7,8 +7,9 @@ definitions, the click commands, are reached through the CLI group.
 The package namespace itself binds only __version__, the
 "[warning] <place>: message" format of a diagnostic is written only in
 fileio.Diagnostic, no pipeline stage builder catches an exception itself,
-no module loads the scipy subpackages that cost most of a cold start, and
-the physical constants load no scipy at all.
+the tuple of exceptions that count as a failed fit is written only in
+fitutil, no module loads the scipy subpackages that cost most of a cold
+start, and the physical constants load no scipy at all.
 """
 
 import ast
@@ -95,6 +96,21 @@ def test_no_stage_builder_catches_exceptions():
                       if any(isinstance(inner, ast.Try)
                              for inner in ast.walk(node)))
     assert catching == []
+
+
+def test_fit_failure_tuple_is_written_only_in_fitutil():
+    # the pipeline and the CLI both catch fitutil.FIT_FAILURES; a second
+    # tuple naming FitError could drift from it and let a fault through
+    modules = [p for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "fitutil.py"]
+    assert {"pipeline.py", "cli.py"} <= {p.name for p in modules}
+    spelled = [f"{path.name}:{node.lineno}" for path in modules
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Tuple)
+               and any(isinstance(elt, ast.Name) and elt.id == "FitError"
+                       or isinstance(elt, ast.Attribute)
+                       and elt.attr == "FitError" for elt in node.elts)]
+    assert spelled == []
 
 
 def _loaded_by(modules):

@@ -155,24 +155,30 @@ class TestBadInputFiles:
                    f"{path}:row 2: expected 3 cells, got 2")
 
 
-BAD_ARGUMENTS = [
-    (["reconstruct-psd", "--t-phi", "5e-6", "--n-pulses", "0"],
-     "n_pulses >= 1"),
-    (["filter-fn", "--n", "0", "--tau", "1e-5", "--grid", "1e4:1e6:3",
-      "--peak"], "n_pulses >= 1"),
-    (["simulate", "--amplitude", "1e8", "--alpha", "5", "--fmin", "1e3",
-      "--fmax", "1e6", "--n-pulses", "1", "--tau-grid", "5e-6:2e-5:4",
-      "--n-traj", "8"], "alpha"),
-    (["thermal-model", "--fq", "5e9", "--fr", "5.6e9", "--kappa", "-1",
-      "--chi", "-1e5", "--t1-zero", "1e-5", "--temps", "0.05:0.4:3"],
-     "kappa"),
-    (["resonator-calc", "--tc", "-1", "--rsq", "64", "--width", "2e-6",
-      "--length", "1e-4", "--fdiff", "5e9"], "t_c"),
-]
+# test id -> (arguments, text of the one stderr line)
+BAD_ARGUMENTS = {
+    "reconstruct-psd": (["reconstruct-psd", "--t-phi", "5e-6",
+                         "--n-pulses", "0"], "n_pulses >= 1"),
+    "filter-fn": (["filter-fn", "--n", "0", "--tau", "1e-5", "--grid",
+                   "1e4:1e6:3", "--peak"], "n_pulses >= 1"),
+    "simulate": (["simulate", "--amplitude", "1e8", "--alpha", "5",
+                  "--fmin", "1e3", "--fmax", "1e6", "--n-pulses", "1",
+                  "--tau-grid", "5e-6:2e-5:4", "--n-traj", "8"], "alpha"),
+    "thermal-model": (["thermal-model", "--fq", "5e9", "--fr", "5.6e9",
+                       "--kappa", "-1", "--chi", "-1e5", "--t1-zero", "1e-5",
+                       "--temps", "0.05:0.4:3"], "kappa"),
+    "resonator-calc": (["resonator-calc", "--tc", "-1", "--rsq", "64",
+                        "--width", "2e-6", "--length", "1e-4",
+                        "--fdiff", "5e9"], "t_c"),
+    # the gap 1.76 k_B T_c underflows to 0: an ArithmeticError
+    "resonator-calc-gap-underflow": (
+        ["resonator-calc", "--tc", "1e-320", "--rsq", "64", "--width",
+         "3e-7", "--length", "1e-3", "--fdiff", "5e9"], "division by zero"),
+}
 
 
-@pytest.mark.parametrize("args, message", BAD_ARGUMENTS,
-                         ids=[args[0] for args, _ in BAD_ARGUMENTS])
+@pytest.mark.parametrize("args, message", BAD_ARGUMENTS.values(),
+                         ids=BAD_ARGUMENTS.keys())
 def test_bad_argument_is_one_line_on_stderr(args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
@@ -351,6 +357,52 @@ class TestRunValidate:
         report_path = Path(result.stdout.strip())
         assert report_path.name == "report.json"
         assert report_path.exists()
+
+    @staticmethod
+    def _run_without_qubit_t1(root, extra_relax_bias=None):
+        """qnl run on q1 without qubit.t1 and with cpmg8 moved to bias 3.0,
+        optionally with a copy of the relaxation trace at another bias."""
+        config = q1_dataset(root)
+        del config["qubit"]["t1"]
+        sidecar = root / "q1_cpmg8.json"
+        sidecar.write_text(json.dumps(
+            {**json.loads(sidecar.read_text()), "bias_mv": 3.0}))
+        if extra_relax_bias is not None:
+            (root / "q1_relax_b.csv").write_text(
+                (root / "q1_relax.csv").read_text())
+            (root / "q1_relax_b.json").write_text(json.dumps(
+                {**json.loads((root / "q1_relax.json").read_text()),
+                 "bias_mv": extra_relax_bias}))
+            config["decay_traces"].append(str(root / "q1_relax_b.csv"))
+        (root / "config.json").write_text(json.dumps(config))
+        result = invoke(["run", str(root / "config.json")])
+        assert result.exit_code == 0
+        report = json.loads(Path(result.stdout.strip()).read_text())
+        fits = {Path(f["file"]).name: f
+                for f in report["sections"]["decay_fits"]["fits"]}
+        return result, report, fits
+
+    def test_cpmg_borrows_the_only_relaxation_t1(self, tmp_path):
+        # no relaxation fit at bias 3.0 and no qubit.t1: the one
+        # relaxation fit, at bias 2.0, lends its T1 without a warning
+        result, report, fits = self._run_without_qubit_t1(tmp_path / "q1")
+        assert result.stderr == ""
+        assert report["warnings"] == []
+        assert fits["q1_cpmg8.csv"]["bias_mv"] == 3.0
+        assert (fits["q1_cpmg8.csv"]["params"]["t1"]
+                == fits["q1_relax.csv"]["params"]["t1"])
+
+    def test_cpmg_without_a_t1_is_skipped_with_a_warning(self, tmp_path):
+        # two relaxation biases, neither 3.0: no T1 to choose
+        result, report, fits = self._run_without_qubit_t1(
+            tmp_path / "q1", extra_relax_bias=1.0)
+        warning = (f"[warning] {tmp_path / 'q1' / 'q1_cpmg8.csv'}: no T1 "
+                   "available for this bias and no qubit.t1 fallback; "
+                   "trace skipped")
+        assert result.stderr.splitlines() == [warning]
+        assert report["warnings"] == [warning]
+        assert "q1_cpmg8.csv" not in fits
+        assert {"q1_cpmg1.csv", "q1_relax_b.csv"} <= set(fits)
 
     def test_bad_config_exits_nonzero(self, tmp_path):
         config = tmp_path / "config.json"
