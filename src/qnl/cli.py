@@ -8,6 +8,7 @@ success, 1 on validation errors or failed fits.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -35,6 +36,19 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=1, sort_keys=True))
 
 
+class _FiniteFloat(click.types.FloatParamType):
+    """A float option that refuses nan and inf, which no command takes."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite float.", param, ctx)
+        return number
+
+
+_FINITE = _FiniteFloat()
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """'start:stop:steps' -> inclusive linspace."""
     try:
@@ -42,7 +56,7 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
     except ValueError:
         raise click.BadParameter(f"expected start:stop:steps, got {text!r}")
-    if steps < 2 or not stop > start:
+    if steps < 2 or not -math.inf < start < stop < math.inf:
         raise click.BadParameter(f"degenerate grid {text!r}")
     return np.linspace(start, stop, steps)
 
@@ -68,7 +82,7 @@ def main():
 
 @main.command("fit-decay")
 @click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--t1", type=float, default=None,
+@click.option("--t1", type=_FINITE, default=None,
               help="Fixed T1 (s) for echo/CPMG dephasing fits.")
 def fit_decay_cmd(trace_path, t1):
     """Fit a decay trace CSV; kind comes from the JSON sidecar."""
@@ -88,9 +102,9 @@ def fit_decay_cmd(trace_path, t1):
 @click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--kind", type=click.Choice(["transmission", "dispersion"]),
               required=True)
-@click.option("--f-r", type=float, default=None,
+@click.option("--f-r", type=_FINITE, default=None,
               help="Bare resonator frequency (Hz), transmission fits.")
-@click.option("--kappa", type=float, default=None,
+@click.option("--kappa", type=_FINITE, default=None,
               help="Resonator linewidth (rad/s), transmission fits.")
 def fit_spectrum_cmd(trace_path, kind, f_r, kappa):
     """Fit a transmission trace or a two-tone dispersion map."""
@@ -105,10 +119,10 @@ def fit_spectrum_cmd(trace_path, kind, f_r, kappa):
 
 
 @main.command("reconstruct-psd")
-@click.option("--t-phi", type=float, required=True,
+@click.option("--t-phi", type=_FINITE, required=True,
               help="Fitted dephasing time (s).")
 @click.option("--n-pulses", type=int, required=True)
-@click.option("--tau-pi", type=float, default=0.0, show_default=True)
+@click.option("--tau-pi", type=_FINITE, default=0.0, show_default=True)
 def reconstruct_psd_cmd(t_phi, n_pulses, tau_pi):
     """Single-point PSD estimate from one CPMG dephasing time."""
     seq = PulseSequence(n_pulses=n_pulses, tau=t_phi, tau_pi=tau_pi)
@@ -133,14 +147,15 @@ def powerlaw_fit_cmd(psd_path):
 
 
 @main.command("thermal-model")
-@click.option("--fq", type=float, required=True, help="Qubit frequency (Hz).")
-@click.option("--fr", type=float, required=True,
+@click.option("--fq", type=_FINITE, required=True,
+              help="Qubit frequency (Hz).")
+@click.option("--fr", type=_FINITE, required=True,
               help="Resonator frequency (Hz).")
-@click.option("--kappa", type=float, required=True,
+@click.option("--kappa", type=_FINITE, required=True,
               help="Resonator linewidth (rad/s).")
-@click.option("--chi", type=float, required=True,
+@click.option("--chi", type=_FINITE, required=True,
               help="Dispersive shift (rad/s).")
-@click.option("--t1-zero", type=float, required=True,
+@click.option("--t1-zero", type=_FINITE, required=True,
               help="Zero-temperature T1 (s).")
 @click.option("--temps", required=True, metavar="TMIN:TMAX:STEPS",
               help="Temperature grid in kelvin.")
@@ -158,13 +173,14 @@ def thermal_model_cmd(fq, fr, kappa, chi, t1_zero, temps, out):
 
 
 @main.command("resonator-calc")
-@click.option("--tc", type=float, required=True,
+@click.option("--tc", type=_FINITE, required=True,
               help="Film critical temperature (K).")
-@click.option("--rsq", type=float, required=True,
+@click.option("--rsq", type=_FINITE, required=True,
               help="Normal-state sheet resistance (ohm/square).")
-@click.option("--width", type=float, required=True, help="Strip width (m).")
-@click.option("--length", type=float, required=True, help="Strip length (m).")
-@click.option("--fdiff", type=float, required=True,
+@click.option("--width", type=_FINITE, required=True, help="Strip width (m).")
+@click.option("--length", type=_FINITE, required=True,
+              help="Strip length (m).")
+@click.option("--fdiff", type=_FINITE, required=True,
               help="Differential-mode frequency (Hz).")
 def resonator_calc_cmd(tc, rsq, width, length, fdiff):
     """Kinetic inductance and the lumped-element mode parameters."""
@@ -174,18 +190,18 @@ def resonator_calc_cmd(tc, rsq, width, length, fdiff):
 
 
 @main.command("simulate")
-@click.option("--amplitude", type=float, required=True,
+@click.option("--amplitude", type=_FINITE, required=True,
               help="PSD amplitude A in S(f) = A/f^alpha (Hz^2/Hz x Hz^alpha "
                    "per unit sensitivity^2).")
-@click.option("--alpha", type=float, required=True)
-@click.option("--fmin", type=float, required=True)
-@click.option("--fmax", type=float, required=True)
+@click.option("--alpha", type=_FINITE, required=True)
+@click.option("--fmin", type=_FINITE, required=True)
+@click.option("--fmax", type=_FINITE, required=True)
 @click.option("--n-pulses", type=int, required=True)
 @click.option("--tau-grid", required=True, metavar="TMIN:TMAX:STEPS")
-@click.option("--sensitivity", type=float, default=1.0, show_default=True,
+@click.option("--sensitivity", type=_FINITE, default=1.0, show_default=True,
               help="d(omega_q)/d(lambda) in rad/s per noise unit.")
 @click.option("--n-traj", type=int, default=400, show_default=True)
-@click.option("--dt", type=float, default=None,
+@click.option("--dt", type=_FINITE, default=None,
               help="Sample step (s); default tau_min/(32 max(N,1)).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -211,9 +227,9 @@ def simulate_cmd(amplitude, alpha, fmin, fmax, n_pulses, tau_grid,
 @main.command("filter-fn")
 @click.option("--n", "n_pulses", type=int, required=True,
               help="Pulse count; 0 = Ramsey.")
-@click.option("--tau", type=float, required=True,
+@click.option("--tau", type=_FINITE, required=True,
               help="Total evolution time (s).")
-@click.option("--tau-pi", type=float, default=0.0, show_default=True)
+@click.option("--tau-pi", type=_FINITE, default=0.0, show_default=True)
 @click.option("--grid", required=True, metavar="FMIN:FMAX:STEPS",
               help="Frequency grid (Hz).")
 @click.option("--peak", is_flag=True,

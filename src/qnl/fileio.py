@@ -16,16 +16,12 @@ decay trace 2, spectroscopy 20, two-tone map 3, PSD table 1, frequency
 series 8.  A blank line is a ragged row, so a row number is always the
 file's line number.
 
-`_read_rows` is the per-cell parser and defines what a file means: the csv
-module splits it, and each cell becomes a float (or, in the PSD table's
-``units`` column, stripped text), with a located error at the first bad
-one.  The numeric schemas first try `_fast_table`, one numpy conversion of
-the whole body, which answers only for plain text: no quote, no line end
-but ``\n`` or ``\r\n``, the exact header, ``width`` cells on every line,
-none over csv's field size limit, each a finite float.  Anything else (a
-blank or ragged line, a quote, a cell numpy rejects, a non-finite value,
-too few rows) reruns `_read_rows` on the same bytes, so arrays and
-diagnostics are the per-cell path's.
+One reader, `_read_cells`, splits every input table, and `_to_floats`
+converts its numeric cells in one numpy call.  Cells are plain text with no
+quoting: a row ends at LF, CRLF or a lone CR, every "," splits a cell, and
+a quote is part of its cell.  Rows or cells are walked one by one only
+after a check fails, to name the first ragged row or the first non-numeric
+or non-finite cell.
 
 A written table is one dict of equal-length columns whose keys are its
 header (`format_csv`); every writer goes through an atomic temp-file +
@@ -111,22 +107,8 @@ def sidecar_path(trace_path) -> Path:
 
 
 def _read_table(path, header: list[str], min_rows: int) -> np.ndarray:
-    """(n, width) float array of a numeric schema's data rows: the fast
-    path's, else the per-cell path's on the same bytes, which raises the
-    located InputError when the file has a fault."""
-    data = _read_bytes(path)
-    table = _fast_table(data, header)
-    if table is not None and len(table) >= min_rows:
-        return table
-    return np.array(_read_rows(data, path, header, min_rows))
-
-
-def _read_bytes(path) -> bytes:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise InputError(f"unreadable file: {exc}", path) from None
+    """(n, width) float array of a numeric schema's data rows."""
+    return _to_floats(_read_cells(path, header), path, header, min_rows)
 
 
 # str.translate table that keeps only the "," and "\n" separators of
@@ -134,77 +116,60 @@ def _read_bytes(path) -> bytes:
 _SEPARATORS_ONLY = dict.fromkeys(c for c in range(128) if chr(c) not in ",\n")
 
 
-def _fast_table(data: bytes, header: list[str]) -> np.ndarray | None:
-    """The data body from one numpy conversion, or None where `_read_rows`
-    might read other cells (see the module docstring)."""
-    try:   # decoded as open(path, newline="") decodes
-        text = io.TextIOWrapper(io.BytesIO(data), newline="").read()
-    except UnicodeDecodeError:
-        return None
-    if "\r\n" in text:
-        text = text.replace("\r\n", "\n")
-    first, _, body = text.partition("\n")
-    width = len(header)
-    if ('"' in text or "\r" in text or not body
-            or [c.strip() for c in first.split(",")] != header):
-        return None
-    body = body.removesuffix("\n")
-    n_rows = body.count("\n") + 1
-    if body.translate(_SEPARATORS_ONLY) != \
-            "\n".join(["," * (width - 1)] * n_rows):
-        return None
-    cells = body.replace("\n", ",").split(",")
-    if max(map(len, cells)) > csv.field_size_limit():
-        return None
+def _read_cells(path, header: list[str]) -> list[str]:
+    """The data cells, row by row, under an exact header; InputError on an
+    unreadable or empty file, a wrong header or a ragged row."""
     try:
-        table = np.array(cells, dtype=float).reshape(n_rows, width)
-    except ValueError:
-        return None
-    return table if np.isfinite(table).all() else None
-
-
-def _read_rows(data: bytes, path, header: list[str],
-               min_rows: int) -> list[list]:
-    """Data rows under an exact header; numeric cells become floats and
-    "units" cells stay text.  Raises InputError on an empty or undecodable
-    file, a wrong header, a ragged row, a non-numeric or non-finite cell,
-    or fewer than `min_rows` rows."""
-    rows = []
-    try:
-        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
-        first = next(reader, None)
-        if first is None:
-            raise InputError("empty file", path)
-        if [c.strip() for c in first] != header:
-            raise InputError(f"expected header {','.join(header)}, "
-                             f"got {','.join(first)}", path,
-                             column=first[0] if first else None)
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(f"expected {len(header)} cells, got "
-                                 f"{len(row)}", path, row=line)
-            rows.append([_cell(text, path, line, column)
-                         for text, column in zip(row, header)])
-    except (UnicodeDecodeError, csv.Error) as exc:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"unreadable file: {exc}", path) from None
-    if len(rows) < min_rows:
-        raise InputError(f"need at least {min_rows} data rows, got "
-                         f"{len(rows) or 'no data rows'}", path)
-    return rows
+    if not text:
+        raise InputError("empty file", path)
+    text = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")
+    first, has_rows, body = text.partition("\n")
+    names = first.split(",") if first else []
+    if [name.strip() for name in names] != header:
+        raise InputError(f"expected header {','.join(header)}, got {first}",
+                         path, column=names[0] if names else None)
+    if not has_rows:
+        return []
+    width = len(header)
+    if body.translate(_SEPARATORS_ONLY) != \
+            "\n".join(["," * (width - 1)] * (body.count("\n") + 1)):
+        for line, row in enumerate(body.split("\n"), start=2):
+            got = row.count(",") + 1 if row else 0
+            if got != width:
+                raise InputError(f"expected {width} cells, got {got}", path,
+                                 row=line)
+    return body.replace("\n", ",").split(",")
 
 
-def _cell(text: str, path, line: int, column: str):
-    if column == "units":
-        return text.strip()
+def _to_floats(cells, path, header: list[str], min_rows: int) -> np.ndarray:
+    """(n, width) float array of the cells; InputError at the first
+    non-numeric or non-finite cell, or on fewer than `min_rows` rows."""
     try:
-        value = float(text)
+        table = np.array(cells, dtype=float)
     except ValueError:
-        raise InputError(f"non-numeric value {text!r}", path, row=line,
-                         column=column) from None
-    if not math.isfinite(value):
-        raise InputError(f"non-finite value {text!r}", path, row=line,
-                         column=column)
-    return value
+        table = None
+    if table is None or not np.isfinite(table).all():  # locate the fault
+        width, values = len(header), []
+        for index, text in enumerate(cells):
+            row, column = index // width + 2, header[index % width]
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise InputError(f"non-numeric value {text!r}", path, row=row,
+                                 column=column) from None
+            if not math.isfinite(values[-1]):
+                raise InputError(f"non-finite value {text!r}", path, row=row,
+                                 column=column)
+        table = np.array(values)
+    table = table.reshape(-1, len(header))
+    if len(table) < min_rows:
+        raise InputError(f"need at least {min_rows} data rows, got "
+                         f"{len(table) or 'no data rows'}", path)
+    return table
 
 
 def format_csv(columns: dict) -> str:
@@ -308,19 +273,21 @@ def write_frequency_series(path, series: FrequencySeries) -> None:
 def load_psd_csv(path) -> np.ndarray:
     """(n, 2) array of (freq_hz, psd) from a table with one units tag; a
     row whose units differ from row 2's is reported at its units cell."""
-    points = []
-    for line, row in enumerate(
-            _read_rows(_read_bytes(path), path, PSD_HEADER, 1), start=2):
+    cells = _read_cells(path, PSD_HEADER)
+    units = [tag.strip() for tag in cells[2::3]]
+    del cells[2::3]
+    table = _to_floats(cells, path, PSD_HEADER[:2], 1)
+    for line, (row, tag) in enumerate(zip(table.tolist(), units), start=2):
         try:
-            points.append(PSDPoint(*row))
+            PSDPoint(*row, tag)
         except ValueError as exc:
             raise InputError(str(exc), path, row=line) from None
-    for line, p in enumerate(points, start=2):
-        if p.units != points[0].units:
-            raise InputError(f"units {p.units!r} differ from row 2's "
-                             f"{points[0].units!r}; a power-law fit needs "
-                             "one units tag", path, row=line, column="units")
-    return np.array([(p.freq, p.value) for p in points])
+    for line, tag in enumerate(units, start=2):
+        if tag != units[0]:
+            raise InputError(f"units {tag!r} differ from row 2's "
+                             f"{units[0]!r}; a power-law fit needs one "
+                             "units tag", path, row=line, column="units")
+    return table
 
 
 def load_charge_noise_table() -> list[dict]:

@@ -8,8 +8,9 @@ The package namespace itself binds only __version__, the
 "[warning] <place>: message" format of a diagnostic is written only in
 fileio.Diagnostic, no pipeline stage builder catches an exception itself,
 the tuple of exceptions that count as a failed fit is written only in
-fitutil, no module loads the scipy subpackages that cost most of a cold
-start, and the physical constants load no scipy at all.
+fitutil, no module reads a file through csv.reader or io.TextIOWrapper, so
+fileio keeps one input parser, no module loads the scipy subpackages that
+cost most of a cold start, and the physical constants load no scipy at all.
 """
 
 import ast
@@ -111,6 +112,23 @@ def test_fit_failure_tuple_is_written_only_in_fitutil():
                        or isinstance(elt, ast.Attribute)
                        and elt.attr == "FitError" for elt in node.elts)]
     assert spelled == []
+
+
+def test_one_input_parser():
+    # every input table goes through fileio._read_cells; csv.reader or a
+    # text wrapper over the bytes would be a second parser with its own
+    # rules for quotes and row ends
+    banned = {("csv", "reader"), ("io", "TextIOWrapper")}
+    used = [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in banned
+            or isinstance(node, ast.ImportFrom)
+            and any((node.module, alias.name) in banned
+                    for alias in node.names)]
+    assert used == []
 
 
 def _loaded_by(modules):

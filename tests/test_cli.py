@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -63,6 +64,12 @@ class TestFilterFn:
     def test_degenerate_grid_rejected(self):
         result = runner.invoke(main, ["filter-fn", "--n", "1", "--tau",
                                       "1e-5", "--grid", "1e6:1e4:32"])
+        assert result.exit_code == 2
+        assert "degenerate" in result.stderr
+
+    def test_infinite_grid_rejected(self):
+        result = runner.invoke(main, ["filter-fn", "--n", "1", "--tau",
+                                      "1e-5", "--grid", "1e4:inf:3"])
         assert result.exit_code == 2
         assert "degenerate" in result.stderr
 
@@ -186,6 +193,50 @@ def test_bad_argument_is_one_line_on_stderr(args, message):
     assert "Traceback" not in result.output
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and message in lines[0]
+
+
+RESONATOR = ["resonator-calc", "--tc", "3.8", "--rsq", "64", "--width",
+             "3e-7", "--length", "1e-3", "--fdiff", "5e9"]
+THERMAL = ["thermal-model", "--fq", "5e9", "--fr", "5.6e9", "--kappa", "1e6",
+           "--chi", "-1e5", "--t1-zero", "1e-5", "--temps", "0.05:0.4:3"]
+SIMULATE = ["simulate", "--amplitude", "1e8", "--alpha", "1", "--fmin",
+            "1e3", "--fmax", "1e6", "--n-pulses", "1", "--tau-grid",
+            "5e-6:2e-5:4", "--n-traj", "8"]
+
+
+# test id -> (arguments, the option that holds a non-finite value); a
+# repeated option takes its last value
+NON_FINITE = {
+    "resonator-calc-tc-nan": (RESONATOR + ["--tc", "nan"], "--tc"),
+    "thermal-model-fq-nan": (THERMAL + ["--fq", "nan"], "--fq"),
+    "thermal-model-kappa-inf": (THERMAL + ["--kappa", "inf"], "--kappa"),
+    "reconstruct-psd-t-phi-nan": (["reconstruct-psd", "--t-phi", "nan",
+                                   "--n-pulses", "1"], "--t-phi"),
+    "filter-fn-tau-nan": (["filter-fn", "--n", "1", "--tau", "nan",
+                           "--grid", "1e4:1e6:3"], "--tau"),
+    "simulate-dt-nan": (SIMULATE + ["--dt", "nan"], "--dt"),
+    "fit-decay-t1-inf": (["fit-decay", __file__, "--t1", "inf"], "--t1"),
+}
+
+
+@pytest.mark.parametrize("args, option", NON_FINITE.values(),
+                         ids=NON_FINITE.keys())
+def test_non_finite_float_option_is_a_usage_error(args, option):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.stderr
+    assert "is not a finite float" in result.stderr
+
+
+def test_every_float_option_refuses_nan_and_inf():
+    floats = [param for command in main.commands.values()
+              for param in command.params
+              if isinstance(param.type, click.types.FloatParamType)]
+    assert floats
+    for param in floats:
+        for text in ("nan", "-inf"):
+            with pytest.raises(click.BadParameter, match="finite"):
+                param.type.convert(text, param, None)
 
 
 class TestThermalModel:

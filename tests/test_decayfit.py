@@ -104,6 +104,14 @@ class TestFitRamsey:
         assert abs(fit.amplitude) < 1e-6
         assert "detuning_unconstrained" in fit.flags
 
+    def test_nine_points_rejected(self):
+        from qnl.fitutil import FitError
+        t = np.linspace(0, 2e-5, 9)
+        trace = DecayTrace(times=t, populations=np.full(9, 0.5),
+                           kind="ramsey")
+        with pytest.raises(FitError, match="at least 10 points"):
+            fit_ramsey(trace)
+
     def test_noisy_median(self):
         errs = []
         for seed in range(60):
@@ -185,6 +193,11 @@ class TestFitScaling:
         from qnl.fitutil import FitError
         with pytest.raises(FitError):
             fit_scaling([(1, 1e-6), (2, 2e-6)])
+
+    def test_n_below_one_rejected(self):
+        from qnl.fitutil import FitError
+        with pytest.raises(FitError, match="N >= 1"):
+            fit_scaling([(0.5, 1e-6), (1, 2e-6), (2, 3e-6)])
 
     def test_single_n_rejected(self):
         # three dephasing times at one N fix no slope

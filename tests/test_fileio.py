@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qnl.decayfit import DecayTrace
 from qnl.fileio import (DECAY_HEADER, PSD_HEADER, SERIES_HEADER,
-                        TWO_TONE_HEADER, Diagnostic, InputError, _fast_table,
-                        _read_rows, _read_table, atomic_write_text,
+                        TWO_TONE_HEADER, Diagnostic, InputError, _read_table,
+                        atomic_write_text,
                         format_csv, load_charge_noise_table, load_decay_trace,
                         load_frequency_series, load_psd_csv,
                         load_spectroscopy_trace, load_two_tone_map,
@@ -332,15 +332,6 @@ def test_psd_row_errors_are_located(tmp_path):
     assert info.value.diagnostic.row == 3
 
 
-def _per_cell(path, header, min_rows):
-    """The per-cell parser's array or diagnostic for a file."""
-    try:
-        return np.array(_read_rows(path.read_bytes(), path, header,
-                                   min_rows))
-    except InputError as exc:
-        return exc.diagnostic
-
-
 def _loaded(path, header, min_rows):
     try:
         return _read_table(path, header, min_rows)
@@ -356,77 +347,110 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
        rows=st.lists(st.lists(_FINITE, min_size=3, max_size=3), min_size=1,
                      max_size=12),
        fmt=st.sampled_from([repr, "{:.17g}".format, "{:e}".format]),
-       end=st.sampled_from(["\n", "\r\n"]), last=st.booleans())
-def test_fast_path_reads_what_the_per_cell_path_reads(
-        tmp_path_factory, header, rows, fmt, end, last):
-    text = end.join([",".join(header)] + [
-        ",".join(fmt(x) for x in row[:len(header)]) for row in rows])
+       end=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans())
+def test_reader_matches_float_of_each_cell(tmp_path_factory, header, rows,
+                                           fmt, end, last):
+    cells = [[fmt(x) for x in row[:len(header)]] for row in rows]
+    text = end.join([",".join(header)] + [",".join(row) for row in cells])
     path = tmp_path_factory.mktemp("table") / "t.csv"
     path.write_bytes((text + (end if last else "")).encode())
-    fast = _fast_table(path.read_bytes(), header)
-    assert fast is not None
-    slow = _per_cell(path, header, 1)
-    assert fast.shape == slow.shape == (len(rows), len(header))
-    assert fast.tobytes() == slow.tobytes()      # bit for bit, -0.0 too
-    assert _read_table(path, header, 1).tobytes() == slow.tobytes()
+    expected = np.array([[float(cell) for cell in row] for row in cells])
+    table = _read_table(path, header, 1)
+    assert table.shape == (len(rows), len(header))
+    assert table.tobytes() == expected.tobytes()     # bit for bit, -0.0 too
 
 
-@pytest.mark.parametrize("body", [
-    pytest.param("tau_s,pe\n1e-6,0.9\n\n2e-6,0.5\n", id="blank-line"),
-    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,0.5\n\n", id="trailing-blank"),
-    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,0.5,0.1\n", id="extra-cell"),
-    pytest.param("tau_s,pe\n1e-6,0.9,\n2e-6,0.5\n", id="empty-cell"),
+@pytest.mark.parametrize("body, message, row, column", [
+    pytest.param("tau_s,pe\n1e-6,0.9\n\n2e-6,0.5\n",
+                 "expected 2 cells, got 0", 3, None, id="blank-line"),
+    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,0.5\n\n",
+                 "expected 2 cells, got 0", 4, None, id="trailing-blank"),
+    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,0.5,0.1\n",
+                 "expected 2 cells, got 3", 3, None, id="extra-cell"),
+    pytest.param("tau_s,pe\n1e-6,0.9,\n2e-6,0.5\n",
+                 "expected 2 cells, got 3", 2, None, id="empty-cell"),
     pytest.param("tau_s,pe\n1e-6,0.9\n2e-6\n3e-6,0.5,1\n",
-                 id="short-then-long"),
-    pytest.param("tau_s,pe\n1e-6,nan\n2e-6,0.5\n", id="nan"),
-    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,-inf\n", id="minus-inf"),
-    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,1e400\n", id="overflow"),
-    pytest.param('tau_s,pe\n1e-6,0.9\n"x",0.5\n', id="quoted-cell"),
-    pytest.param('tau_s,pe\n1e-6,0.9\n"2e-6,0.5"\n', id="quoted-comma"),
-    pytest.param("tau_s,pe\n1e-6,0.9\n# 2e-6,0.5\n", id="comment-cell"),
-    pytest.param("tau_s,pe\n", id="header-only"),
-    pytest.param("tau_s,pe\n\n", id="header-and-blank"),
-    pytest.param("tau_s,pe\n1e-6,0.9\n", id="too-few-rows"),
+                 "expected 2 cells, got 1", 3, None, id="short-then-long"),
+    pytest.param("tau_s,pe\n1e-6,nan\n2e-6,0.5\n",
+                 "non-finite value 'nan'", 2, "pe", id="nan"),
+    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,-inf\n",
+                 "non-finite value '-inf'", 3, "pe", id="minus-inf"),
+    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,1e400\n",
+                 "non-finite value '1e400'", 3, "pe", id="overflow"),
+    # cells are plain text: a quote is part of its cell
+    pytest.param('tau_s,pe\n1e-6,0.9\n"x",0.5\n',
+                 """non-numeric value '"x"'""", 3, "tau_s", id="quoted-cell"),
+    pytest.param('tau_s,pe\n1e-6,0.9\n"2e-6,0.5"\n',
+                 """non-numeric value '"2e-6'""", 3, "tau_s",
+                 id="quoted-comma"),
+    pytest.param('tau_s,pe\n1e-6,"0.9"\n2e-6,0.5\n',
+                 """non-numeric value '"0.9"'""", 2, "pe", id="quoted-number"),
+    pytest.param('"tau_s","pe"\n1e-6,0.9\n2e-6,0.5\n',
+                 'expected header tau_s,pe, got "tau_s","pe"', None,
+                 '"tau_s"', id="quoted-header"),
+    pytest.param("tau_s,pe\n1e-6,0.9\n# 2e-6,0.5\n",
+                 "non-numeric value '# 2e-6'", 3, "tau_s", id="comment-cell"),
+    pytest.param("tau_s,pe\n", "need at least 2 data rows, got no data rows",
+                 None, None, id="header-only"),
+    pytest.param("tau_s,pe\n\n", "expected 2 cells, got 0", 2, None,
+                 id="header-and-blank"),
+    pytest.param("tau_s,pe\n1e-6,0.9\n", "need at least 2 data rows, got 1",
+                 None, None, id="too-few-rows"),
     pytest.param("tau_s,pe\r\n1e-6,0.9\r\n\r\n2e-6,0.5\r\n",
-                 id="crlf-blank-line"),
-    pytest.param("tau_s,pe\r\n1e-6,0.9\r\n2e-6,x\r\n", id="crlf-bad-cell"),
-    pytest.param("tau_s,pe\n1e-6\r,0.9\n2e-6,0.5\n", id="lone-cr"),
-    pytest.param("tau,pe\n1e-6,0.9\n2e-6,0.5\n", id="wrong-header"),
-    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,0.5\x00\n", id="nul"),
-    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,0."
-                 + "0" * csv.field_size_limit() + "1\n",
-                 id="over-field-limit"),
+                 "expected 2 cells, got 0", 3, None, id="crlf-blank-line"),
+    pytest.param("tau_s,pe\r\n1e-6,0.9\r\n2e-6,x\r\n",
+                 "non-numeric value 'x'", 3, "pe", id="crlf-bad-cell"),
+    pytest.param("tau_s,pe\n1e-6\r,0.9\n2e-6,0.5\n",
+                 "expected 2 cells, got 1", 2, None, id="lone-cr"),
+    pytest.param("tau,pe\n1e-6,0.9\n2e-6,0.5\n",
+                 "expected header tau_s,pe, got tau,pe", None, "tau",
+                 id="wrong-header"),
+    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,0.5\x00\n",
+                 "non-numeric value '0.5\\x00'", 3, "pe", id="nul"),
+    # every row's width is checked before any cell is converted
+    pytest.param("tau_s,pe\nx,0.9\n2e-6\n3e-6,0.5\n",
+                 "expected 2 cells, got 1", 3, None,
+                 id="ragged-row-before-bad-cell"),
 ])
-def test_corrupt_files_get_the_per_cell_diagnostic(tmp_path, body):
-    path = tmp_path / "t.csv"
-    path.write_text(body, newline="")
-    fast = _fast_table(path.read_bytes(), DECAY_HEADER)
-    assert fast is None or len(fast) < 2        # it declines
-    expected = _per_cell(path, DECAY_HEADER, 2)
-    assert isinstance(expected, Diagnostic)
-    assert _loaded(path, DECAY_HEADER, 2) == expected
-
-
-@pytest.mark.parametrize("body", [
-    pytest.param("tau_s,pe\r\n1e-6,0.9\r\n2e-6,0.5\r\n", id="crlf"),
-    pytest.param("tau_s,pe\n1e-6,0.9\r2e-6,0.5\n", id="lone-cr-row-end"),
-    pytest.param('tau_s,pe\n1e-6,"0.9"\n2e-6,0.5\n', id="quoted-number"),
-    pytest.param("tau_s,pe\n 1e-6 ,0.9\n2_0e-6,\u0660.5\n",
-                 id="spaces-underscore-unicode-digit"),
-])
-def test_unusual_valid_files_read_as_the_per_cell_path_reads(tmp_path,
-                                                             body):
+def test_corrupt_files_get_the_per_cell_diagnostic(tmp_path, body, message,
+                                                   row, column):
     path = tmp_path / "t.csv"
     path.write_text(body, newline="", encoding="utf-8")
-    expected = _per_cell(path, DECAY_HEADER, 2)
-    assert isinstance(expected, np.ndarray) and expected.shape == (2, 2)
+    assert _loaded(path, DECAY_HEADER, 2) == \
+        Diagnostic("error", message, str(path), row, column)
+
+
+@pytest.mark.parametrize("body, expected", [
+    pytest.param("tau_s,pe\r\n1e-6,0.9\r\n2e-6,0.5\r\n",
+                 [[1e-6, 0.9], [2e-6, 0.5]], id="crlf"),
+    pytest.param("tau_s,pe\n1e-6,0.9\r2e-6,0.5\n",
+                 [[1e-6, 0.9], [2e-6, 0.5]], id="lone-cr-row-end"),
+    pytest.param("tau_s,pe\n 1e-6 ,0.9\n2_0e-6,\u0660.5\n",
+                 [[1e-6, 0.9], [2e-5, 0.5]],
+                 id="spaces-underscore-unicode-digit"),
+    pytest.param("tau_s,pe\n1e-6,0.9\n2e-6,0."
+                 + "0" * csv.field_size_limit() + "1\n",
+                 [[1e-6, 0.9], [2e-6, 0.0]], id="over-field-limit"),
+])
+def test_unusual_valid_files_read_as_the_per_cell_path_reads(tmp_path, body,
+                                                             expected):
+    # the values float() gives each cell, whatever path the reader takes
+    path = tmp_path / "t.csv"
+    path.write_text(body, newline="", encoding="utf-8")
     assert _read_table(path, DECAY_HEADER, 2).tobytes() == \
-        expected.tobytes()
+        np.array(expected).tobytes()
 
 
 def test_undecodable_file_is_unreadable(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"tau_s,pe\n1e-6,0.9\n2e-6,\xff\n")
-    expected = _per_cell(path, DECAY_HEADER, 2)
-    assert expected.message.startswith("unreadable file:")
-    assert _loaded(path, DECAY_HEADER, 2) == expected
+    assert _loaded(path, DECAY_HEADER, 2) == Diagnostic(
+        "error", "unreadable file: 'utf-8' codec can't decode byte 0xff in "
+        "position 23: invalid start byte", str(path))
+
+
+def test_directory_is_unreadable(tmp_path):
+    with pytest.raises(InputError, match="unreadable file: .*directory") \
+            as info:
+        load_spectroscopy_trace(tmp_path)
+    assert info.value.diagnostic.file == str(tmp_path)

@@ -5,13 +5,14 @@ call it makes, so the checks see exactly the functions the fit uses.
 """
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
 from scipy.optimize._numdiff import approx_derivative
 
-from qnl import decayfit, spectro
+from qnl import decayfit, fitutil, spectro
 from qnl.fileio import SPECTRUM_HEADER, TWO_TONE_HEADER, format_csv
 from qnl.pipeline import AnalysisConfig, run_pipeline
 from qnl.units import TWO_PI
@@ -161,6 +162,15 @@ def test_fits_are_close_to_the_converged_minimum(monkeypatch):
     assert rel[..., 0].max() <= 1e-6          # T1
     assert rel[..., 1].max() <= 1e-6          # T2
     assert rel[..., 2:].max() <= 1e-6         # T_phi
+
+
+def test_unconverged_fit_is_a_fit_error(monkeypatch):
+    monkeypatch.setattr(fitutil, "least_squares", lambda *args, **kwargs:
+                        SimpleNamespace(success=False, message="no progress"))
+    with pytest.raises(fitutil.FitError,
+                       match="least-squares did not converge: no progress"):
+        fitutil.run_least_squares(lambda p: p, lambda p: np.eye(1), [1.0],
+                                  (-np.inf, np.inf))
 
 
 def test_pipeline_never_uses_finite_differences(monkeypatch, tmp_path):

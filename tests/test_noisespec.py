@@ -129,6 +129,15 @@ class TestPowerlawFit:
         with pytest.raises(FitError, match="finite"):
             powerlaw_fit([(1.0, 1.0), (2.0, 0.5), (4.0, 0.25), bad])
 
+    @pytest.mark.parametrize("points, message", [
+        (np.ones((3, 3)), r"expected \(freq, value\) pairs"),
+        ([(1.0, 1.0), (2.0, 0.5), (2.0, 0.4)], "distinct"),
+    ], ids=["three_columns", "repeated_freq"])
+    def test_rejects_malformed_points(self, points, message):
+        from qnl.fitutil import FitError
+        with pytest.raises(FitError, match=message):
+            powerlaw_fit(points)
+
 
 class TestReconstructPsdPoint:
     def test_formula_pin(self):

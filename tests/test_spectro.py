@@ -99,6 +99,14 @@ class TestFitDispersion:
         with pytest.raises(FitError):
             fit_dispersion([(0.0, 5e9), (1e-3, 5.1e9)])
 
+    @pytest.mark.parametrize("points, message", [
+        ([(0.0, 5e9), (1e-3, -5.1e9), (2e-3, 5.2e9)], "must be positive"),
+        ([(1e-3, 5e9), (1e-3, 5.1e9), (1e-3, 5.2e9)], "same voltage"),
+    ], ids=["negative_freq", "single_voltage"])
+    def test_rejects_degenerate_points(self, points, message):
+        with pytest.raises(FitError, match=message):
+            fit_dispersion(points)
+
 
 class TestDressedFrequencies:
     def test_resonant_splitting(self):
