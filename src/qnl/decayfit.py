@@ -277,7 +277,7 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
         coh = np.clip((y - p0_0) / (a_0 * relax), 1e-9, None)
     above = np.nonzero(coh > np.exp(-1.0))[0]
     t_phi_0 = t[above[-1]] if len(above) else t[max(len(t) // 3, 1) - 1]
-    t_phi_0 = float(np.clip(t_phi_0, t[0], t[-1]))
+    t_phi_0 = float(t_phi_0)
 
     lo_s, hi_s = STRETCH_BOUNDS
 

@@ -109,7 +109,10 @@ def reconstruct_psd_point(t_phi: float, seq: PulseSequence) -> PSDPoint:
     seq_at_tphi = replace(seq, tau=t_phi)
     peak = first_harmonic_peak(seq_at_tphi)
     g_pk = filter_value(seq_at_tphi, TWO_PI * peak.f_peak)
-    value = 1.0 / (np.pi * t_phi**2 * g_pk * peak.delta_omega)
+    try:
+        value = 1.0 / (np.pi * t_phi**2 * g_pk * peak.delta_omega)
+    except ArithmeticError as exc:
+        raise ValueError(f"t_phi = {t_phi!r} s is out of range") from exc
     return PSDPoint(freq=peak.f_peak, value=value, units=FREQ_NOISE)
 
 

@@ -113,9 +113,7 @@ class ReportBundle:
     warnings: list
 
     def to_dict(self) -> dict:
-        return {"version": self.version, "created": self.created,
-                "config": self.config, "provenance": self.provenance,
-                "sections": self.sections, "warnings": self.warnings}
+        return dict(vars(self))
 
     def save(self, path) -> None:
         atomic_write_text(path, _json_text(self.to_dict()) + "\n")
@@ -134,46 +132,52 @@ def _json_text(value, indent: str = "") -> str:
 
 
 @dataclass
-class LoadedInputs:
-    """Objects parsed from a config's files; None where absent or faulty."""
+class StageContext:
+    """One run: its config, the objects its files parsed into (None where
+    absent or faulty), the sections the stages have built so far, and
+    every diagnostic, from the config checks to the report's warnings."""
 
+    config: AnalysisConfig
+    diagnostics: list = field(default_factory=list)
     traces: list[tuple[str, DecayTrace, dict]] = field(default_factory=list)
     series: FrequencySeries | None = None
     transmission: np.ndarray | None = None
     two_tone: np.ndarray | None = None
+    sections: dict = field(default_factory=dict)
+
+    def warn(self, message: str, file: str | None = None) -> None:
+        self.diagnostics.append(Diagnostic("warning", message, file=file))
 
 
-def load_inputs(config: AnalysisConfig) -> tuple[LoadedInputs, list]:
+def load_inputs(config: AnalysisConfig) -> StageContext:
     """Type-check the config and parse every configured file exactly once.
 
-    Returns the loaded objects and every diagnostic: errors abort
-    run_pipeline; warnings (a population outside decayfit's tolerance)
-    let it proceed with the offending trace excluded.
+    Returns the run's context, holding the parsed objects and every
+    diagnostic: errors abort run_pipeline; warnings (a population outside
+    decayfit's tolerance) let it proceed with the offending trace excluded.
     """
-    diags = _config_diagnostics(config)
-    loaded = LoadedInputs()
+    ctx = StageContext(config, _config_diagnostics(config))
 
     def attempt(loader, path):
         try:
             return loader(path)
         except InputError as exc:
-            diags.append(exc.diagnostic)
+            ctx.diagnostics.append(exc.diagnostic)
             return None
 
     if _is_path_list(config.decay_traces):
         for path in config.decay_traces:
             result = attempt(load_decay_trace, path)
             if result is not None:
-                loaded.traces.append((path, *result))
+                ctx.traces.append((path, *result))
     if isinstance(config.frequency_series, str):
-        loaded.series = attempt(load_frequency_series,
-                                config.frequency_series)
+        ctx.series = attempt(load_frequency_series, config.frequency_series)
     if isinstance(config.transmission_trace, str):
-        loaded.transmission = attempt(load_spectroscopy_trace,
-                                      config.transmission_trace)
+        ctx.transmission = attempt(load_spectroscopy_trace,
+                                   config.transmission_trace)
     if isinstance(config.two_tone_map, str):
-        loaded.two_tone = attempt(load_two_tone_map, config.two_tone_map)
-    return loaded, diags
+        ctx.two_tone = attempt(load_two_tone_map, config.two_tone_map)
+    return ctx
 
 
 # qubit metadata key -> whether its value must be positive
@@ -229,20 +233,7 @@ def _is_path_list(value) -> bool:
 
 def validate_inputs(config: AnalysisConfig) -> list[Diagnostic]:
     """load_inputs' diagnostics; an empty list means run-ready."""
-    return load_inputs(config)[1]
-
-
-@dataclass
-class StageContext:
-    """A stage builder's input: config, inputs, earlier sections, warnings."""
-
-    config: AnalysisConfig
-    loaded: LoadedInputs
-    sections: dict
-    warnings: list
-
-    def warn(self, message: str, file: str | None = None) -> None:
-        self.warnings.append(Diagnostic("warning", message, file=file))
+    return load_inputs(config).diagnostics
 
 
 def _decay_stage(ctx: StageContext) -> dict | None:
@@ -252,7 +243,7 @@ def _decay_stage(ctx: StageContext) -> dict | None:
     relax_by_bias: dict[float, dict] = {}
     # relaxation first: its T1 feeds the echo/CPMG fits at its bias
     for path, trace, meta in sorted(
-            ctx.loaded.traces, key=lambda item: item[1].kind != "relaxation"):
+            ctx.traces, key=lambda item: item[1].kind != "relaxation"):
         t1 = _t1_for(_bias_of(meta), relax_by_bias, ctx.config.qubit)
         if trace.n_pulses and t1 is None:
             ctx.warn("no T1 available for this bias and no qubit.t1 "
@@ -315,6 +306,7 @@ def _psd_stage(ctx: StageContext) -> dict | None:
 
     for record in ctx.sections.get("decay_fits", {"fits": []})["fits"]:
         params = record["params"]
+        dv = None if disp is None else record["bias_mv"] * 1e-3 - disp.v_ss
         if _has_t_phi(record):
             seq = PulseSequence(n_pulses=record["n_pulses"],
                                 tau=params["t_phi"])
@@ -322,14 +314,13 @@ def _psd_stage(ctx: StageContext) -> dict | None:
             box_points.append((point.freq, point.value))
             add(point, record)
             if disp is not None:
-                lever = lever_arm(disp, record["bias_mv"] * 1e-3 - disp.v_ss)
+                lever = lever_arm(disp, dv)
                 if lever != 0.0:
                     add(to_voltage_noise(point, lever), record)
         elif record["kind"] == "relaxation" and params.get("t1"):
             f_q = qubit.get("f_q") or qubit.get("f_ss")
             if disp is not None:
-                f_q = qubit_frequency(disp,
-                                      record["bias_mv"] * 1e-3 - disp.v_ss)
+                f_q = qubit_frequency(disp, dv)
             if f_q:
                 add(transverse_noise(params["t1"], f_q), record)
     if not points["freq_hz"]:
@@ -342,9 +333,9 @@ def _psd_stage(ctx: StageContext) -> dict | None:
 
 def _lowfreq_stage(ctx: StageContext) -> dict | None:
     path = ctx.config.frequency_series
-    if ctx.loaded.series is None:
+    if ctx.series is None:
         return None
-    spectrum = periodogram(ctx.loaded.series)
+    spectrum = periodogram(ctx.series)
     return {"points": spectrum_columns(spectrum),
             "powerlaw": _fit_or_warn(ctx, path, "power-law fit", powerlaw_fit,
                                      spectrum),
@@ -365,19 +356,19 @@ def _thermal_stage(ctx: StageContext) -> dict | None:
 
 
 def _spectro_stage(ctx: StageContext) -> dict | None:
-    config, loaded, qubit = ctx.config, ctx.loaded, ctx.config.qubit
+    config, qubit = ctx.config, ctx.config.qubit
     section: dict = {"sources": []}
-    if loaded.transmission is not None and qubit.get("f_r") \
+    if ctx.transmission is not None and qubit.get("f_r") \
             and qubit.get("kappa"):
         fit = _fit_or_warn(ctx, config.transmission_trace, "transmission fit",
-                           fit_transmission, loaded.transmission,
+                           fit_transmission, ctx.transmission,
                            {"f_r": qubit["f_r"], "kappa": qubit["kappa"]})
         if fit is not None:
             section["transmission"] = fit
             section["sources"].append(config.transmission_trace)
-    if loaded.two_tone is not None:
+    if ctx.two_tone is not None:
         fit = _fit_or_warn(ctx, config.two_tone_map, "dispersion fit",
-                           fit_two_tone, loaded.two_tone)
+                           fit_two_tone, ctx.two_tone)
         if fit is not None:
             section["dispersion"] = fit
             section["sources"].append(config.two_tone_map)
@@ -398,18 +389,17 @@ STAGES = {
 def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     """Run every stage in STAGES order; write the report atomically.
 
-    Parses the inputs once through load_inputs and raises PipelineError
-    (writing nothing) when it reports errors; its warnings, and fits that
-    fail, are carried into the report's warnings list.  A stage that
-    raises one of FIT_FAILURES loses its section and leaves a "stage
-    <name> failed" warning; the other stages still run.
+    Takes the run's context from load_inputs, which parses the inputs
+    once, and raises PipelineError (writing nothing) when it holds errors;
+    its warnings, and fits that fail, become the report's warnings.  A
+    stage that raises one of FIT_FAILURES loses its section and leaves a
+    "stage <name> failed" warning; the other stages still run.
     Provenance hashes exactly the files listed in the sections' sources.
     """
-    loaded, diags = load_inputs(config)
-    errors = [d for d in diags if d.severity == "error"]
+    ctx = load_inputs(config)
+    errors = [d for d in ctx.diagnostics if d.severity == "error"]
     if errors:
         raise PipelineError(errors)
-    ctx = StageContext(config, loaded, sections={}, warnings=diags)
     for stage, (key, build) in STAGES.items():
         try:
             section = build(ctx)
@@ -433,7 +423,7 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
         config=config.to_dict(),
         provenance={"inputs": {path: sha256_of(path) for path in sources}},
         sections=ctx.sections,
-        warnings=[str(d) for d in ctx.warnings],
+        warnings=[str(d) for d in ctx.diagnostics],
     )
     _write_outputs(config, report)
     return report
@@ -465,9 +455,8 @@ def _write_outputs(config: AnalysisConfig, report: ReportBundle) -> None:
 
 
 def _fit_record(path: str, trace, meta: dict, fit) -> dict:
-    params = {k: getattr(fit, k) for k in
-              ("t1", "t2", "t_phi", "stretch", "amplitude", "offset",
-               "detuning", "phase")}
+    params = asdict(fit)
+    errors, flags = params.pop("errors"), params.pop("flags")
     return {
         "file": str(path),
         "kind": trace.kind,
@@ -475,8 +464,8 @@ def _fit_record(path: str, trace, meta: dict, fit) -> dict:
         "bias_mv": _bias_of(meta),
         "temperature_mk": meta.get("temperature_mk"),
         "params": params,
-        "errors": {k: float(v) for k, v in fit.errors.items()},
-        "flags": list(fit.flags),
+        "errors": {k: float(v) for k, v in errors.items()},
+        "flags": list(flags),
     }
 
 

@@ -166,6 +166,12 @@ class TestBadInputFiles:
 BAD_ARGUMENTS = {
     "reconstruct-psd": (["reconstruct-psd", "--t-phi", "5e-6",
                          "--n-pulses", "0"], "n_pulses >= 1"),
+    # t_phi**2 overflows, or underflows to a zero denominator
+    "reconstruct-psd-t-phi-overflow": (["reconstruct-psd", "--t-phi", "1e300",
+                                        "--n-pulses", "1"], "t_phi = 1e+300"),
+    "reconstruct-psd-t-phi-underflow": (["reconstruct-psd", "--t-phi",
+                                         "1e-300", "--n-pulses", "1"],
+                                        "t_phi = 1e-300"),
     "filter-fn": (["filter-fn", "--n", "0", "--tau", "1e-5", "--grid",
                    "1e4:1e6:3", "--peak"], "n_pulses >= 1"),
     "simulate": (["simulate", "--amplitude", "1e8", "--alpha", "5",
@@ -356,6 +362,14 @@ class TestSimulate:
 
 
 class TestFitSpectrum:
+    @pytest.mark.parametrize("given", [[], ["--f-r", "5.668e9"],
+                                       ["--kappa", "2.4e6"]])
+    def test_transmission_needs_f_r_and_kappa(self, given):
+        result = runner.invoke(main, ["fit-spectrum", __file__, "--kind",
+                                      "transmission", *given])
+        assert result.exit_code == 2
+        assert "transmission fits need --f-r and --kappa" in result.stderr
+
     def test_transmission(self, tmp_path):
         truth = CavityQubitParams(f_r=5.668e9, kappa=2.0 * np.pi * 0.38e6,
                                   f_q=5.668e9, gamma=2.0 * np.pi * 3.18e6,

@@ -448,6 +448,9 @@ CRASH_ERRORS = [
     # TypeError comparing "x" > 0
     pytest.param(lambda c: c["qubit"].update(t1="x"),
                  "t1 must be a finite number", id="qubit_t1_not_number"),
+    # AttributeError: list has no .items
+    pytest.param(lambda c: c.update(qubit=[]), "must be an object, got []",
+                 id="qubit_list"),
     # iterated per character
     pytest.param(lambda c: c.update(decay_traces=c["decay_traces"][0]),
                  "list of path strings", id="decay_traces_string"),
