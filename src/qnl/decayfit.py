@@ -256,10 +256,11 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
     carries t2 = T2_CPMG solved from the 1/e definition.  A stretch pinned
     at either bound flags "stretch_at_bound" (exponent unreliable).
 
-    The fit stops on scipy's default ftol = 1e-8.  On the traces of
-    perfbench's pipeline dataset, seeds 0-49, that leaves T_phi up to
-    1.9e-6 relative from the minimum converged at 1e-15 (largest at
-    N = 16), at most 6.7e-5 of its standard error.
+    The fit stops on fitutil.run_least_squares' tests at 1e-12 (cost
+    decrease, step or scaled gradient).  On the traces of perfbench's
+    pipeline dataset, seeds 0-49, that leaves T_phi up to 1.5e-8 relative
+    from scipy's least_squares converged at 1e-15 (largest at N = 16), at
+    most 5.4e-7 of its standard error.
     """
     if trace.kind not in ("cpmg", "echo"):
         raise ValueError("fit_cpmg expects a cpmg or echo trace")

@@ -1,13 +1,19 @@
-"""The fault contract and the fit statistics shared by every fit.
+"""The least-squares solver, the fault contract and the fit statistics
+shared by every fit.
 
+run_least_squares is the one solver behind every fit: a projected
+Levenberg-Marquardt in numpy, with Marquardt's diagonal scaling
+(J. SIAM 11, 431 (1963)) and Nielsen's damping update (IMM-REP-1999-05).
 FIT_FAILURES is the one tuple of data faults; any other exception is a
 bug.  The pipeline turns a fault into a warning, the CLI into exit 1.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.optimize import least_squares
 
 
 class FitError(RuntimeError):
@@ -16,19 +22,126 @@ class FitError(RuntimeError):
 
 FIT_FAILURES = (FitError, ValueError, ArithmeticError)
 
+# relative tolerance of each stopping test in run_least_squares
+_TOL = 1e-12
 
-def run_least_squares(residual, jac, x0, bounds):
-    """Damped least squares with Jacobian-based scaling; raises FitError.
 
-    Every caller passes jac(p), the analytic (n_residuals, n_params) Jacobian
-    of residual(p); no fit uses finite differences.  Returns scipy's
-    result, which carries nfev, njev, cost, status and optimality.
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """A least-squares minimum and how the solver reached it.
+
+    x, fun and jac are the parameters, the residuals and the Jacobian at
+    the minimum, and cost = fun @ fun / 2.  nfev and njev count the
+    residual and Jacobian calls.  status names the test that stopped the
+    solver (1 gradient, 2 cost, 3 step; see run_least_squares), message
+    says it in words, and optimality is the scaled projected gradient,
+    max_j |J_j . fun| / |J_j| over the parameters not held at a bound.
     """
-    result = least_squares(residual, np.asarray(x0, dtype=float), jac=jac,
-                           bounds=bounds, x_scale="jac")
-    if not result.success:
-        raise FitError(f"least-squares did not converge: {result.message}")
-    return result
+
+    x: np.ndarray
+    fun: np.ndarray
+    jac: np.ndarray
+    cost: float
+    nfev: int
+    njev: int
+    status: int
+    optimality: float
+    message: str
+
+
+_MESSAGES = {1: "the scaled projected gradient is below tolerance",
+             2: "the cost decrease is below tolerance",
+             3: "the step is below tolerance"}
+
+
+def run_least_squares(residual, jac, x0, bounds) -> LeastSquaresResult:
+    """Minimise |residual(p)|^2 / 2 within bounds = (lower, upper).
+
+    jac(p) is the analytic (n_residuals, n_params) Jacobian of residual(p);
+    there is no finite-difference path.  Each step solves
+    (JsᵀJs + mu I) z = -Jsᵀr in the scaled parameters p_j |J_j|, with
+    |J_j| the column norms at the current point (Marquardt's scaling).  A
+    parameter at a bound whose gradient points outward is held for that
+    step; every other trial point is clipped into the bounds.  A trial
+    that lowers the cost is accepted and mu shrinks by the gain ratio rho
+    as max(1/3, 1 - (2 rho - 1)^3) (Nielsen); a trial that does not, or
+    whose residuals are not finite, is rejected and mu grows by a doubling
+    factor.  The solver stops on the first of, with tol = 1e-12:
+
+    1. the scaled projected gradient, max_j |J_j . r| / |J_j| over the
+       free parameters, is at most tol * |r| (status 1);
+    2. an accepted step lowers the cost, and the linearised residuals
+       predict it to lower the cost, by at most tol times the cost
+       (status 2);
+    3. a trial step, scaled, is at most tol times the scaled parameters
+       (status 3).
+
+    Raises ValueError for an x0 outside the bounds (or bounds with
+    lower >= upper) and for non-finite residuals at x0, and FitError when
+    100 residual evaluations per parameter do not reach a stop.
+    """
+    x = np.array(x0, dtype=float)
+    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), x.shape)
+                    for b in bounds)
+    if not np.all((lower <= x) & (x <= upper) & (lower < upper)):
+        raise ValueError(f"x0 = {x.tolist()} is infeasible for the bounds")
+    with np.errstate(all="ignore"):    # a non-finite trial is rejected
+        r = residual(x)
+        cost = 0.5 * float(r @ r)
+        if not np.isfinite(cost):
+            raise ValueError("residuals are not finite at x0")
+        eye = np.eye(x.size)
+        max_nfev = 100 * x.size
+        nfev, njev, status, mu, grow, moved = 1, 0, 0, 1e-3, 2.0, True
+        while True:
+            if moved:
+                j = jac(x)
+                njev += 1
+                scale = np.sqrt(np.einsum("ij,ij->j", j, j))
+                scale[scale == 0.0] = 1.0
+                js = j / scale
+                grad = js.T @ r
+                # at a bound, with the descent direction -grad pointing out
+                held = np.where(grad > 0.0, x <= lower, x >= upper)
+                grad[held] = 0.0
+                optimality = max(map(abs, grad.tolist()))
+                if status or optimality <= _TOL * math.sqrt(2.0 * cost):
+                    status = status or 1
+                    break
+                hess = js.T @ js
+                model = hess * np.outer(~held, ~held) if held.any() else hess
+                scaled_x = x * scale
+                x_sq = float(scaled_x @ scaled_x)
+            elif status:
+                break
+            if nfev >= max_nfev:
+                raise FitError(f"least-squares did not converge: "
+                               f"{max_nfev} residual evaluations used up")
+            z = np.linalg.solve(model + mu * eye, -grad)
+            trial = np.minimum(np.maximum(x + z / scale, lower), upper)
+            step = (trial - x) * scale
+            r_trial = residual(trial)
+            nfev += 1
+            cost_trial = 0.5 * float(r_trial @ r_trial)
+            decrease = cost - cost_trial
+            moved = decrease > 0.0    # False for a non-finite trial cost
+            if moved:
+                predicted = -float(step @ (grad + 0.5 * (hess @ step)))
+                rho = min(decrease / predicted, 1.0) if predicted > 0 else 1.0
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                grow = 2.0
+                if max(decrease, predicted) <= _TOL * cost:
+                    status = 2
+                x, r, cost = trial, r_trial, cost_trial
+            else:
+                mu *= grow
+                grow *= 2.0
+            if not status and float(step @ step) <= _TOL ** 2 * x_sq:
+                status = 3
+    return LeastSquaresResult(x=x, fun=r, jac=j, cost=cost, nfev=nfev,
+                              njev=njev, status=status,
+                              optimality=optimality,
+                              message=_MESSAGES[status])
 
 
 def covariance(result) -> np.ndarray:

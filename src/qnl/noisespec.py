@@ -111,8 +111,10 @@ def reconstruct_psd_point(t_phi: float, seq: PulseSequence) -> PSDPoint:
     g_pk = filter_value(seq_at_tphi, TWO_PI * peak.f_peak)
     try:
         value = 1.0 / (np.pi * t_phi**2 * g_pk * peak.delta_omega)
-    except ArithmeticError as exc:
-        raise ValueError(f"t_phi = {t_phi!r} s is out of range") from exc
+    except ArithmeticError:
+        value = 0.0
+    if not value > 0:    # a denominator of 0 or inf, or a quotient of 0
+        raise ValueError(f"t_phi = {t_phi!r} s is out of range")
     return PSDPoint(freq=peak.f_peak, value=value, units=FREQ_NOISE)
 
 

@@ -11,6 +11,7 @@ to a config parameter echoed verbatim.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -51,8 +52,9 @@ class AnalysisConfig:
     qubit keys, all optional (any other key is an error): f_ss, lever_c,
     v_ss (dispersion and voltage-noise conversion), f_q (T1 point without
     a dispersion; thermal curves), f_r, kappa (transmission fit), chi, t1
-    (thermal curves; t1 doubles as the CPMG fallback when a bias point has
-    no relaxation trace).  All in SI units (Hz, rad/s, V, s).
+    (thermal curves; t1 doubles as the CPMG fallback when a bias and
+    temperature have no relaxation trace).  All in SI units (Hz, rad/s, V,
+    s).
     """
 
     output_dir: str
@@ -240,11 +242,13 @@ def _decay_stage(ctx: StageContext) -> dict | None:
     if not ctx.config.decay_traces:
         return None
     fits: list[dict] = []
-    relax_by_bias: dict[float, dict] = {}
-    # relaxation first: its T1 feeds the echo/CPMG fits at its bias
+    relax_by_condition: dict[tuple, dict] = {}
+    # relaxation first: its T1 feeds the echo/CPMG fits at its bias and
+    # temperature
     for path, trace, meta in sorted(
             ctx.traces, key=lambda item: item[1].kind != "relaxation"):
-        t1 = _t1_for(_bias_of(meta), relax_by_bias, ctx.config.qubit)
+        t1 = _t1_for(_condition_of(meta), relax_by_condition,
+                     ctx.config.qubit)
         if trace.n_pulses and t1 is None:
             ctx.warn("no T1 available for this bias and no qubit.t1 "
                      "fallback; trace skipped", path)
@@ -255,7 +259,7 @@ def _decay_stage(ctx: StageContext) -> dict | None:
         record = _fit_record(path, trace, meta, fit)
         fits.append(record)
         if trace.kind == "relaxation":
-            relax_by_bias[record["bias_mv"]] = record
+            relax_by_condition[_condition_of(record)] = record
     return {"fits": fits,
             "sources": sorted({f["file"] for f in fits}
                               | {str(sidecar_path(f["file"])) for f in fits})}
@@ -267,20 +271,27 @@ def _has_t_phi(record: dict) -> bool:
 
 
 def _scaling_stage(ctx: StageContext) -> dict | None:
-    by_bias: dict[float, list[dict]] = {}
+    by_condition: dict[tuple, list[dict]] = {}
     for record in ctx.sections.get("decay_fits", {"fits": []})["fits"]:
         if _has_t_phi(record):
-            by_bias.setdefault(record["bias_mv"], []).append(record)
+            by_condition.setdefault(_condition_of(record), []).append(record)
     rows = []
-    for bias, records in sorted(by_bias.items()):
+    for (bias, temp), records in sorted(
+            by_condition.items(), key=lambda item: (
+                item[0][0], -math.inf if item[0][1] is None else item[0][1])):
         points = [(r["n_pulses"], r["params"]["t_phi"]) for r in records]
         if len(points) < 3:
             continue
-        scaling = _fit_or_warn(ctx, None, f"scaling at bias {bias} mV: fit",
+        # a row names its temperature only when the traces carry one
+        where, label = {"bias_mv": bias}, f"bias {bias} mV"
+        if temp is not None:
+            where["temperature_mk"] = temp
+            label += f", {temp} mK"
+        scaling = _fit_or_warn(ctx, None, f"scaling at {label}: fit",
                                fit_scaling, points)
         if scaling is None:
             continue
-        rows.append({"bias_mv": bias, "beta": scaling.beta,
+        rows.append({**where, "beta": scaling.beta,
                      "alpha": scaling.alpha, "beta_err": scaling.beta_err,
                      "alpha_err": scaling.alpha_err,
                      "n_points": len(points)})
@@ -483,12 +494,20 @@ def _bias_of(meta: dict) -> float:
     return 0.0 if bias is None else float(bias)
 
 
-def _t1_for(bias: float, relax_by_bias: dict, qubit: dict):
-    record = relax_by_bias.get(bias)
+def _condition_of(meta: dict) -> tuple:
+    """(bias_mv, temperature_mk) of a sidecar or a decay record: T1 is
+    looked up, and T_phi(N) is fitted, per condition."""
+    return _bias_of(meta), meta.get("temperature_mk")
+
+
+def _t1_for(condition: tuple, relax_by_condition: dict, qubit: dict):
+    """T1 of the relaxation fit at this condition, else of the only
+    relaxation fit, else qubit.t1 (None when absent)."""
+    record = relax_by_condition.get(condition)
     if record is not None:
         return record["params"]["t1"]
-    if relax_by_bias and len(relax_by_bias) == 1:
-        return next(iter(relax_by_bias.values()))["params"]["t1"]
+    if len(relax_by_condition) == 1:
+        return next(iter(relax_by_condition.values()))["params"]["t1"]
     return qubit.get("t1")
 
 

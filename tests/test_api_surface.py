@@ -10,7 +10,8 @@ fileio.Diagnostic, no pipeline stage builder catches an exception itself,
 the tuple of exceptions that count as a failed fit is written only in
 fitutil, no module reads a file through csv.reader or io.TextIOWrapper, so
 fileio keeps one input parser, no module loads the scipy subpackages that
-cost most of a cold start, and the physical constants load no scipy at all.
+cost most of a cold start, and neither the physical constants nor the
+least-squares fits load any scipy.
 """
 
 import ast
@@ -153,8 +154,10 @@ def test_no_module_loads_the_slow_scipy_subpackages():
             "scipy.interpolate"}.isdisjoint(_loaded_by(modules))
 
 
-def test_constants_load_no_scipy():
-    # h and k_B live in qnl.units; scipy.optimize itself loads
-    # scipy.constants, so this holds only for modules that fit nothing
-    loaded = _loaded_by(["qnl.thermal", "qnl.resonator"])
+def test_constants_and_least_squares_load_no_scipy():
+    # h and k_B live in qnl.units and the least-squares solver in
+    # qnl.fitutil, which takes the analytic Jacobian as a required argument,
+    # so no fit can reach scipy's finite differences
+    loaded = _loaded_by(["qnl.thermal", "qnl.resonator", "qnl.fitutil",
+                         "qnl.spectro"])
     assert not any(name.split(".")[0] == "scipy" for name in loaded)

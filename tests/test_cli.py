@@ -166,12 +166,16 @@ class TestBadInputFiles:
 BAD_ARGUMENTS = {
     "reconstruct-psd": (["reconstruct-psd", "--t-phi", "5e-6",
                          "--n-pulses", "0"], "n_pulses >= 1"),
-    # t_phi**2 overflows, or underflows to a zero denominator
+    # t_phi**2 overflows, underflows to a zero denominator, or leaves a
+    # finite denominator whose reciprocal underflows to a zero density
     "reconstruct-psd-t-phi-overflow": (["reconstruct-psd", "--t-phi", "1e300",
                                         "--n-pulses", "1"], "t_phi = 1e+300"),
     "reconstruct-psd-t-phi-underflow": (["reconstruct-psd", "--t-phi",
                                          "1e-300", "--n-pulses", "1"],
                                         "t_phi = 1e-300"),
+    "reconstruct-psd-t-phi-zero-density": (["reconstruct-psd", "--t-phi",
+                                            "1e154", "--n-pulses", "1"],
+                                           "t_phi = 1e+154"),
     "filter-fn": (["filter-fn", "--n", "0", "--tau", "1e-5", "--grid",
                    "1e4:1e6:3", "--peak"], "n_pulses >= 1"),
     "simulate": (["simulate", "--amplitude", "1e8", "--alpha", "5",

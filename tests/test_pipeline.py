@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qnl.fileio import (SPECTRUM_HEADER, TWO_TONE_HEADER, format_csv,
-                        sidecar_path)
+                        sidecar_path, write_decay_trace)
 from qnl import pipeline
 from qnl.pipeline import (STAGES, AnalysisConfig, Diagnostic, PipelineError,
                           run_pipeline, validate_inputs)
@@ -18,7 +18,7 @@ from qnl.spectro import (CavityQubitParams, QubitDispersion, qubit_frequency,
                          transmission)
 from qnl.units import TWO_PI
 
-from conftest import q1_dataset
+from conftest import make_cpmg, make_relaxation, q1_dataset
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +395,36 @@ class TestRunPipeline:
         assert all(f["file"] != str(bad)
                    for f in report.sections["decay_fits"]["fits"])
 
+    @pytest.mark.parametrize("temperatures", [(20.0, 400.0), (400.0, 20.0)])
+    def test_echo_takes_the_t1_of_its_own_temperature(self, tmp_path,
+                                                       temperatures):
+        # relaxation and echo at +1 mV and two temperatures: a T1 looked up
+        # by bias alone hands one echo the other temperature's T1
+        truth = {20.0: (12e-6, 6e-6), 400.0: (3e-6, 2e-6)}   # (T1, T_phi)
+        paths = []
+        for temp in temperatures:
+            t1, t_phi = truth[temp]
+            for name, trace in (
+                    ("relax", make_relaxation(t1=t1, noise=0.002, seed=1)),
+                    ("echo", make_cpmg(1, t1=t1, t_phi=t_phi, stretch=2.0,
+                                       noise=0.002, seed=2))):
+                path = tmp_path / f"{name}_{temp:g}mK.csv"
+                write_decay_trace(path, trace, bias_mv=1.0,
+                                  temperature_mk=temp)
+                paths.append(str(path))
+        report = run_pipeline(AnalysisConfig(
+            output_dir=str(tmp_path / "out"), decay_traces=paths))
+        # two box points are too few for the power law, and nothing else warns
+        assert report.warnings == ["[warning] psd: power-law fit failed "
+                                   "(need at least 3 points)"]
+        echoes = {f["temperature_mk"]: f["params"]
+                  for f in report.sections["decay_fits"]["fits"]
+                  if f["kind"] == "echo"}
+        for temp, (t1, t_phi) in truth.items():
+            assert echoes[temp]["t1"] == pytest.approx(t1, rel=0.02)
+            assert echoes[temp]["t_phi"] == pytest.approx(t_phi, rel=0.02)
+            assert echoes[temp]["stretch"] == pytest.approx(2.0, rel=0.05)
+
     def test_report_file_is_byte_deterministic(self, tmp_path):
         config = AnalysisConfig(**q1_dataset(tmp_path / "q1"))
         path = Path(config.output_dir) / "report.json"
@@ -636,27 +666,13 @@ class TestCrashInputs:
     def test_resonator_below_the_trace_loses_only_the_transmission_fit(
             self, tmp_path):
         # f_r 53 MHz below a 5.653-5.683 GHz trace puts the start
-        # f_q0 = f_lo + f_hi - f_r above its bound, and scipy raises
+        # f_q0 = f_lo + f_hi - f_r above its bound, and the solver raises
         # ValueError; the dispersion fit does not use f_r and stays
-        kappa = TWO_PI * 0.38e6
-        cavity = CavityQubitParams(f_r=5.668e9, kappa=kappa, f_q=5.668e9,
-                                   gamma=TWO_PI * 3.18e6, g=TWO_PI * 5e6)
-        freqs = np.linspace(5.653e9, 5.683e9, 201)
-        s21 = tmp_path / "s21.csv"
-        s21.write_text(format_csv(dict(zip(SPECTRUM_HEADER, (
-            freqs.tolist(), np.abs(transmission(cavity, freqs)).tolist())))))
-        disp = QubitDispersion(f_ss=5.065e9, lever_c=2.348e12)
-        probe = np.linspace(5.0e9, 5.6e9, 301)
-        rows = [(v, f, 0.9 / (1.0 + ((f - qubit_frequency(disp, v)) / 5e6)
-                                ** 2))
-                for v in np.linspace(-1e-3, 1e-3, 11) for f in probe]
-        two_tone = tmp_path / "two_tone.csv"
-        two_tone.write_text(format_csv(dict(zip(TWO_TONE_HEADER,
-                                                zip(*rows)))))
+        s21, two_tone = _spectro_inputs(tmp_path)
         config = AnalysisConfig(output_dir=str(tmp_path / "out"),
                                 transmission_trace=str(s21),
                                 two_tone_map=str(two_tone),
-                                qubit={"f_r": 5.60e9, "kappa": kappa})
+                                qubit={"f_r": 5.60e9, "kappa": KAPPA})
         assert validate_inputs(config) == []
         report = run_pipeline(config)
         assert set(report.sections["spectro"]) == {"dispersion", "sources"}
@@ -664,6 +680,39 @@ class TestCrashInputs:
         assert len(report.warnings) == 1
         assert report.warnings[0].startswith(
             f"[warning] {s21}: transmission fit failed (")
+
+
+KAPPA = TWO_PI * 0.38e6
+
+
+def _spectro_inputs(root):
+    """A 201-row transmission trace of the q1 cavity (f_r = 5.668 GHz) and
+    an 11 x 301 two-tone map of the q1 dispersion, written under root."""
+    cavity = CavityQubitParams(f_r=5.668e9, kappa=KAPPA, f_q=5.668e9,
+                               gamma=TWO_PI * 3.18e6, g=TWO_PI * 5e6)
+    freqs = np.linspace(5.653e9, 5.683e9, 201)
+    s21 = root / "s21.csv"
+    s21.write_text(format_csv(dict(zip(SPECTRUM_HEADER, (
+        freqs.tolist(), np.abs(transmission(cavity, freqs)).tolist())))))
+    disp = QubitDispersion(f_ss=5.065e9, lever_c=2.348e12)
+    probe = np.linspace(5.0e9, 5.6e9, 301)
+    rows = [(v, f, 0.9 / (1.0 + ((f - qubit_frequency(disp, v)) / 5e6) ** 2))
+            for v in np.linspace(-1e-3, 1e-3, 11) for f in probe]
+    two_tone = root / "two_tone.csv"
+    two_tone.write_text(format_csv(dict(zip(TWO_TONE_HEADER, zip(*rows)))))
+    return s21, two_tone
+
+
+def test_spectro_fits_run_clean_beside_the_decay_fits(tmp_path):
+    # every input of a whole dataset fits, with no fault and no warning
+    config = q1_dataset(tmp_path / "q1")
+    s21, two_tone = _spectro_inputs(tmp_path)
+    config.update(transmission_trace=str(s21), two_tone_map=str(two_tone))
+    report = run_pipeline(AnalysisConfig(**config))
+    assert len(report.sections["decay_fits"]["fits"]) == \
+        len(config["decay_traces"])
+    assert {"transmission", "dispersion"} <= set(report.sections["spectro"])
+    assert not report.warnings
 
 
 def test_each_input_is_parsed_once(q1_config, monkeypatch):
