@@ -22,10 +22,10 @@
 
 # %%
 import numpy as np
-from scipy.optimize import brentq
 
 from qnl.ddfilter import PulseSequence
 from qnl.decayfit import fit_cpmg
+from qnl.fitutil import find_root
 from qnl.mcsim import SyntheticNoise, dephasing_integral, simulate_sequence
 from qnl.noisespec import powerlaw_fit, reconstruct_psd_point
 from qnl.units import TWO_PI
@@ -59,8 +59,8 @@ print(f"A = {amplitude:.3e} Hz^2/Hz at 1 Hz")
 points = []
 print("  N   T_phi pred (us)   T_phi fit (us)   f_N (kHz)   S_rec/S_true")
 for n_pulses in (2, 4, 8):
-    t_pred = brentq(lambda tau: chi(amplitude, n_pulses, tau) - 1.0,
-                    1e-6, 3e-4)
+    t_pred = find_root(lambda tau: chi(amplitude, n_pulses, tau) - 1.0,
+                       1e-6, 3e-4)
     taus = np.linspace(0.3, 2.0, 10) * t_pred
     seq = PulseSequence(n_pulses=n_pulses, tau=float(taus[-1]))
     spec = SyntheticNoise(amplitude=amplitude, alpha=alpha,

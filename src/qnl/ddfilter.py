@@ -20,13 +20,14 @@ where d(ln g)/dx (closed form) vanishes, the FWHM where g is half of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .fitutil import find_root
 from .units import TWO_PI
 
 
@@ -128,10 +129,11 @@ def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
     over (0, 4 pi / (1 + tau_pi/tau)), up to the first zero of s.  The peak
     is the root of the closed form d(ln g)/dx / 2 = r'/r + s'/s - 1/x, and
     the half-maximum points are the roots of g - g_pk/2 on either side of
-    it, all three from brentq at rtol = 4 eps.
+    it, all three from fitutil.find_root at a relative 4 eps.
 
     Raises ValueError for N = 0: the Ramsey filter has no harmonic
-    structure and is handled separately by its callers.
+    structure and is handled separately by its callers; and for a tau so
+    small that omega = x / tau overflows on the lobe.
     """
     n = seq.n_pulses
     if n < 1:
@@ -144,6 +146,9 @@ def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
         lo, hi = 0.0, np.pi / ca
     else:
         lo, hi = max(n - 2, 0) * np.pi, (n + 2) * np.pi
+    if not math.isfinite(hi / float(seq.tau)):
+        raise ValueError(f"tau = {seq.tau!r} s is too small: the filter "
+                         f"peak lies above the largest float frequency")
 
     def dlng(x):
         # r = sin(N e)/sin(e), e = (x - N pi)/2N; r'/r -> 0 at e = 0, and
@@ -155,11 +160,10 @@ def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
     def g(x):
         return filter_value(seq, x / seq.tau)
 
-    tol = {"xtol": 1e-300, "rtol": 4 * np.finfo(float).eps}  # relative only
     edge = 1e-9 * (hi - lo)  # d(ln g)/dx is infinite at the lobe ends
-    x_pk = brentq(dlng, lo + edge, hi - edge, **tol)
+    x_pk = find_root(dlng, lo + edge, hi - edge)
     half = 0.5 * g(x_pk)
-    x_lo = brentq(lambda x: g(x) - half, lo, x_pk, **tol)
-    x_hi = brentq(lambda x: g(x) - half, x_pk, hi, **tol)
+    x_lo = find_root(lambda x: g(x) - half, lo, x_pk)
+    x_hi = find_root(lambda x: g(x) - half, x_pk, hi)
     return FilterPeak(f_peak=x_pk / (TWO_PI * seq.tau),
                       delta_omega=(x_hi - x_lo) / seq.tau)

@@ -18,9 +18,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .fitutil import FitError, line_fit, run_least_squares, stderr
+from .fitutil import (FitError, find_root, line_fit, run_least_squares,
+                      stderr)
 
 _KINDS = ("relaxation", "ramsey", "echo", "cpmg")
 
@@ -243,8 +243,7 @@ def t2_from_dephasing(t1: float, t_phi: float, stretch: float) -> float:
     if np.isinf(hi):
         finite = t_phi if np.isinf(t1) else 2.0 * t1
         lo, hi = finite / 10.0, 10.0 * finite
-    return float(brentq(excess, lo, hi, xtol=1e-300,
-                        rtol=4.0 * np.finfo(float).eps))
+    return find_root(excess, lo, hi)
 
 
 def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:

@@ -1,9 +1,11 @@
-"""The least-squares solver, the fault contract and the fit statistics
-shared by every fit.
+"""The least-squares solver, the root finder, the fault contract and the
+fit statistics shared by every fit.
 
 run_least_squares is the one solver behind every fit: a projected
 Levenberg-Marquardt in numpy, with Marquardt's diagonal scaling
 (J. SIAM 11, 431 (1963)) and Nielsen's damping update (IMM-REP-1999-05).
+find_root is the one bracketed root finder: Brent and Dekker's iteration
+(Brent, Algorithms for Minimization Without Derivatives, 1973, ch. 4).
 FIT_FAILURES is the one tuple of data faults; any other exception is a
 bug.  The pipeline turns a fault into a warning, the CLI into exit 1.
 """
@@ -11,6 +13,7 @@ bug.  The pipeline turns a fault into a warning, the CLI into exit 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,9 @@ FIT_FAILURES = (FitError, ValueError, ArithmeticError)
 
 # relative tolerance of each stopping test in run_least_squares
 _TOL = 1e-12
+# find_root stops within (_ROOT_XTOL + _ROOT_RTOL |x|) / 2 of the root
+_ROOT_XTOL, _ROOT_RTOL = 1e-300, 4.0 * sys.float_info.epsilon
+_ROOT_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,70 @@ def run_least_squares(residual, jac, x0, bounds) -> LeastSquaresResult:
                               njev=njev, status=status,
                               optimality=optimality,
                               message=_MESSAGES[status])
+
+
+def find_root(f, lo, hi) -> float:
+    """A root of f in the bracket [lo, hi], to _ROOT_RTOL relative.
+
+    Step for step scipy's brentq.c: each iteration keeps a bracket
+    [x_cur, x_blk] with x_cur the end where |f| is smaller, and takes a
+    secant or inverse-quadratic step from x_cur when that step is short
+    enough, else bisects.  So it returns brentq's float, bit for bit.  An
+    end where f is exactly 0 is returned as is.  Raises ValueError when f
+    has the same sign at both ends or returns NaN, and FitError when
+    _ROOT_ITERATIONS iterations do not close the bracket.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    x_pre, x_cur = float(lo), float(hi)
+    f_pre, f_cur = value(x_pre), value(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if (f_pre < 0.0) == (f_cur < 0.0):
+        raise ValueError(f"f has the same sign at {x_pre!r} and {x_cur!r}")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_ROOT_ITERATIONS):
+        if (f_pre != 0.0 and f_cur != 0.0
+                and (f_pre < 0.0) != (f_cur < 0.0)):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        s_try = math.inf    # bisect unless a short step is found below
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            try:
+                if x_pre == x_blk:    # secant
+                    s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+                else:                 # inverse quadratic
+                    d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                    d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                    s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                             / (d_blk * d_pre * (f_blk - f_pre)))
+            except ZeroDivisionError:    # in C an inf or NaN step: bisect
+                pass
+        if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0.0 else -delta
+        f_cur = value(x_cur)
+    raise FitError(f"root finding did not converge: {_ROOT_ITERATIONS} "
+                   f"iterations used up")
 
 
 def covariance(result) -> np.ndarray:

@@ -9,9 +9,8 @@ The package namespace itself binds only __version__, the
 fileio.Diagnostic, no pipeline stage builder catches an exception itself,
 the tuple of exceptions that count as a failed fit is written only in
 fitutil, no module reads a file through csv.reader or io.TextIOWrapper, so
-fileio keeps one input parser, no module loads the scipy subpackages that
-cost most of a cold start, and neither the physical constants nor the
-least-squares fits load any scipy.
+fileio keeps one input parser, and no module loads scipy, which is a
+test-only oracle.
 """
 
 import ast
@@ -145,19 +144,14 @@ def _loaded_by(modules):
     return set(loaded)
 
 
-def test_no_module_loads_the_slow_scipy_subpackages():
-    # qnl needs only scipy.optimize; scipy.signal alone pulls in stats,
-    # ndimage and interpolate, about 0.9 s of every start
+def test_no_module_loads_scipy():
+    # qnl needs numpy and click only: the fits run on fitutil's
+    # least-squares solver, the roots on fitutil.find_root, the constants
+    # are the exact SI values in qnl.units and the peak finder is written
+    # out in qnl.spectro
     modules = sorted(f"qnl.{p.stem}" for p in PACKAGE.glob("[!_]*.py"))
-    assert "qnl.cli" in modules
-    assert {"scipy.signal", "scipy.stats", "scipy.ndimage",
-            "scipy.interpolate"}.isdisjoint(_loaded_by(modules))
-
-
-def test_constants_and_least_squares_load_no_scipy():
-    # h and k_B live in qnl.units and the least-squares solver in
-    # qnl.fitutil, which takes the analytic Jacobian as a required argument,
-    # so no fit can reach scipy's finite differences
-    loaded = _loaded_by(["qnl.thermal", "qnl.resonator", "qnl.fitutil",
-                         "qnl.spectro"])
-    assert not any(name.split(".")[0] == "scipy" for name in loaded)
+    assert {"qnl.cli", "qnl.thermal", "qnl.resonator", "qnl.fitutil",
+            "qnl.spectro"} <= set(modules)
+    loaded = _loaded_by(modules)
+    assert sorted(name for name in loaded
+                  if name.split(".")[0] == "scipy") == []

@@ -176,8 +176,14 @@ BAD_ARGUMENTS = {
     "reconstruct-psd-t-phi-zero-density": (["reconstruct-psd", "--t-phi",
                                             "1e154", "--n-pulses", "1"],
                                            "t_phi = 1e+154"),
+    # the first harmonic near x = N pi lies at omega = x / tau = inf
+    "reconstruct-psd-tau-overflow": (["reconstruct-psd", "--t-phi", "5e-308",
+                                      "--n-pulses", "2"], "tau = 5e-308"),
     "filter-fn": (["filter-fn", "--n", "0", "--tau", "1e-5", "--grid",
                    "1e4:1e6:3", "--peak"], "n_pulses >= 1"),
+    "filter-fn-tau-overflow": (["filter-fn", "--n", "2", "--tau", "5e-308",
+                                "--grid", "1:2:2", "--peak"],
+                               "tau = 5e-308"),
     "simulate": (["simulate", "--amplitude", "1e8", "--alpha", "5",
                   "--fmin", "1e3", "--fmax", "1e6", "--n-pulses", "1",
                   "--tau-grid", "5e-6:2e-5:4", "--n-traj", "8"], "alpha"),

@@ -1,17 +1,20 @@
-"""Analytic Jacobians of the least-squares models, the fits they drive and
-the solver's faults.
+"""Analytic Jacobians of the least-squares models, the fits they drive,
+the root finder and the faults of both solvers.
 
 Each fit's residual and Jacobian are taken from the `run_least_squares`
 call it makes, so the checks see exactly the functions the fit uses.
 scipy's least_squares, converged at 1e-15, is the test-only oracle for
-where each fit should land.
+where each fit should land, and scipy's brentq at find_root's tolerances
+the oracle for each root, to the bit.
 """
+
+import math
 
 import numpy as np
 import pytest
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
-from qnl import decayfit, fitutil, spectro
+from qnl import ddfilter, decayfit, fitutil, spectro
 from qnl.units import TWO_PI
 
 from conftest import make_cpmg, make_ramsey, make_relaxation
@@ -210,3 +213,76 @@ def test_non_finite_residuals_at_the_start_are_a_value_error():
         fitutil.run_least_squares(lambda p: np.log(p - 1.0),
                                   lambda p: np.eye(1) / (p - 1.0), [0.5],
                                   (-np.inf, np.inf))
+
+
+def _root_problems(monkeypatch):
+    """(f, lo, hi) of every find_root call that first_harmonic_peak and
+    t2_from_dephasing make on a spread of inputs."""
+    captured = []
+
+    def capture(f, lo, hi):
+        captured.append((f, lo, hi))
+        return fitutil.find_root(f, lo, hi)
+    for module in (ddfilter, decayfit):
+        monkeypatch.setattr(module, "find_root", capture)
+    for n in (1, 2, 3, 8, 64, 256):
+        for share in (0.0, 0.5, 0.99):    # of tau spent in the pulses
+            ddfilter.first_harmonic_peak(ddfilter.PulseSequence(
+                n_pulses=n, tau=3.7e-5, tau_pi=share * 3.7e-5 / n))
+    rng = np.random.default_rng(0)
+    for t1, t_phi, stretch in zip(10.0 ** rng.uniform(-7, -2, 100),
+                                  10.0 ** rng.uniform(-7, -2, 100),
+                                  rng.uniform(*decayfit.STRETCH_BOUNDS, 100)):
+        decayfit.t2_from_dephasing(t1, t_phi, stretch)
+    decayfit.t2_from_dephasing(np.inf, 1e-5, 2.0)
+    decayfit.t2_from_dephasing(1e-5, np.inf, 2.0)
+    assert len(captured) == 18 * 3 + 102
+    return captured
+
+
+SMOOTH = [(lambda x: math.cos(x) - x, 0.0, 1.0),
+          (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+          (lambda x: math.exp(x) - 10.0, -5.0, 10.0),
+          (lambda x: math.atan(x - 0.3), -1e3, 1e5),
+          (lambda x: x * x - 2.0, 0.0, 2.0),
+          # the inverse-quadratic denominator underflows to 0, where C
+          # takes an infinite step and so bisects
+          (lambda x: 1e-300 * (x ** 3 - 2.0 * x - 5.0), 2.0, 3.0)]
+
+
+def test_find_root_is_brentq_to_the_bit(monkeypatch):
+    tol = {"xtol": 1e-300, "rtol": 4.0 * np.finfo(float).eps}
+    for f, lo, hi in _root_problems(monkeypatch) + SMOOTH:
+        root = fitutil.find_root(f, lo, hi)
+        assert root.hex() == float(brentq(f, lo, hi, **tol)).hex()
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.0, 1.0)])
+def test_an_end_where_f_is_zero_is_the_root(lo, hi):
+    assert fitutil.find_root(lambda x: x - 1.0, lo, hi) == 1.0
+
+
+def test_a_bracket_without_a_sign_change_is_a_value_error():
+    with pytest.raises(ValueError, match="same sign"):
+        fitutil.find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_a_nan_value_is_a_value_error():
+    # |f| is the same at both ends, so the first step bisects to 0.5
+    with pytest.raises(ValueError, match=r"f\(0\.5\) is NaN"):
+        fitutil.find_root(lambda x: math.nan if x == 0.5 else x - 0.5,
+                          0.0, 1.0)
+
+
+def test_unconverged_root_is_a_fit_error():
+    # every step from the sign change at 1e-300 toward 1e300 bisects, and
+    # 100 halvings of 1e300 do not reach the relative tolerance
+    def step(x):
+        return -1.0 if x < 1e-300 else 1.0
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        brentq(step, 0.0, 1e300, xtol=1e-300,
+               rtol=4.0 * np.finfo(float).eps)
+    with pytest.raises(fitutil.FitError,
+                       match="root finding did not converge: 100 "
+                             "iterations used up"):
+        fitutil.find_root(step, 0.0, 1e300)
