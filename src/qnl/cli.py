@@ -238,11 +238,12 @@ def filter_fn_cmd(n_pulses, tau, tau_pi, grid, peak):
     """Tabulate the sequence filter g_N(2 pi f, tau) as freq_hz,g CSV."""
     seq = PulseSequence(n_pulses=n_pulses, tau=tau, tau_pi=tau_pi)
     freqs = _parse_grid(grid)
+    # the peak first, so that a sequence without one prints no table
+    pk = first_harmonic_peak(seq) if peak else None
     values = filter_value(seq, 2.0 * np.pi * freqs)
     click.echo(format_csv({"freq_hz": freqs.tolist(),
                            "g": values.tolist()}), nl=False)
-    if peak:
-        pk = first_harmonic_peak(seq)
+    if pk is not None:
         click.echo(f"peak freq_hz={pk.f_peak!r} "
                    f"delta_omega={pk.delta_omega!r}", err=True)
 

@@ -16,6 +16,10 @@ around its first harmonic near N/(2 tau); the peak frequency and angular
 FWHM of that band are what PSD reconstruction consumes.  first_harmonic_peak
 finds both as roots in x on the lobe that holds the harmonic: the peak
 where d(ln g)/dx (closed form) vanishes, the FWHM where g is half of it.
+In x those roots depend only on N, tau_pi/tau and the free fraction
+1 - N tau_pi/tau, so they are memoized on that key (the last 16 keys): a
+batch of sequences with a few pulse counts and tau_pi = 0 searches each
+peak once, and first_harmonic_peak only divides them by tau.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,15 +92,8 @@ def pulse_times(seq: PulseSequence) -> np.ndarray:
 def filter_value(seq: PulseSequence, omega):
     """Evaluate g_N(omega, tau) for scalar or array angular frequency.
 
-    The filter is even in omega.  For N >= 1, with u = x/2N and
-    v = omega tau_pi/2, the closed form is g_N = (4 r s)^2 / x^2 with
-    s = sin((u+v)/2) sin((u-v)/2) = (cos v - cos u)/2, where
-    u - v = u (1 - N tau_pi/tau) keeps s accurate as N tau_pi -> tau, and
-    r = sin(N e)/sin(e), e = (u mod pi) - pi/2, so that |r| =
-    |1 - (-1)^N e^{ix}| / (2 |cos u|) and r -> N at the odd harmonics
-    x = (2m+1) N pi.  Below u = 1, where there is no harmonic, r is taken
-    from x directly; with the product form of s this keeps the omega -> 0
-    tail exact.
+    The filter is even in omega; N >= 1 is _cpmg_filter at x = omega tau
+    and v = omega tau_pi / 2.
     """
     omega = np.abs(np.asarray(omega, dtype=float))
     x = omega * seq.tau
@@ -106,15 +103,29 @@ def filter_value(seq: PulseSequence, omega):
         # 4 sin^2(x/2)/x^2 == sinc^2(x/2pi) in numpy's normalized convention
         g = np.sinc(x / TWO_PI) ** 2
         return float(g) if g.ndim == 0 else g
+    return _cpmg_filter(n, x, 0.5 * omega * seq.tau_pi, seq._free_fraction)
 
+
+def _cpmg_filter(n: int, x, v, free: float):
+    """g_N at x = omega tau >= 0 for N >= 1, with v = omega tau_pi/2 and
+    free = 1 - N tau_pi/tau.
+
+    With u = x/2N the closed form is g_N = (4 r s)^2 / x^2 with
+    s = sin((u+v)/2) sin((u-v)/2) = (cos v - cos u)/2, where
+    u - v = u free keeps s accurate as N tau_pi -> tau, and
+    r = sin(N e)/sin(e), e = (u mod pi) - pi/2, so that |r| =
+    |1 - (-1)^N e^{ix}| / (2 |cos u|) and r -> N at the odd harmonics
+    x = (2m+1) N pi.  Below u = 1, where there is no harmonic, r is taken
+    from x directly; with the product form of s this keeps the omega -> 0
+    tail exact.
+    """
     u = 0.5 * x / n
-    v = 0.5 * omega * seq.tau_pi
     e = np.mod(u, np.pi) - 0.5 * np.pi
     p = np.sin(0.5 * x) if n % 2 == 0 else np.cos(0.5 * x)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(u < 1.0, p / np.cos(u),
                      np.where(e == 0.0, n, np.sin(n * e) / np.sin(e)))
-        s = np.sin(0.5 * (u + v)) * np.sin(0.5 * u * seq._free_fraction)
+        s = np.sin(0.5 * (u + v)) * np.sin(0.5 * u * free)
         g = (4.0 * r * s) ** 2 / x ** 2
     g = np.where(x < 1e-150, 0.0, g)
     return float(g) if g.ndim == 0 else g
@@ -123,13 +134,7 @@ def filter_value(seq: PulseSequence, omega):
 def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
     """Locate the first-harmonic maximum of g_N and its angular FWHM.
 
-    Works in x = omega tau on the lobe of g = (4 r s)^2 / x^2 (see
-    filter_value) that holds the first harmonic: for N >= 2 it runs between
-    the zeros of r at x = (N -+ 2) pi, clamped at 0; for the echo (r = 1)
-    over (0, 4 pi / (1 + tau_pi/tau)), up to the first zero of s.  The peak
-    is the root of the closed form d(ln g)/dx / 2 = r'/r + s'/s - 1/x, and
-    the half-maximum points are the roots of g - g_pk/2 on either side of
-    it, all three from fitutil.find_root at a relative 4 eps.
+    The roots are _harmonic_roots' in x = omega tau, divided by tau.
 
     Raises ValueError for N = 0: the Ramsey filter has no harmonic
     structure and is handled separately by its callers; and for a tau so
@@ -138,17 +143,38 @@ def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
     n = seq.n_pulses
     if n < 1:
         raise ValueError("first_harmonic_peak requires n_pulses >= 1")
-
     p = seq.tau_pi / seq.tau
-    # s = sin(ca x) sin(cb x)
-    ca, cb = 0.25 * (1.0 / n + p), 0.25 * seq._free_fraction / n
-    if n == 1:
-        lo, hi = 0.0, np.pi / ca
-    else:
-        lo, hi = max(n - 2, 0) * np.pi, (n + 2) * np.pi
-    if not math.isfinite(hi / float(seq.tau)):
+    if not math.isfinite(_lobe(n, p)[1] / float(seq.tau)):
         raise ValueError(f"tau = {seq.tau!r} s is too small: the filter "
                          f"peak lies above the largest float frequency")
+    x_pk, x_lo, x_hi = _harmonic_roots(n, p, seq._free_fraction)
+    return FilterPeak(f_peak=x_pk / (TWO_PI * seq.tau),
+                      delta_omega=(x_hi - x_lo) / seq.tau)
+
+
+def _lobe(n: int, p: float) -> tuple:
+    """(lo, hi) in x of the lobe of g_N that holds the first harmonic, for
+    p = tau_pi/tau: for N >= 2 between the zeros of r at x = (N -+ 2) pi,
+    clamped at 0; for the echo (r = 1) up to the first zero of s, at
+    4 pi / (1 + p)."""
+    if n == 1:
+        return 0.0, np.pi / (0.25 * (1.0 + p))
+    return max(n - 2, 0) * np.pi, (n + 2) * np.pi
+
+
+@lru_cache(maxsize=16)
+def _harmonic_roots(n: int, p: float, free: float) -> tuple:
+    """(x_pk, x_lo, x_hi): the first-harmonic maximum of g_N in x = omega
+    tau and its half-maximum points, for p = tau_pi/tau.
+
+    Works on _lobe of g = (4 r s)^2 / x^2 (see _cpmg_filter).  The peak is
+    the root of the closed form d(ln g)/dx / 2 = r'/r + s'/s - 1/x, and the
+    half-maximum points are the roots of g - g_pk/2 on either side of it,
+    all three from fitutil.find_root at a relative 4 eps.
+    """
+    # s = sin(ca x) sin(cb x)
+    ca, cb = 0.25 * (1.0 / n + p), 0.25 * free / n
+    lo, hi = _lobe(n, p)
 
     def dlng(x):
         # r = sin(N e)/sin(e), e = (x - N pi)/2N; r'/r -> 0 at e = 0, and
@@ -158,12 +184,11 @@ def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
         return dr + ca / np.tan(ca * x) + cb / np.tan(cb * x) - 1.0 / x
 
     def g(x):
-        return filter_value(seq, x / seq.tau)
+        return _cpmg_filter(n, x, 0.5 * x * p, free)
 
     edge = 1e-9 * (hi - lo)  # d(ln g)/dx is infinite at the lobe ends
     x_pk = find_root(dlng, lo + edge, hi - edge)
     half = 0.5 * g(x_pk)
     x_lo = find_root(lambda x: g(x) - half, lo, x_pk)
     x_hi = find_root(lambda x: g(x) - half, x_pk, hi)
-    return FilterPeak(f_peak=x_pk / (TWO_PI * seq.tau),
-                      delta_omega=(x_hi - x_lo) / seq.tau)
+    return x_pk, x_lo, x_hi

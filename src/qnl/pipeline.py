@@ -23,10 +23,10 @@ from .decayfit import (DecayTrace, fit_cpmg, fit_ramsey, fit_relaxation,
                        fit_scaling)
 from .ddfilter import PulseSequence
 from .fileio import (PSD_HEADER, Diagnostic, InputError, atomic_write_text,
-                     format_csv, is_finite_number, load_charge_noise_table,
-                     load_decay_trace, load_frequency_series,
-                     load_spectroscopy_trace, load_two_tone_map, sha256_of,
-                     sidecar_path)
+                     format_cells, is_finite_number, join_csv,
+                     load_charge_noise_table, load_decay_trace,
+                     load_frequency_series, load_spectroscopy_trace,
+                     load_two_tone_map, sha256_of, sidecar_path)
 from .fitutil import FIT_FAILURES
 from .noisespec import (FREQ_NOISE, FrequencySeries, periodogram,
                         powerlaw_fit, reconstruct_psd_point,
@@ -117,19 +117,33 @@ class ReportBundle:
     def to_dict(self) -> dict:
         return dict(vars(self))
 
-    def save(self, path) -> None:
-        atomic_write_text(path, _json_text(self.to_dict()) + "\n")
+    def save(self, path, texts: dict | None = None) -> None:
+        """Write the report as JSON.  texts maps the id() of a list in the
+        report to its format_cells texts, from a caller that writes the
+        same list to a CSV; a list of finite floats is joined from them."""
+        atomic_write_text(path,
+                          _json_text(self.to_dict(), texts or {}) + "\n")
 
 
-def _json_text(value, indent: str = "") -> str:
+# texts of the floats that JSON spells otherwise (NaN, Infinity)
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+
+
+def _json_text(value, texts: dict, indent: str = "") -> str:
     """JSON with each object one key per line in sorted order, indented one
-    space per level, and each list or scalar on one line from the C
-    encoder (with `indent` set, json.dumps runs its pure-Python one)."""
+    space per level, and each list or scalar on one line: a list of finite
+    floats found in texts as ", "-joined cell texts (json.dumps writes a
+    finite float as its repr), the rest from the C encoder (with `indent`
+    set, json.dumps runs its pure-Python one)."""
+    cells = texts.get(id(value))
+    if (cells is not None and all(isinstance(v, float) for v in value)
+            and _NON_FINITE.isdisjoint(cells)):
+        return "[" + ", ".join(cells) + "]"
     if not isinstance(value, dict) or not value:
         return json.dumps(value, sort_keys=True)
     inner = indent + " "
     return "{\n" + ",\n".join(
-        f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
+        f"{inner}{json.dumps(key)}: {_json_text(item, texts, inner)}"
         for key, item in sorted(value.items())) + f"\n{indent}}}"
 
 
@@ -441,9 +455,10 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
 
 
 def _write_outputs(config: AnalysisConfig, report: ReportBundle) -> None:
-    """report.json, then one CSV of columns per table the report holds."""
+    """report.json, then one CSV of columns per table the report holds.
+    Each cell is formatted once: a column the report also holds is
+    written to report.json from its CSV cell texts."""
     out, sections = Path(config.output_dir), report.sections
-    report.save(out / "report.json")
     tables = {}
     if "decay_fits" in sections:
         # coherence_fits.csv header -> key of a decay record or its params
@@ -461,8 +476,12 @@ def _write_outputs(config: AnalysisConfig, report: ReportBundle) -> None:
             tables[name] = {c: sections[key]["points"][c] for c in PSD_HEADER}
     if "thermal" in sections:
         tables["thermal_model.csv"] = sections["thermal"]["curves"]
+    texts = {id(values): format_cells(values)
+             for columns in tables.values() for values in columns.values()}
+    report.save(out / "report.json", texts)
     for name, columns in tables.items():
-        atomic_write_text(out / name, format_csv(columns))
+        atomic_write_text(out / name, join_csv(
+            {column: texts[id(values)] for column, values in columns.items()}))
 
 
 def _fit_record(path: str, trace, meta: dict, fit) -> dict:

@@ -207,6 +207,7 @@ def test_bad_argument_is_one_line_on_stderr(args, message):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not a ValueError
     assert "Traceback" not in result.output
+    assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and message in lines[0]
 

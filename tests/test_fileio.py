@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -187,6 +189,41 @@ def test_format_csv_writes_columns_under_their_keys():
     text = format_csv({"a": [1.5, 2e-06], "b": ["x", None]})
     assert text == "a,b\n1.5,x\n2e-06,\n"
     assert format_csv({"a": [], "b": []}) == "a,b\n"
+
+
+def _csv_writer_text(columns: dict) -> str:
+    """The oracle: csv.writer's text of the table, each row ended by LF.
+    Rows are written with the terminator CRLF and cut back to LF, so that
+    csv.writer quotes a cell holding a lone CR (with LF as its terminator,
+    Python 3.11's does not, and a reader that ends a row at a lone CR, as
+    fileio's does, would split that row)."""
+    lines = []
+    for row in [list(columns), *zip(*columns.values())]:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
+_TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n'), max_size=5)
+_CELL = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.integers(), st.none(), _TEXT)
+
+
+@st.composite
+def _tables(draw):
+    keys = draw(st.lists(_TEXT, max_size=3, unique=True))
+    rows = draw(st.integers(0, 4))
+    return {key: draw(st.lists(_CELL, min_size=rows, max_size=rows))
+            for key in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=_tables())
+def test_format_csv_is_csv_writers_text(columns):
+    assert format_csv(columns) == _csv_writer_text(columns)
 
 
 def test_format_csv_rejects_ragged_columns():

@@ -217,7 +217,9 @@ def test_non_finite_residuals_at_the_start_are_a_value_error():
 
 def _root_problems(monkeypatch):
     """(f, lo, hi) of every find_root call that first_harmonic_peak and
-    t2_from_dephasing make on a spread of inputs."""
+    t2_from_dephasing make on a spread of inputs; the peak memo is
+    emptied first, so that every peak is searched here."""
+    ddfilter._harmonic_roots.cache_clear()
     captured = []
 
     def capture(f, lo, hi):

@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qnl.fileio import (SPECTRUM_HEADER, TWO_TONE_HEADER, format_csv,
                         sidecar_path, write_decay_trace)
-from qnl import pipeline
+from qnl import ddfilter, fitutil, noisespec, pipeline
 from qnl.pipeline import (STAGES, AnalysisConfig, Diagnostic, PipelineError,
                           run_pipeline, validate_inputs)
 from qnl.spectro import (CavityQubitParams, QubitDispersion, qubit_frequency,
@@ -362,6 +363,15 @@ class TestRunPipeline:
         path = tmp_path / "copy.json"
         report.save(path)
         assert json.loads(path.read_text()) == report.to_dict()
+
+    def test_saved_report_is_the_encoders_text(self, q1_run, tmp_path):
+        # the lists written from their CSV cell texts read as json.dumps
+        # writes them
+        config, report = q1_run
+        path = tmp_path / "copy.json"
+        report.save(path)
+        assert path.read_text() == \
+            (Path(config.output_dir) / "report.json").read_text()
 
     def test_saved_report_matches_returned(self, q1_run):
         config, report = q1_run
@@ -730,6 +740,53 @@ def test_each_input_is_parsed_once(q1_config, monkeypatch):
               + [str(sidecar_path(p)) for p in q1_config["decay_traces"]])
     assert {path: opened.count(path) for path in inputs} == \
         {path: 1 for path in inputs}
+
+
+def test_non_finite_columns_keep_their_json_and_csv_spelling(q1_config,
+                                                              monkeypatch):
+    curves = {"temp_k": [0.05, 0.1], "t1_s": [math.nan, 1e-05],
+              "pe": [math.inf, -math.inf], "n_th": [0.1, 0.2],
+              "gamma_phi": [1.0, 2.0]}
+    monkeypatch.setattr(pipeline, "thermal_curves", lambda model, t: curves)
+    config = AnalysisConfig(**q1_config)
+    run_pipeline(config)
+    out = Path(config.output_dir)
+    text = (out / "report.json").read_text()
+    assert '"t1_s": [NaN, 1e-05]' in text
+    assert '"pe": [Infinity, -Infinity]' in text
+    assert '"n_th": [0.1, 0.2]' in text
+    assert (out / "thermal_model.csv").read_text().splitlines()[1:] == \
+        ["0.05,nan,inf,0.1,1.0", "0.1,1e-05,-inf,0.2,2.0"]
+
+
+def test_each_filter_peak_is_searched_once_per_run(q1_config, monkeypatch):
+    # the fixture's pulse counts again at a second bias point: eight CPMG
+    # records ask for a peak, and four distinct N are searched, each by
+    # three roots (the maximum and the two half maxima)
+    root = Path(q1_config["output_dir"]).parent
+    for n in (1, 2, 4, 8):
+        path = root / f"q1_cpmg{n}_b3.csv"
+        write_decay_trace(path, make_cpmg(n, t1=11.6e-6,
+                                          t_phi=4e-6 * n ** 0.61,
+                                          stretch=2.0, noise=0.008,
+                                          seed=20 + n), bias_mv=3.0)
+        q1_config["decay_traces"].append(str(path))
+    asked, searched = [], []
+
+    def peak(seq):
+        asked.append(seq.n_pulses)
+        return ddfilter.first_harmonic_peak(seq)
+
+    def find_root(f, lo, hi):
+        searched.append((lo, hi))
+        return fitutil.find_root(f, lo, hi)
+
+    monkeypatch.setattr(noisespec, "first_harmonic_peak", peak)
+    monkeypatch.setattr(ddfilter, "find_root", find_root)
+    ddfilter._harmonic_roots.cache_clear()
+    run_pipeline(AnalysisConfig(**q1_config))
+    assert sorted(asked) == [1, 1, 2, 2, 4, 4, 8, 8]
+    assert len(searched) == 3 * len(set(asked))
 
 
 _CELLS = ["nan", "inf", "x", "", "-5", "2.0", "0", "1e-30", "1e300"]
