@@ -10,12 +10,14 @@ weights environmental noise by the filter
         = (1 - (-1)^N e^(i x)) * (1 - cos(omega tau_pi / 2) / cos(x / 2N))
 
 with x = omega*tau: the pulse sum is geometric, so the cost per point of
-filter_value does not grow with N.  N = 0 reduces to the Ramsey filter
-4 sin^2(x/2) / x^2.  For N >= 1 the filter rejects DC and passes a band
-around its first harmonic near N/(2 tau); the peak frequency and angular
-FWHM of that band are what PSD reconstruction consumes.  first_harmonic_peak
-finds both as roots in x on the lobe that holds the harmonic: the peak
-where d(ln g)/dx (closed form) vanishes, the FWHM where g is half of it.
+filter_value does not grow with N; its factor r has one form below x = 2N
+and another above, and each is computed only on the points that use it.
+N = 0 reduces to the Ramsey filter 4 sin^2(x/2) / x^2.  For N >= 1 the
+filter rejects DC and passes a band around its first harmonic near
+N/(2 tau); the peak frequency and angular FWHM of that band are what PSD
+reconstruction consumes.  first_harmonic_peak finds both as roots in x on
+the lobe that holds the harmonic: the peak where d(ln g)/dx (closed form)
+vanishes, the FWHM where g is half of it.
 In x those roots depend only on N, tau_pi/tau and the free fraction
 1 - N tau_pi/tau, so they are memoized on that key (the last 16 keys): a
 batch of sequences with a few pulse counts and tau_pi = 0 searches each
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -49,12 +50,17 @@ class PulseSequence:
     tau_pi: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.n_pulses, (int, np.integer)):
+            raise ValueError(f"n_pulses must be an integer, got "
+                             f"{self.n_pulses!r}")
         if self.n_pulses < 0:
             raise ValueError("n_pulses must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.tau_pi < 0:
-            raise ValueError("tau_pi must be >= 0")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got "
+                             f"{self.tau!r}")
+        if not 0 <= self.tau_pi < math.inf:
+            raise ValueError(f"tau_pi must be >= 0 and finite, got "
+                             f"{self.tau_pi!r}")
         if self.n_pulses * self.tau_pi >= self.tau:
             raise ValueError("total pulse time n_pulses*tau_pi must be "
                              "smaller than tau")
@@ -62,9 +68,12 @@ class PulseSequence:
     @cached_property
     def _free_fraction(self) -> float:
         """1 - N tau_pi/tau, rounded once from the exact rationals of the
-        float inputs: formed in floats it cancels as N tau_pi -> tau."""
-        return float(1 - self.n_pulses * Fraction(self.tau_pi)
-                     / Fraction(self.tau))
+        float inputs: formed in floats it cancels as N tau_pi -> tau.
+        With tau_pi = a/b and tau = c/d it is (bc - Nad)/(bc), and int/int
+        division rounds correctly."""
+        a, b = float(self.tau_pi).as_integer_ratio()
+        c, d = float(self.tau).as_integer_ratio()
+        return (b * c - int(self.n_pulses) * a * d) / (b * c)
 
 
 @dataclass(frozen=True)
@@ -117,16 +126,28 @@ def _cpmg_filter(n: int, x, v, free: float):
     |1 - (-1)^N e^{ix}| / (2 |cos u|) and r -> N at the odd harmonics
     x = (2m+1) N pi.  Below u = 1, where there is no harmonic, r is taken
     from x directly; with the product form of s this keeps the omega -> 0
-    tail exact.
+    tail exact.  Each form of r is computed only on the points that use
+    it.  x is a scalar or an array, and v has x's shape.
     """
-    u = 0.5 * x / n
-    e = np.mod(u, np.pi) - 0.5 * np.pi
-    p = np.sin(0.5 * x) if n % 2 == 0 else np.cos(0.5 * x)
+    flat = np.ravel(x)
+    u = 0.5 * flat / n
+    low = u < 1.0
+    r = np.empty_like(u)
+    h = 0.5 * flat[low]
+    r[low] = (np.sin(h) if n % 2 == 0 else np.cos(h)) / np.cos(u[low])
+    e = np.mod(u[~low], np.pi) - 0.5 * np.pi
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(u < 1.0, p / np.cos(u),
-                     np.where(e == 0.0, n, np.sin(n * e) / np.sin(e)))
-        s = np.sin(0.5 * (u + v)) * np.sin(0.5 * u * free)
-        g = (4.0 * r * s) ** 2 / x ** 2
+        q = np.sin(n * e) / np.sin(e)
+        q[e == 0.0] = n
+        r[~low] = q
+        r *= 4.0
+        r *= np.sin(0.5 * (u + np.ravel(v))) * np.sin(0.5 * u * free)
+        # back in x's shape, where [()] makes 0-d a scalar: the squares of
+        # a scalar call stay the scalar power (libm pow, which can round
+        # x^2 differently from x*x), those of an array square in place
+        g = r.reshape(np.shape(x))[()]
+        g **= 2
+        g /= x ** 2
     g = np.where(x < 1e-150, 0.0, g)
     return float(g) if g.ndim == 0 else g
 

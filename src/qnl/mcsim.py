@@ -278,13 +278,16 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float,
     Quadrature is a trapezoid rule on the union of a linear grid resolving
     the filter oscillation (points_per_cycle per period 1/tau) and a log
     grid resolving the power-law decades; doubling points_per_cycle is the
-    convergence check.
+    convergence check; it must be at least 1.
 
     For Gaussian noise, coherence = exp(-chi): compare with
     -log of the simulate_sequence coherence.
     """
     if not isinstance(psd, SyntheticNoise):
         psd = SyntheticNoise(**psd)
+    if not points_per_cycle >= 1:
+        raise ValueError(f"points_per_cycle must be >= 1, got "
+                         f"{points_per_cycle!r}")
     if psd.amplitude == 0.0:
         return 0.0
 
@@ -294,7 +297,10 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float,
     per_decade = max(2, 8 * points_per_cycle)
     n_log = max(2, int(np.log10(f_max / f_min) * per_decade))
     log = np.geomspace(f_min, f_max, n_log)
-    grid = np.unique(np.concatenate((lin, log, [f_max])))
+    # both halves are sorted runs, which numpy's stable sort merges
+    grid = np.concatenate((lin, log, [f_max]))
+    grid.sort(kind="stable")
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
     integrand = (psd.amplitude * grid ** -psd.alpha
                  * filter_value(seq, TWO_PI * grid))

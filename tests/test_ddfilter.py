@@ -1,11 +1,14 @@
+import warnings
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from qnl.ddfilter import (FilterPeak, PulseSequence, filter_value,
-                          first_harmonic_peak, pulse_times)
+from qnl.ddfilter import (FilterPeak, PulseSequence, _cpmg_filter,
+                          filter_value, first_harmonic_peak, pulse_times)
 from qnl.units import TWO_PI
 
 # Peak position of g_N relative to the nominal N/(2 tau), frozen from a
@@ -29,6 +32,19 @@ class TestSequenceValidation:
         with pytest.raises(ValueError):
             # pulses don't fit in the window
             PulseSequence(n_pulses=10, tau=1e-4, tau_pi=1.1e-5)
+
+    @pytest.mark.parametrize("args, field", [
+        ((2, np.nan), "tau"), ((2, np.inf), "tau"),
+        ((2, 1e-5, np.nan), "tau_pi"), ((2, 1e-5, np.inf), "tau_pi"),
+        ((2.5, 1e-5), "n_pulses")])
+    def test_rejects_fields_it_cannot_use(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            PulseSequence(*args)
+
+    def test_accepts_numpy_integer_pulse_count(self):
+        s = PulseSequence(np.int64(3), 1e-5, 1e-6)
+        assert s._free_fraction == PulseSequence(3, 1e-5, 1e-6)._free_fraction
+        assert filter_value(s, 4e5) == filter_value(seq(3, 1e-5, 1e-6), 4e5)
 
     def test_pulse_times(self):
         s = seq(4, tau=8.0)
@@ -316,3 +332,103 @@ def test_filter_peak_validation():
         FilterPeak(f_peak=0.0, delta_omega=1.0)
     with pytest.raises(ValueError):
         FilterPeak(f_peak=1e4, delta_omega=-1.0)
+
+
+@st.composite
+def _pulse_fields(draw):
+    """(n, tau, tau_pi) with n tau_pi < tau: tau_pi a share of tau/n, a
+    subnormal, or tau/n stepped down by a few ulps."""
+    n = draw(st.integers(0, 256))
+    tau = draw(st.floats(5e-324, 1e300))
+    kind = draw(st.sampled_from(("share", "subnormal", "edge")))
+    if kind == "share" or n == 0:
+        tau_pi = draw(st.floats(0.0, 0.999)) * tau / max(n, 1)
+    elif kind == "subnormal":
+        tau_pi = draw(st.floats(0.0, 2.2250738585072014e-308))
+    else:
+        tau_pi = tau / n
+        for _ in range(draw(st.integers(0, 4))):
+            tau_pi = float(np.nextafter(tau_pi, 0.0))
+    assume(n * tau_pi < tau)
+    return n, tau, tau_pi
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields=_pulse_fields())
+@example(fields=(3, 1e-5, 5e-324))
+@example(fields=(3, 1e-5, float(np.nextafter(1e-5 / 3, 0.0))))
+@example(fields=(7, 3e-320, 4e-321))
+def test_free_fraction_is_the_exact_ratio_rounded_once(fields):
+    n, tau, tau_pi = fields
+    ref = float(1 - n * Fraction(tau_pi) / Fraction(tau))
+    assert PulseSequence(n, tau, tau_pi)._free_fraction == ref
+
+
+def _cpmg_filter_oracle(n, x, v, free):
+    """The filter with both forms of r formed at every point and picked by
+    np.where: the reference _cpmg_filter must match to the bit."""
+    u = 0.5 * x / n
+    e = np.mod(u, np.pi) - 0.5 * np.pi
+    p = np.sin(0.5 * x) if n % 2 == 0 else np.cos(0.5 * x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(u < 1.0, p / np.cos(u),
+                     np.where(e == 0.0, n, np.sin(n * e) / np.sin(e)))
+        s = np.sin(0.5 * (u + v)) * np.sin(0.5 * u * free)
+        g = (4.0 * r * s) ** 2 / x ** 2
+    g = np.where(x < 1e-150, 0.0, g)
+    return float(g) if g.ndim == 0 else g
+
+
+def _edge_points(n):
+    """DC, the 1e-150 cut, u = x/2N = 1 and the ulps around it, and the odd
+    harmonics (2m+1) N pi, where e == 0 for a power-of-two N."""
+    edge = 2.0 * n
+    eps = np.finfo(float).eps
+    return np.concatenate((
+        [0.0, 1e-151, 1e-150, edge, edge * (1.0 + eps), edge * (1.0 - eps),
+         np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)],
+        (2 * np.arange(4) + 1) * n * np.pi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 256),
+       q=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+       drawn=st.lists(st.floats(0.0, 1e4), max_size=40))
+@example(n=4, q=0.0, drawn=[])
+@example(n=256, q=0.5, drawn=[])
+def test_split_evaluation_matches_the_where_oracle(n, q, drawn):
+    # q = N tau_pi / tau; v = x tau_pi / 2 tau as first_harmonic_peak has it
+    p = q / n
+    free = PulseSequence(n, 1.0, p)._free_fraction
+    x = np.concatenate((_edge_points(n), drawn, [1.0] * (len(drawn) % 2)))
+    v = 0.5 * x * p
+    for shape in ((-1,), (2, -1), (-1, 1)):
+        xs, vs = x.reshape(shape), v.reshape(shape)
+        assert np.array_equal(_cpmg_filter(n, xs, vs, free),
+                              _cpmg_filter_oracle(n, xs, vs, free))
+    for xi, vi in zip(x, v):
+        for kind in (float, np.float64, np.asarray):
+            got = _cpmg_filter(n, kind(xi), kind(vi), free)
+            assert type(got) is float
+            assert got == _cpmg_filter_oracle(n, kind(xi), kind(vi), free)
+
+
+@pytest.mark.parametrize("n", (1, 2, 7))
+@pytest.mark.parametrize("x, kinds", [
+    (np.linspace(0.0, 100.0, 51), set()),
+    (np.float64(1e160), {"overflow"}),
+    (np.array([1.0, 1e160]), {"overflow"}),
+    (np.float64(np.inf), {"invalid value"}),
+    (np.array([1.0, np.inf, np.nan]), {"invalid value"}),
+    (np.float64(np.nan), set())])
+def test_same_warnings_escape_as_under_the_oracle(n, x, kinds):
+    # the oracle also warns on sin(inf) in the form of r it then drops;
+    # what escapes is the same kind of RuntimeWarning, or none
+    def escaped(f):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            f(n, x, 0.01 * x, 0.98)
+        assert all(w.category is RuntimeWarning for w in caught)
+        return {str(w.message).split(" encountered")[0] for w in caught}
+
+    assert escaped(_cpmg_filter) == escaped(_cpmg_filter_oracle) == kinds

@@ -516,6 +516,34 @@ class TestDephasingIntegral:
         fine = dephasing_integral(s, seq, 1.0, points_per_cycle=256)
         assert coarse == pytest.approx(fine, rel=1e-3)
 
+    @pytest.mark.parametrize("points", (0, -64))
+    def test_points_per_cycle_below_one_rejected(self, points):
+        seq = PulseSequence(n_pulses=2, tau=20e-6)
+        s = spec(alpha=1.5, amplitude=1e7, f_min=1e3, f_max=2e6)
+        with pytest.raises(ValueError, match="points_per_cycle"):
+            dephasing_integral(s, seq, 1.0, points_per_cycle=points)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_grid_is_the_sorted_union_of_both_grids(self, seed, monkeypatch):
+        # the grid merges the sorted linear and log halves; the reference
+        # is np.unique of the same points
+        rng = np.random.default_rng(seed)
+        f_min = 10.0 ** rng.uniform(0.0, 5.0)
+        f_max = f_min * 10.0 ** rng.uniform(0.01, 3.0)
+        points = int(rng.integers(1, 130))
+        tau = rng.uniform(0.1, 4e4) / (points * (f_max - f_min))
+        seen = []
+        monkeypatch.setattr(mcsim, "filter_value",
+                            lambda seq, omega: seen.append(omega) or omega)
+        dephasing_integral(spec(f_min=f_min, f_max=f_max),
+                           PulseSequence(n_pulses=2, tau=tau), 1.0,
+                           points_per_cycle=points)
+        lin = np.arange(f_min, f_max, 1.0 / (points * tau))
+        n_log = max(2, int(np.log10(f_max / f_min) * max(2, 8 * points)))
+        ref = np.unique(np.concatenate(
+            (lin, np.geomspace(f_min, f_max, n_log), [f_max])))
+        assert np.array_equal(seen[0], TWO_PI * ref)
+
     def test_ir_divergence_rejected(self):
         seq = PulseSequence(n_pulses=0, tau=20e-6)
         with pytest.raises(ValueError):
