@@ -23,7 +23,9 @@ volts = np.linspace(-2e-3, 2e-3, 17)
 freqs = qubit_frequency(truth, volts - truth.v_ss)
 freqs = freqs * (1.0 + 2e-4 * rng.standard_normal(freqs.size))
 
-disp, _ = fit_dispersion(list(zip(volts, freqs)))
+fit = fit_dispersion(list(zip(volts, freqs)))
+disp = QubitDispersion(f_ss=fit["f_ss"], lever_c=fit["lever_c"],
+                       v_ss=fit["v_ss"])
 print("hyperbolic dispersion fit")
 print(f"  f_ss    = {disp.f_ss/1e9:.4f} GHz  (true {truth.f_ss/1e9:.4f})")
 print(f"  lever_c = {disp.lever_c/1e12:.3f} GHz/mV "

@@ -50,7 +50,8 @@ class PulseSequence:
     tau_pi: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n_pulses, (int, np.integer)):
+        if (not isinstance(self.n_pulses, (int, np.integer))
+                or isinstance(self.n_pulses, bool)):
             raise ValueError(f"n_pulses must be an integer, got "
                              f"{self.n_pulses!r}")
         if self.n_pulses < 0:

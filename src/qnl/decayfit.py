@@ -14,13 +14,11 @@ beta = alpha/(1+alpha) for 1/f^alpha noise, which fit_scaling inverts.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitutil import (FitError, find_root, line_fit, run_least_squares,
-                      stderr)
+from .fitutil import FitError, find_root, line_fit, named, run_least_squares
 
 _KINDS = ("relaxation", "ramsey", "echo", "cpmg")
 
@@ -137,18 +135,14 @@ def fit_relaxation(trace: DecayTrace) -> CoherenceFit:
     t, y = trace.times, trace.populations
     if len(t) < 5:
         raise FitError("need at least 5 points")
-    (p0, a, t1), errs = _fit_exponential(t, y)
+    fit, errors = _fit_exponential(t, y, "t1")
     flags = ()
     # T1 is unconstrained when it dwarfs the trace span or when there is
     # no decaying signal to begin with
-    span = np.ptp(y)
-    if t1 > 100.0 * t[-1] or abs(a) <= max(3.0 * errs[1], 1e-6 * max(span,
-                                                                     1.0)):
+    if fit["t1"] > 100.0 * t[-1] or abs(fit["amplitude"]) <= max(
+            3.0 * errors["amplitude"], 1e-6 * max(np.ptp(y), 1.0)):
         flags = ("low_confidence",)
-    return CoherenceFit(amplitude=float(a), offset=float(p0), t1=float(t1),
-                        errors={"offset": errs[0], "amplitude": errs[1],
-                                "t1": errs[2]},
-                        flags=flags)
+    return CoherenceFit(**fit, errors=errors, flags=flags)
 
 
 def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
@@ -157,8 +151,8 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
     Needs >= 10 points; for an identifiable detuning the trace should span
     at least two fringe periods.  The detuning is initialized from the
     dominant FFT bin of the mean-subtracted signal; when no oscillation is
-    detected the fit falls back to a pure-exponential envelope with a
-    warning and flags the detuning as unconstrained.
+    detected the fit falls back to a pure-exponential envelope, flagged
+    "no_oscillation" and "detuning_unconstrained".
     """
     if trace.kind != "ramsey":
         raise ValueError("fit_ramsey expects a ramsey trace")
@@ -178,13 +172,8 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
                    and spectrum[k] > 5.0 * np.median(spectrum[1:]))
 
     if not oscillating:
-        warnings.warn("no oscillation detected; falling back to a pure "
-                      "exponential envelope fit")
-        (p0, a, t2), errs = _fit_exponential(t, y)
-        return CoherenceFit(amplitude=float(a), offset=float(p0),
-                            t2=float(t2),
-                            errors={"offset": errs[0], "amplitude": errs[1],
-                                    "t2": errs[2]},
+        fit, errors = _fit_exponential(t, y, "t2")
+        return CoherenceFit(**fit, errors=errors,
                             flags=("no_oscillation",
                                    "detuning_unconstrained"))
 
@@ -211,19 +200,14 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
         residual, jac, [p0_0, a_0, t2_0, f_0, phi_0],
         bounds=([-np.inf, 0.0, 1e-300, 0.0, -2 * np.pi],
                 [np.inf, np.inf, np.inf, 1.5 * freqs[-1], 2 * np.pi]))
-    p0, a, t2, f, phi = result.x
-    errs = stderr(result)
+    fit, errors = named(result, ("offset", "amplitude", "t2", "detuning",
+                                 "phase"))
+    fit["phase"] = float(np.remainder(fit["phase"] + np.pi, 2 * np.pi)
+                         - np.pi)
     flags = ()
-    if abs(a) < 1e-3 * max(abs(p0), 1e-30):
+    if abs(fit["amplitude"]) < 1e-3 * max(abs(fit["offset"]), 1e-30):
         flags = ("detuning_unconstrained",)
-    return CoherenceFit(amplitude=float(a), offset=float(p0), t2=float(t2),
-                        detuning=float(f),
-                        phase=float(np.remainder(phi + np.pi, 2 * np.pi)
-                                    - np.pi),
-                        errors={"offset": errs[0], "amplitude": errs[1],
-                                "t2": errs[2], "detuning": errs[3],
-                                "phase": errs[4]},
-                        flags=flags)
+    return CoherenceFit(**fit, errors=errors, flags=flags)
 
 
 def t2_from_dephasing(t1: float, t_phi: float, stretch: float) -> float:
@@ -300,17 +284,14 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
         residual, jac, [p0_0, a_0, t_phi_0, 2.0],
         bounds=([-np.inf, -np.inf, t[0] * 1e-3, lo_s],
                 [np.inf, np.inf, t[-1] * 1e3, hi_s]))
-    p0, a, t_phi, s = result.x
-    errs = stderr(result)
-    flags = []
+    fit, errors = named(result, ("offset", "amplitude", "t_phi", "stretch"))
+    s = fit["stretch"]
+    flags = ()
     if min(abs(s - lo_s), abs(s - hi_s)) < 1e-6:
-        flags.append("stretch_at_bound")
-    t2 = t2_from_dephasing(t1, t_phi, s)
-    return CoherenceFit(amplitude=float(a), offset=float(p0), t1=float(t1),
-                        t2=float(t2), t_phi=float(t_phi), stretch=float(s),
-                        errors={"offset": errs[0], "amplitude": errs[1],
-                                "t_phi": errs[2], "stretch": errs[3]},
-                        flags=tuple(flags))
+        flags = ("stretch_at_bound",)
+    return CoherenceFit(**fit, t1=float(t1),
+                        t2=t2_from_dephasing(t1, fit["t_phi"], s),
+                        errors=errors, flags=flags)
 
 
 def fit_scaling(points) -> ScalingFit:
@@ -339,8 +320,8 @@ def fit_scaling(points) -> ScalingFit:
                       alpha_err=alpha_err)
 
 
-def _fit_exponential(t, y):
-    """Fit p0 + a*exp(-t/T); returns ((p0, a, T), standard errors)."""
+def _fit_exponential(t, y, time_name):
+    """Fit p0 + a*exp(-t/T): named's (values, errors), T as time_name."""
     p0_0, a_0 = y[-1], y[0] - y[-1]
 
     def residual(p):
@@ -357,7 +338,7 @@ def _fit_exponential(t, y):
                                [p0_0, a_0, _efold_guess(t, y, p0_0, a_0)],
                                bounds=([-np.inf, -np.inf, 1e-300],
                                        [np.inf, np.inf, np.inf]))
-    return result.x, stderr(result)
+    return named(result, ("offset", "amplitude", time_name))
 
 
 def _efold_guess(t, y, p0, a):

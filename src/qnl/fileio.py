@@ -252,7 +252,8 @@ def _read_sidecar(meta_path: Path) -> dict:
                          meta_path) from None
     if not isinstance(meta, dict):
         raise InputError("sidecar must be a JSON object", meta_path)
-    if not isinstance(meta.get("n_pulses", 0), int):
+    n_pulses = meta.get("n_pulses", 0)
+    if not isinstance(n_pulses, int) or isinstance(n_pulses, bool):
         raise InputError(f"n_pulses must be an integer, got "
                          f"{meta['n_pulses']!r}", meta_path,
                          column="n_pulses")

@@ -6,6 +6,7 @@ Levenberg-Marquardt in numpy, with Marquardt's diagonal scaling
 (J. SIAM 11, 431 (1963)) and Nielsen's damping update (IMM-REP-1999-05).
 find_root is the one bracketed root finder: Brent and Dekker's iteration
 (Brent, Algorithms for Minimization Without Derivatives, 1973, ch. 4).
+named keys each fit's values and standard errors by parameter name.
 FIT_FAILURES is the one tuple of data faults; any other exception is a
 bug.  The pipeline turns a fault into a warning, the CLI into exit 1.
 """
@@ -235,6 +236,12 @@ def covariance(result) -> np.ndarray:
 def stderr(result) -> np.ndarray:
     """1-sigma standard errors of the fitted parameters."""
     return np.sqrt(np.clip(np.diag(covariance(result)), 0.0, None))
+
+
+def named(result, names) -> tuple[dict, dict]:
+    """(values, errors): result.x and stderr(result), keyed by names."""
+    return (dict(zip(names, result.x.tolist(), strict=True)),
+            dict(zip(names, stderr(result).tolist(), strict=True)))
 
 
 def line_fit(x, y):

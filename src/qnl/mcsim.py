@@ -54,10 +54,10 @@ _BLOCK_BYTES = 1 << 20
 class SyntheticNoise:
     """Power-law noise specification S(f) = amplitude / f^alpha.
 
-    amplitude : PSD scale, units^2/Hz at 1 Hz; >= 0 (0 = no noise)
+    amplitude : PSD scale, units^2/Hz at 1 Hz; finite, >= 0 (0 = no noise)
     alpha     : exponent in [0, 3]
     f_min     : lower band edge (Hz), > 0
-    f_max     : upper band edge (Hz), > f_min
+    f_max     : upper band edge (Hz), finite, > f_min
     seed      : seed of the one generator a call draws from
     """
 
@@ -68,10 +68,12 @@ class SyntheticNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.f_min < self.f_max:
-            raise ValueError("need 0 < f_min < f_max")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0.0 < self.f_min < self.f_max < np.inf:
+            raise ValueError(f"need 0 < f_min < f_max < inf, got "
+                             f"{self.f_min!r}, {self.f_max!r}")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be finite and non-negative, "
+                             f"got {self.amplitude!r}")
         if not 0.0 <= self.alpha <= 3.0:
             raise ValueError("alpha must lie in [0, 3]")
 

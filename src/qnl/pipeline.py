@@ -305,10 +305,7 @@ def _scaling_stage(ctx: StageContext) -> dict | None:
                                fit_scaling, points)
         if scaling is None:
             continue
-        rows.append({**where, "beta": scaling.beta,
-                     "alpha": scaling.alpha, "beta_err": scaling.beta_err,
-                     "alpha_err": scaling.alpha_err,
-                     "n_points": len(points)})
+        rows.append({**where, **asdict(scaling), "n_points": len(points)})
     if not rows:
         return None
     return {"fits": rows, "sources": ctx.sections["decay_fits"]["sources"]}
@@ -494,7 +491,7 @@ def _fit_record(path: str, trace, meta: dict, fit) -> dict:
         "bias_mv": _bias_of(meta),
         "temperature_mk": meta.get("temperature_mk"),
         "params": params,
-        "errors": {k: float(v) for k, v in errors.items()},
+        "errors": errors,
         "flags": list(flags),
     }
 
@@ -542,9 +539,7 @@ def fit_trace(trace: DecayTrace, t1: float | None):
 
 def fit_two_tone(table: np.ndarray) -> dict:
     """Dispersion fit to a two-tone map's ridge, as a JSON-ready dict."""
-    fitted, report = fit_dispersion(_ridge_points(table))
-    return {"f_ss": fitted.f_ss, "lever_c": fitted.lever_c,
-            "v_ss": fitted.v_ss, **report}
+    return fit_dispersion(_ridge_points(table))
 
 
 def thermal_curves(model: ThermalModel, temps) -> dict:

@@ -9,12 +9,11 @@ gamma, g, chi) are angular rates in rad/s.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fitutil import FitError, covariance, run_least_squares, stderr
+from .fitutil import FitError, covariance, named, run_least_squares
 from .units import TWO_PI
 
 
@@ -89,12 +88,12 @@ def lever_arm(disp: QubitDispersion, dv):
     return float(result) if result.ndim == 0 else result
 
 
-def fit_dispersion(points) -> tuple[QubitDispersion, dict]:
+def fit_dispersion(points) -> dict:
     """Least-squares hyperbola fit to (voltage, frequency) points.
 
     Needs >= 3 points with distinct voltages and positive frequencies.
-    Returns (QubitDispersion, report), the report carrying residual_norm
-    and per-parameter standard errors.
+    Returns a dict with keys f_ss (Hz), lever_c (Hz/V) and v_ss (V), the
+    fields of a QubitDispersion, plus residual_norm and stderr.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -128,14 +127,9 @@ def fit_dispersion(points) -> tuple[QubitDispersion, dict]:
     result = run_least_squares(
         residual, jac, [f_ss0, lever0, v_ss0],
         bounds=([1e-300, 0.0, -np.inf], [np.inf, np.inf, np.inf]))
-    disp = QubitDispersion(f_ss=float(result.x[0]), lever_c=float(result.x[1]),
-                           v_ss=float(result.x[2]))
-    report = {
-        "residual_norm": float(np.linalg.norm(result.fun)),
-        "stderr": dict(zip(("f_ss", "lever_c", "v_ss"),
-                           stderr(result).tolist())),
-    }
-    return disp, report
+    fit, errors = named(result, ("f_ss", "lever_c", "v_ss"))
+    return {**fit, "residual_norm": float(np.linalg.norm(result.fun)),
+            "stderr": errors}
 
 
 def dressed_frequencies(p: CavityQubitParams) -> tuple[float, float]:
@@ -184,8 +178,8 @@ def fit_transmission(trace, known: dict) -> dict:
 
     Returns a dict with keys g, gamma (rad/s), f_q (Hz), plus
     residual_norm, stderr, covariance_diag, and warnings.  An
-    under-resolved (single-peak) trace is fitted anyway, with a warning
-    and a correspondingly wide covariance.
+    under-resolved (single-peak) trace is fitted anyway, with a note in
+    warnings and a correspondingly wide covariance.
     """
     pts = np.asarray(trace, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 20:
@@ -206,7 +200,6 @@ def fit_transmission(trace, known: dict) -> dict:
     else:
         notes.append("splitting not resolved: single-peak trace; "
                      "confidence intervals will be wide")
-        warnings.warn(notes[-1])
         width = widths.max() if len(peaks) else len(freqs) / 4
         df = np.median(np.diff(freqs))
         g0 = max(np.pi * width * df, 0.25 * kappa)
@@ -233,15 +226,10 @@ def fit_transmission(trace, known: dict) -> dict:
         residual, jac, [g0, gamma0, f_q0],
         bounds=([0.0, 1e-6 * kappa, freqs[0] - np.ptp(freqs)],
                 [10.0 * span, 100.0 * span, freqs[-1] + np.ptp(freqs)]))
-    return {
-        "g": float(result.x[0]),
-        "gamma": float(result.x[1]),
-        "f_q": float(result.x[2]),
-        "residual_norm": float(np.linalg.norm(result.fun)),
-        "stderr": dict(zip(("g", "gamma", "f_q"), stderr(result).tolist())),
-        "covariance_diag": np.diag(covariance(result)).tolist(),
-        "warnings": notes,
-    }
+    fit, errors = named(result, ("g", "gamma", "f_q"))
+    return {**fit, "residual_norm": float(np.linalg.norm(result.fun)),
+            "stderr": errors, "warnings": notes,
+            "covariance_diag": np.diag(covariance(result)).tolist()}
 
 
 def _prominent_peaks(x, min_prominence):

@@ -230,10 +230,10 @@ def test_criterion_10_fit_recovery_suite():
 
     truth = QubitDispersion(f_ss=5.065e9, lever_c=2.348e12, v_ss=1e-4)
     volts = np.linspace(-2e-3, 2e-3, 15)
-    disp, _ = fit_dispersion(
+    disp = fit_dispersion(
         list(zip(volts, qubit_frequency(truth, volts - truth.v_ss))))
-    assert disp.f_ss == pytest.approx(truth.f_ss, rel=1e-4)
-    assert disp.lever_c == pytest.approx(truth.lever_c, rel=1e-4)
+    assert disp["f_ss"] == pytest.approx(truth.f_ss, rel=1e-4)
+    assert disp["lever_c"] == pytest.approx(truth.lever_c, rel=1e-4)
 
     cavity = CavityQubitParams(f_r=5.668e9, kappa=TWO_PI * 0.38e6,
                                f_q=5.668e9, gamma=TWO_PI * 3.18e6,
@@ -265,9 +265,10 @@ def test_criterion_10_fit_recovery_suite():
 
         f_pts = qubit_frequency(truth, volts - truth.v_ss) \
             * (1.0 + 1e-3 * rng.standard_normal(volts.size))
-        d, _ = fit_dispersion(list(zip(volts, f_pts)))
-        disp_errs.append(max(abs(d.f_ss - truth.f_ss) / truth.f_ss,
-                             abs(d.lever_c - truth.lever_c) / truth.lever_c))
+        d = fit_dispersion(list(zip(volts, f_pts)))
+        disp_errs.append(max(abs(d["f_ss"] - truth.f_ss) / truth.f_ss,
+                             abs(d["lever_c"] - truth.lever_c)
+                             / truth.lever_c))
 
         noisy_amps = amps + 0.01 * rng.standard_normal(amps.size)
         r = fit_transmission(list(zip(freqs, noisy_amps)), known)

@@ -8,9 +8,10 @@ The package namespace itself binds only __version__, the
 "[warning] <place>: message" format of a diagnostic is written only in
 fileio.Diagnostic, no pipeline stage builder catches an exception itself,
 the tuple of exceptions that count as a failed fit is written only in
-fitutil, no module reads a file through csv.reader or io.TextIOWrapper, so
-fileio keeps one input parser, and no module loads scipy, which is a
-test-only oracle.
+fitutil, the fit modules keep a fit's caveats in its result rather than
+in Python warnings, no module reads a file through csv.reader or
+io.TextIOWrapper, so fileio keeps one input parser, and no module loads
+scipy, which is a test-only oracle.
 """
 
 import ast
@@ -112,6 +113,19 @@ def test_fit_failure_tuple_is_written_only_in_fitutil():
                        or isinstance(elt, ast.Attribute)
                        and elt.attr == "FitError" for elt in node.elts)]
     assert spelled == []
+
+
+def test_fit_modules_do_not_use_warnings():
+    # a fit's caveat lives in its result (CoherenceFit.flags, a spectro
+    # fit's "warnings" notes), where the pipeline and the CLI report it; a
+    # Python warning would go around the report as a raw stderr line
+    used = [f"{name}:{node.lineno}" for name in ("decayfit.py", "spectro.py")
+            for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+            if isinstance(node, ast.Import)
+            and any(alias.name == "warnings" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "warnings"
+            or isinstance(node, ast.Name) and node.id == "warnings"]
+    assert used == []
 
 
 def test_one_input_parser():

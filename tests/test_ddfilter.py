@@ -36,7 +36,7 @@ class TestSequenceValidation:
     @pytest.mark.parametrize("args, field", [
         ((2, np.nan), "tau"), ((2, np.inf), "tau"),
         ((2, 1e-5, np.nan), "tau_pi"), ((2, 1e-5, np.inf), "tau_pi"),
-        ((2.5, 1e-5), "n_pulses")])
+        ((2.5, 1e-5), "n_pulses"), ((True, 1e-5), "n_pulses")])
     def test_rejects_fields_it_cannot_use(self, args, field):
         with pytest.raises(ValueError, match=f"^{field} must"):
             PulseSequence(*args)

@@ -325,6 +325,7 @@ def test_sidecar_numbers_are_located(tmp_path, key):
     ('{"kind": "echo", "n_pulses": 2}', "n_pulses=1"),
     ('{"kind": "hahn"}', "kind must be one of"),
     ('{"kind": "ramsey", "bias_mv": "2"}', "bias_mv must be a finite"),
+    ('{"kind": "echo", "n_pulses": true}', "n_pulses must be an integer"),
 ])
 def test_bad_sidecar_is_an_input_error(tmp_path, sidecar, message):
     path = tmp_path / "trace.csv"

@@ -160,9 +160,9 @@ def _spectro_fits():
                                    {"f_r": CAVITY.f_r, "kappa": CAVITY.kappa})
     points = _dispersion_points()
     points[:, 1] += 2e6 * np.random.default_rng(3).normal(size=len(points))
-    disp, _ = spectro.fit_dispersion(points)
+    disp = spectro.fit_dispersion(points)
     return np.array([fit["g"], fit["gamma"], fit["f_q"],
-                     disp.f_ss, disp.lever_c, disp.v_ss])
+                     disp["f_ss"], disp["lever_c"], disp["v_ss"]])
 
 
 def test_fits_are_close_to_the_converged_minimum(monkeypatch):
@@ -184,6 +184,54 @@ def test_fits_are_close_to_the_converged_minimum(monkeypatch):
     rel = np.abs(fitted_spectro / converged_spectro - 1.0)
     assert rel[:5].max() <= 1e-8
     assert abs(fitted_spectro[5] - converged_spectro[5]) <= 1e-8 * 2e-3
+
+
+def _stretched(trace, factor):
+    return decayfit.DecayTrace(times=trace.times * factor,
+                               populations=trace.populations,
+                               kind=trace.kind, n_pulses=trace.n_pulses)
+
+
+# the power of the input axis (time, or volts for the dispersion) in each
+# fitted parameter's unit
+AXIS_POWER = {"offset": 0, "amplitude": 0, "t1": 1, "t2": 1, "t_phi": 1,
+              "stretch": 0, "detuning": -1, "phase": 0,
+              "f_ss": 0, "lever_c": -1, "v_ss": 1}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_errors_carry_their_parameters_units(seed):
+    # an input axis 4 times as long is exact in floats and so is each step
+    # of a fit on it: every value and error comes back scaled by 4 to the
+    # power of its unit, which a names tuple that swaps two parameters of
+    # different units would break
+    fits = {
+        "relaxation": lambda k: decayfit.fit_relaxation(_stretched(
+            make_relaxation(noise=0.01, seed=seed), k)),
+        "ramsey": lambda k: decayfit.fit_ramsey(_stretched(
+            make_ramsey(noise=0.01, seed=seed), k)),
+        "no_oscillation": lambda k: decayfit.fit_ramsey(_stretched(
+            make_ramsey(detuning=0.0, noise=0.01, seed=seed), k)),
+        "cpmg": lambda k: decayfit.fit_cpmg(_stretched(
+            make_cpmg(4, noise=0.008, seed=seed), k), 11.94e-6 * k),
+    }
+    points = _dispersion_points()
+    points[:, 1] += 2e6 * np.random.default_rng(seed).normal(
+        size=len(points))
+    for name, fit in fits.items():
+        base, scaled = fit(1.0), fit(4.0)
+        assert ("no_oscillation" in base.flags) == (name == "no_oscillation")
+        assert len(base.errors) >= 3
+        for key, error in base.errors.items():
+            factor = 4.0 ** AXIS_POWER[key]
+            assert scaled.errors[key] == error * factor, (name, key)
+            assert getattr(scaled, key) == getattr(base, key) * factor
+    base = spectro.fit_dispersion(points)
+    scaled = spectro.fit_dispersion(points * [4.0, 1.0])
+    for key, error in base["stderr"].items():
+        factor = 4.0 ** AXIS_POWER[key]
+        assert scaled["stderr"][key] == error * factor, key
+        assert scaled[key] == base[key] * factor, key
 
 
 def test_unconverged_fit_is_a_fit_error():

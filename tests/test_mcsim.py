@@ -34,6 +34,11 @@ class TestSpecValidation:
             spec(f_min=1e5, f_max=1e2)
         with pytest.raises(ValueError):
             spec(f_min=0.0)
+        for amplitude in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^amplitude must be finite"):
+                spec(amplitude=amplitude)
+        with pytest.raises(ValueError, match="f_max < inf, got 10000.0, inf$"):
+            spec(f_max=np.inf)
 
     def test_zero_amplitude_allowed(self):
         traj = synthesize_noise(spec(amplitude=0.0), dt=1e-6, n=64)

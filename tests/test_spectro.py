@@ -74,15 +74,15 @@ class TestFitDispersion:
         v = np.linspace(-1e-3, 1.4e-3, 15)
         points = [(float(vv), float(qubit_frequency(truth, vv - truth.v_ss)))
                   for vv in v]
-        fit, _ = fit_dispersion(points)
-        assert fit.f_ss == pytest.approx(truth.f_ss, rel=1e-4)
-        assert fit.lever_c == pytest.approx(truth.lever_c, rel=1e-4)
-        assert fit.v_ss == pytest.approx(truth.v_ss, abs=1e-8)
+        fit = fit_dispersion(points)
+        assert fit["f_ss"] == pytest.approx(truth.f_ss, rel=1e-4)
+        assert fit["lever_c"] == pytest.approx(truth.lever_c, rel=1e-4)
+        assert fit["v_ss"] == pytest.approx(truth.v_ss, abs=1e-8)
 
     def test_flat_spectrum_gives_zero_lever(self):
         points = [(v, 5.065e9) for v in np.linspace(-1e-3, 1e-3, 9)]
-        fit, _ = fit_dispersion(points)
-        assert abs(fit.lever_c) < 1e-3 * 5.065e9 / 1e-3
+        fit = fit_dispersion(points)
+        assert abs(fit["lever_c"]) < 1e-3 * 5.065e9 / 1e-3
 
     def test_noisy_recovery_median(self):
         truth = QubitDispersion(f_ss=5.065e9, lever_c=2.348e12, v_ss=0.0)
@@ -92,9 +92,9 @@ class TestFitDispersion:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             noisy = clean * (1.0 + 1e-3 * rng.normal(size=v.size))
-            fit, _ = fit_dispersion(list(zip(v, noisy)))
-            errs.append(max(abs(fit.f_ss / truth.f_ss - 1),
-                            abs(fit.lever_c / truth.lever_c - 1)))
+            fit = fit_dispersion(list(zip(v, noisy)))
+            errs.append(max(abs(fit["f_ss"] / truth.f_ss - 1),
+                            abs(fit["lever_c"] / truth.lever_c - 1)))
         assert np.median(errs) < 0.01
 
     def test_too_few_points(self):
@@ -203,14 +203,14 @@ class TestFitTransmission:
         assert result["gamma"] == pytest.approx(p.gamma, rel=0.02)
         assert result["f_q"] == pytest.approx(p.f_q, abs=0.02 * 6.43e6)
 
+    @pytest.mark.filterwarnings("error")
     def test_uncoupled_degenerates_to_bare_resonator(self):
         p = CavityQubitParams(f_r=5.668e9, kappa=2 * np.pi * 0.38e6,
                               f_q=5.668e9, gamma=2 * np.pi * 3.18e6, g=0.0)
-        with pytest.warns(UserWarning, match="single-peak"):
-            result = fit_transmission(self.make_trace(p, span=5e6),
-                                      {"f_r": p.f_r, "kappa": p.kappa})
+        result = fit_transmission(self.make_trace(p, span=5e6),
+                                  {"f_r": p.f_r, "kappa": p.kappa})
         assert result["g"] < 2 * np.pi * 0.2e6
-        assert result["warnings"]  # single-peak trace is flagged
+        assert "single-peak" in result["warnings"][0]
 
     def test_noisy_recovery_median(self):
         p = CavityQubitParams(f_r=5.668e9, kappa=2 * np.pi * 0.38e6,
@@ -233,6 +233,7 @@ class TestFitTransmission:
         monkeypatch.setattr(spectro, "run_least_squares", run)
         return starts
 
+    @pytest.mark.filterwarnings("error")
     def test_clipped_single_peak_takes_its_plateau_width(self, monkeypatch):
         p = CavityQubitParams(f_r=5.668e9, kappa=2 * np.pi * 0.38e6,
                               f_q=5.0e9, gamma=2 * np.pi * 3.18e6, g=0.0)
@@ -241,8 +242,8 @@ class TestFitTransmission:
         trace[:, 1] = np.minimum(trace[:, 1], top)
         assert np.count_nonzero(trace[:, 1] == top) > 50
         starts = self.record_starts(monkeypatch)
-        with pytest.warns(UserWarning, match="single-peak"):
-            result = fit_transmission(trace, {"f_r": p.f_r, "kappa": p.kappa})
+        result = fit_transmission(trace, {"f_r": p.f_r, "kappa": p.kappa})
+        assert "single-peak" in result["warnings"][0]
         assert np.isfinite([result["g"], result["gamma"], result["f_q"]]).all()
         # the bare |S21| = 1/sqrt(1 + (2 dw/kappa)^2) crosses half the
         # plateau's prominence, level h, at dw = (kappa/2) sqrt(1/h^2 - 1),
@@ -251,15 +252,15 @@ class TestFitTransmission:
         assert starts[0][0] == pytest.approx(
             0.5 * p.kappa * np.sqrt(1 / h**2 - 1), rel=1e-3)
 
+    @pytest.mark.filterwarnings("error")
     def test_trace_without_a_peak_starts_from_a_quarter_span(self,
                                                              monkeypatch):
         freqs = np.linspace(5.66e9, 5.676e9, 41)
         trace = np.column_stack([freqs, np.linspace(0.1, 0.9, freqs.size)])
         kappa = 2 * np.pi * 0.38e6
         starts = self.record_starts(monkeypatch)
-        with pytest.warns(UserWarning, match="single-peak"):
-            result = fit_transmission(trace, {"f_r": 5.668e9,
-                                              "kappa": kappa})
+        result = fit_transmission(trace, {"f_r": 5.668e9, "kappa": kappa})
+        assert "single-peak" in result["warnings"][0]
         assert np.isfinite([result["g"], result["gamma"], result["f_q"]]).all()
         assert starts[0][0] == pytest.approx(
             np.pi * (freqs.size / 4) * (freqs[1] - freqs[0]), rel=1e-9)
