@@ -36,6 +36,16 @@ from .fitutil import find_root
 from .units import TWO_PI
 
 
+def check_pulse_count(n_pulses) -> None:
+    """Raise ValueError unless n_pulses is a pulse count: an int or numpy
+    integer, not a bool, and >= 0."""
+    if (not isinstance(n_pulses, (int, np.integer))
+            or isinstance(n_pulses, bool)):
+        raise ValueError(f"n_pulses must be an integer, got {n_pulses!r}")
+    if n_pulses < 0:
+        raise ValueError("n_pulses must be >= 0")
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     """Decoupling-sequence descriptor.
@@ -50,12 +60,7 @@ class PulseSequence:
     tau_pi: float = 0.0
 
     def __post_init__(self):
-        if (not isinstance(self.n_pulses, (int, np.integer))
-                or isinstance(self.n_pulses, bool)):
-            raise ValueError(f"n_pulses must be an integer, got "
-                             f"{self.n_pulses!r}")
-        if self.n_pulses < 0:
-            raise ValueError("n_pulses must be >= 0")
+        check_pulse_count(self.n_pulses)
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got "
                              f"{self.tau!r}")
@@ -128,7 +133,8 @@ def _cpmg_filter(n: int, x, v, free: float):
     x = (2m+1) N pi.  Below u = 1, where there is no harmonic, r is taken
     from x directly; with the product form of s this keeps the omega -> 0
     tail exact.  Each form of r is computed only on the points that use
-    it.  x is a scalar or an array, and v has x's shape.
+    it.  x is a scalar or an array, and v has x's shape; a scalar takes
+    the array path, so it rounds as the same point of an array does.
     """
     flat = np.ravel(x)
     u = 0.5 * flat / n
@@ -143,13 +149,10 @@ def _cpmg_filter(n: int, x, v, free: float):
         r[~low] = q
         r *= 4.0
         r *= np.sin(0.5 * (u + np.ravel(v))) * np.sin(0.5 * u * free)
-        # back in x's shape, where [()] makes 0-d a scalar: the squares of
-        # a scalar call stay the scalar power (libm pow, which can round
-        # x^2 differently from x*x), those of an array square in place
-        g = r.reshape(np.shape(x))[()]
-        g **= 2
-        g /= x ** 2
-    g = np.where(x < 1e-150, 0.0, g)
+        np.square(r, out=r)
+        r /= np.square(flat)
+    r[flat < 1e-150] = 0.0
+    g = r.reshape(np.shape(x))
     return float(g) if g.ndim == 0 else g
 
 

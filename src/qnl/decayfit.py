@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ddfilter import check_pulse_count
 from .fitutil import FitError, find_root, line_fit, named, run_least_squares
 
 _KINDS = ("relaxation", "ramsey", "echo", "cpmg")
@@ -61,6 +62,7 @@ class DecayTrace:
             raise ValueError(f"populations outside the [{lo}, {hi}] tolerance")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
+        check_pulse_count(self.n_pulses)
         if self.kind == "echo" and self.n_pulses == 0:
             object.__setattr__(self, "n_pulses", 1)
         expected = {"relaxation": 0, "ramsey": 0, "echo": 1}

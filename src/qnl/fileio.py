@@ -46,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ddfilter import check_pulse_count
 from .decayfit import _POPULATION_BOUNDS, DecayTrace
 from .noisespec import FrequencySeries, PSDPoint
 
@@ -252,11 +253,10 @@ def _read_sidecar(meta_path: Path) -> dict:
                          meta_path) from None
     if not isinstance(meta, dict):
         raise InputError("sidecar must be a JSON object", meta_path)
-    n_pulses = meta.get("n_pulses", 0)
-    if not isinstance(n_pulses, int) or isinstance(n_pulses, bool):
-        raise InputError(f"n_pulses must be an integer, got "
-                         f"{meta['n_pulses']!r}", meta_path,
-                         column="n_pulses")
+    try:
+        check_pulse_count(meta.get("n_pulses", 0))
+    except ValueError as exc:
+        raise InputError(str(exc), meta_path, column="n_pulses") from None
     for key in ("bias_mv", "temperature_mk"):
         value = meta.get(key)
         if value is not None and not is_finite_number(value):

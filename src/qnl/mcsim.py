@@ -16,17 +16,22 @@ flipping at the pulse centers tau*(j-1/2)/N, and for Gaussian noise
              = (sensitivity^2 tau^2 / 2) * integral S(f) g_N(2 pi f, tau) df.
 
 The phase is linear in the record, phi(tau_k) = sensitivity * sum_j
-w_j(tau_k) lambda_j, and so linear in the record's spectral draws; the
-rfft of w is the discrete filter function.  simulate_sequence turns
-each block of trajectories' draws into phases with one matrix product,
-with no noise record formed.
+w_j(tau_k) lambda_j, and so linear in the record's spectral draws z:
+phi = z @ G for a gain matrix G of shape (row width, delays), whose
+rows are the rfft of w scaled by the bin rules.  The rfft of w is the
+discrete filter function, and half the squared norm of G's column j is
+the exact chi of the discretized phase at delay j.
 
-Randomness: a call draws from one generator, default_rng(seed), and
-trajectory i is row i of its stream: one standard normal per nonzero
-bin scale, in the order of _row_layout, the one statement of a record's
-bin rules.  synthesize_noise returns row 0's record, so ensembles are
-bit-identical for a given (seed, n_traj), and the first k trajectories
-do not depend on n_traj.
+Randomness: a call draws from one generator, default_rng(seed).
+synthesize_noise draws one record's row z: one standard normal per
+nonzero bin scale, in the order of _row_layout, the one statement of a
+record's bin rules.  simulate_sequence forms no record: with z ~ N(0, I)
+the phases are Gaussian with covariance G^T G, and it samples that law
+exactly as u @ R, where R is the triangular factor of G = QR and
+trajectory i takes row i of the stream of u ~ N(0, I_k), k =
+min(row width, delays) normals.  So ensembles are bit-identical for a
+given (seed, n_traj), and the first trajectories do not depend on
+n_traj.
 """
 
 from __future__ import annotations
@@ -105,9 +110,9 @@ def band_variance(spec: SyntheticNoise, f_lo: float, f_hi: float) -> float:
 
 
 def _row_layout(spec: SyntheticNoise, dt: float, n: int):
-    """(bins, scales) of one trajectory's row z of standard normals: the
-    one statement of the bin rules that synthesize_noise and
-    simulate_sequence both follow.
+    """(bins, scales) of one record's row z of standard normals: the one
+    statement of the bin rules that synthesize_noise and _gain both
+    follow.
 
     rfft coefficient k of the length-n record is the sum of scales * z over
     the entries in bin k.  A band bin takes sqrt(S(f_k) n/(4 dt)) on one
@@ -160,8 +165,6 @@ def synthesize_noise(spec: SyntheticNoise, dt: float, n: int) -> Trajectory:
     dropped: its integrated variance enters as a per-record static offset
     (with a warning), which is the physical meaning of noise slower than
     the record.  Band above Nyquist is clipped with a warning.
-
-    The record is trajectory 0 of simulate_sequence on the same grid.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -205,19 +208,42 @@ def _phase_weights(seq: PulseSequence, tau: float, dt: float,
     return 0.5 * dt * (r[:-1] + r[1:])
 
 
+def _gain(spec: SyntheticNoise, seq: PulseSequence, sensitivity: float,
+          dt: float, taus: np.ndarray) -> np.ndarray:
+    """G, (row width, delays): the phases at taus of the record that a row
+    z of _row_layout's normals makes are z @ G.
+
+    The record is long enough to oversample the filter lobe and to
+    resolve f_min, capped at _MAX_STRETCH times seq.tau, and the phase is
+    the signed trapezoid integral of it (_phase_weights).  Half the
+    squared norm of column j is the exact chi of the discretized phase at
+    taus[j].
+    """
+    record_span = max(_RECORD_STRETCH * seq.tau,
+                      min(1.0 / spec.f_min, _MAX_STRETCH * seq.tau))
+    n = int(np.ceil(record_span / dt))
+    bins, scales = _row_layout(spec, dt, n)
+
+    # phi = (sensitivity/n) Re sum_k c_k X_k conj(W_k) for the record's
+    # rfft X and the weights' rfft W, with c_k = 1 at DC (in _row_layout,
+    # only the static offset's bin) and at an even n's Nyquist bin (where
+    # W = dt/2 (r_0 - r_n) = 0), 2 elsewhere: so every band bin takes c = 2
+    w_hat = np.fft.rfft([_phase_weights(seq, tau, dt, n) for tau in taus])
+    c = np.where(bins == 0, 1.0, 2.0)
+    return ((sensitivity / n) * c * scales * w_hat[:, bins].conj()).real.T
+
+
 def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
                       sensitivity: float, n_traj: int, dt: float,
                       taus=None) -> DecayTrace:
     """Ensemble-average coherence decay under a pulse sequence.
 
-    Trajectory i is the noise record of row i of spec.seed's stream (row
-    0's is what synthesize_noise returns), long enough to oversample the
-    filter lobe and to resolve f_min, capped at _MAX_STRETCH times the
-    longest delay, and its phase at every requested delay is the signed
-    trapezoid integral of that record.  The phase is linear in the row, so
-    no record is formed: the weights' rfft W and the row's scales fold into
-    one (row width, delays) gain matrix per call, and each block of rows
-    takes one matrix product with it.  The trace reports
+    The phases at the requested delays are those of the signed trapezoid
+    integral of a noise record (see _gain), sampled from their exact
+    Gaussian law without forming a record: with G = QR, trajectory i's
+    phases are u_i @ R for row i of k = min(row width, delays) standard
+    normals from spec.seed's stream.  Rows are drawn in blocks of bounded
+    size, which changes no bit.  The trace reports
     P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to P_e = 1.
 
     taus defaults to 24 points up to seq.tau.  dt must satisfy
@@ -238,29 +264,17 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     if not (taus.size and 0 < taus[0] and taus[-1] <= seq.tau * (1 + 1e-12)):
         raise ValueError("taus must be one or more delays in (0, seq.tau]")
 
-    record_span = max(_RECORD_STRETCH * seq.tau,
-                      min(1.0 / spec.f_min, _MAX_STRETCH * seq.tau))
-    n = int(np.ceil(record_span / dt))
-    bins, scales = _row_layout(spec, dt, n)
-
-    # phi = (sensitivity/n) Re sum_k c_k X_k conj(W_k) for the record's
-    # rfft X and the weights' rfft W, with c_k = 1 at DC (in _row_layout,
-    # only the static offset's bin) and at an even n's Nyquist bin (where
-    # W = dt/2 (r_0 - r_n) = 0), 2 elsewhere: so every band bin takes c = 2
-    w_hat = np.fft.rfft([_phase_weights(seq, tau, dt, n) for tau in taus])
-    c = np.where(bins == 0, 1.0, 2.0)
-    gain = np.ascontiguousarray(
-        ((sensitivity / n) * c * scales * w_hat[:, bins].conj()).real.T)
-
+    # phi ~ N(0, G^T G) for the gain G = QR: u @ R with u ~ N(0, I_k) has
+    # that law, and R has k = min(width, delays) rows
+    r = np.linalg.qr(_gain(spec, seq, sensitivity, dt, taus), mode="r")
     rng = _rng(spec)
-    block = max(1, _BLOCK_BYTES // (8 * (len(bins) + len(taus))))
+    block = max(1, _BLOCK_BYTES // (8 * (len(r) + len(taus))))
     cos_sum = np.zeros(len(taus))
     sin_sum = np.zeros(len(taus))
     for start in range(0, n_traj, block):
-        z = rng.standard_normal((min(block, n_traj - start), len(bins)))
-        phi = z @ gain
+        phi = rng.standard_normal((min(block, n_traj - start), len(r))) @ r
         cos_sum += np.cos(phi).sum(axis=0)
-        sin_sum += np.sin(phi).sum(axis=0)
+        sin_sum += np.sin(phi, out=phi).sum(axis=0)
     coherence = np.hypot(cos_sum, sin_sum) / n_traj
 
     kind = {0: "ramsey", 1: "echo"}.get(n_pi, "cpmg")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from qnl import mcsim
 from qnl.ddfilter import PulseSequence
 from qnl.decayfit import (DecayTrace, fit_cpmg, fit_ramsey, fit_relaxation,
                           fit_scaling)
@@ -156,6 +157,42 @@ def test_criterion_07_integral_vs_monte_carlo():
     elapsed = time.perf_counter() - start
     print(f"({elapsed:.1f} s)")
     assert elapsed < 15.0
+
+
+# measured over seeds 0-999 at each op of criterion 7: |chi_mc - chi_grid|
+# reached 3.46 standard errors, and chi_grid/chi - 1 lies in [-1.67%, -0.16%]
+MC_SIGMAS = 4.0
+GRID_BIAS = 0.02
+
+
+def test_criterion_07_sampling_and_grid_bias_apart():
+    # chi_grid, half the squared norm of the gain's column, is the exact
+    # expectation of the discretized phase's chi: chi_mc checks it within
+    # its sampling noise, and chi_grid checks the continuum chi within
+    # the discretization bias
+    tau, n_traj = 25e-6, 6000
+    band = {"f_min": 2.1e3, "f_max": 2e6}
+    for alpha in (1.0, 1.5):
+        for n_pulses in (1, 4, 8):
+            chi = 0.7
+            amplitude = chi / _chi(1.0, alpha, band, n_pulses, tau)
+            spec = SyntheticNoise(amplitude=amplitude, alpha=alpha,
+                                  seed=70 + n_pulses + int(10 * alpha),
+                                  **band)
+            seq = PulseSequence(n_pulses=n_pulses, tau=tau)
+            gain = mcsim._gain(spec, seq, TWO_PI, tau / 160, np.array([tau]))
+            chi_grid = 0.5 * float(gain[:, 0] @ gain[:, 0])
+            trace = simulate_sequence(spec, seq, sensitivity=TWO_PI,
+                                      n_traj=n_traj, dt=tau / 160,
+                                      taus=[tau])
+            chi_mc = -np.log(2.0 * trace.populations[0] - 1.0)
+            # standard error of -ln|<e^{i phi}>| for Gaussian phases
+            sigma = np.sqrt(2.0 / n_traj) * np.sinh(chi_grid)
+            print(f"alpha={alpha}  N={n_pulses}: chi_grid={chi_grid:.4f} "
+                  f"({100 * (chi_grid / chi - 1):+.2f}%)  "
+                  f"chi_mc-chi_grid={(chi_mc - chi_grid) / sigma:+.2f} SE")
+            assert abs(chi_mc - chi_grid) < MC_SIGMAS * sigma
+            assert -GRID_BIAS < chi_grid / chi - 1.0 < 0.0
 
 
 def test_criterion_08_echo_refocusing():

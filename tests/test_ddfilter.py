@@ -148,6 +148,19 @@ class TestCpmgFilter:
                 assert g == pytest.approx(
                     (2.0 / ((2 * m + 1) * np.pi)) ** 2, rel=1e-12)
 
+    def test_scalar_rounds_as_an_array_point(self):
+        # one rounding of the formula: a scalar call squares as an array
+        # does, so g(w) == g([w])[0] bit for bit
+        rng = np.random.default_rng(24)
+        sequences = [seq(n, 20e-6, tau_pi) for n in range(1, 17)
+                     for tau_pi in (0.0, 20e-9)]
+        picks = rng.integers(0, len(sequences), 20000)
+        omegas = rng.uniform(0.0, 4e7, 20000)
+        differ = [(sequences[i], w) for i, w in zip(picks, omegas)
+                  if filter_value(sequences[i], w)
+                  != filter_value(sequences[i], [w])[0]]
+        assert differ == []
+
     def test_deep_dc_tail(self):
         # even N: g -> x^4 / (64 N^4) with no rounding floor as x -> 0
         tau = 100e-6
@@ -374,7 +387,7 @@ def _cpmg_filter_oracle(n, x, v, free):
         r = np.where(u < 1.0, p / np.cos(u),
                      np.where(e == 0.0, n, np.sin(n * e) / np.sin(e)))
         s = np.sin(0.5 * (u + v)) * np.sin(0.5 * u * free)
-        g = (4.0 * r * s) ** 2 / x ** 2
+        g = np.square(4.0 * r * s) / np.square(x)
     g = np.where(x < 1e-150, 0.0, g)
     return float(g) if g.ndim == 0 else g
 

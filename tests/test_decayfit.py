@@ -37,6 +37,21 @@ class TestDecayTrace:
             DecayTrace(times=times, populations=populations,
                        kind="relaxation")
 
+    @pytest.mark.parametrize("kind, n_pulses", [
+        ("cpmg", 2.5), ("echo", True), ("cpmg", np.float64(4.0)),
+        ("ramsey", False)])
+    def test_pulse_count_must_be_an_integer(self, kind, n_pulses):
+        t = np.linspace(0, 1e-5, 20)
+        with pytest.raises(ValueError, match="^n_pulses must be an integer"):
+            DecayTrace(times=t, populations=np.full(20, 0.5), kind=kind,
+                       n_pulses=n_pulses)
+
+    def test_numpy_integer_pulse_count_accepted(self):
+        t = np.linspace(0, 1e-5, 20)
+        trace = DecayTrace(times=t, populations=np.full(20, 0.5),
+                           kind="cpmg", n_pulses=np.int64(4))
+        assert trace.n_pulses == 4
+
     def test_echo_is_one_pulse(self):
         t = np.linspace(0, 1e-5, 20)
         trace = DecayTrace(times=t, populations=np.full(20, 0.5), kind="echo")

@@ -336,6 +336,21 @@ def test_bad_sidecar_is_an_input_error(tmp_path, sidecar, message):
     assert info.value.diagnostic.file == str(sidecar_path(path))
 
 
+@pytest.mark.parametrize("n_pulses, message", [
+    ("2.5", "n_pulses must be an integer, got 2.5"),
+    ("-2", "n_pulses must be >= 0")])
+def test_bad_pulse_count_names_its_column(tmp_path, n_pulses, message):
+    # the sidecar reader applies ddfilter's one pulse-count rule
+    path = tmp_path / "trace.csv"
+    path.write_text("tau_s,pe\n1e-6,0.9\n2e-6,0.5\n")
+    sidecar_path(path).write_text(
+        f'{{"kind": "cpmg", "n_pulses": {n_pulses}}}')
+    with pytest.raises(InputError) as info:
+        load_decay_trace(path)
+    diag = info.value.diagnostic
+    assert (diag.column, diag.message) == ("n_pulses", message)
+
+
 def test_population_out_of_tolerance_is_a_warning(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("tau_s,pe\n1e-6,0.9\n2e-6,1.5\n")

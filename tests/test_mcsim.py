@@ -137,10 +137,10 @@ class TestSynthesizeNoise:
         assert np.var(offsets) == pytest.approx(expected, rel=0.25)
 
 
-def reference_spectra(s, dt, n, n_traj):
-    """The rfft of the records that the first n_traj rows of s.seed's
-    stream make, written out in one piece from the documented layout and
-    without the spectral helpers of mcsim.
+def reference_spectra(s, dt, n, z=None):
+    """The rfft of the records that the rows of z make (default: row 0 of
+    s.seed's stream), written out in one piece from the documented layout
+    and without the spectral helpers of mcsim.
 
     A row holds one standard normal per in-band real part, in bin order,
     then one per in-band imaginary part (an even n's Nyquist coefficient
@@ -158,9 +158,11 @@ def reference_spectra(s, dt, n, n_traj):
     k_re = np.flatnonzero(psd)
     k_im = k_re[k_re < n / 2]
     static = s.amplitude > 0 and s.f_min < freqs[1]
-    z = np.random.default_rng(s.seed).standard_normal(
-        (n_traj, len(k_re) + len(k_im) + static))
-    spectra = np.zeros((n_traj, len(freqs)), dtype=complex)
+    width = len(k_re) + len(k_im) + static
+    if z is None:
+        z = np.random.default_rng(s.seed).standard_normal((1, width))
+    assert z.shape[1] == width
+    spectra = np.zeros((len(z), len(freqs)), dtype=complex)
     spectra.real[:, k_re] = scale_re[k_re] * z[:, :len(k_re)]
     spectra.imag[:, k_im] = (scale_im[k_im]
                              * z[:, len(k_re):len(k_re) + len(k_im)])
@@ -173,7 +175,7 @@ def reference_spectra(s, dt, n, n_traj):
 def reference_synthesis(s, dt, n):
     """synthesize_noise written out: the record of row 0; the two agree
     bit for bit."""
-    return np.fft.irfft(reference_spectra(s, dt, n, 1)[0], n=n)
+    return np.fft.irfft(reference_spectra(s, dt, n)[0], n=n)
 
 
 @pytest.mark.parametrize("fields, n", [
@@ -279,27 +281,24 @@ def record_length(s, seq, dt):
     return int(np.ceil(span / dt))
 
 
-def reference_phasors(s, seq, sensitivity, n_traj, dt, taus=None):
-    """e^{i phi}, (n_traj, delays), record by record: the records of
+def reference_phases(s, seq, sensitivity, z, dt, taus):
+    """phi, (rows of z, delays), record by record: the records of
     reference_spectra, their trapezoid integral, linear interpolation at
     the segment bounds, signed sums."""
-    if taus is None:
-        taus = np.linspace(seq.tau / 24.0, seq.tau, 24)
-    taus = np.sort(np.asarray(taus, dtype=float))
     n = record_length(s, seq, dt)
     t_knots = np.arange(n) * dt
     frac = np.concatenate(([0.0], pulse_times(seq) / seq.tau, [1.0]))
     bounds = np.multiply.outer(taus, frac)
     seg_signs = (-1.0) ** np.arange(seq.n_pulses + 1)
-    phasors = np.empty((n_traj, len(taus)), dtype=complex)
-    for i, spectrum in enumerate(reference_spectra(s, dt, n, n_traj)):
+    phases = np.empty((len(z), len(taus)))
+    for i, spectrum in enumerate(reference_spectra(s, dt, n, z)):
         lam = np.fft.irfft(spectrum, n=n)
         cum = np.concatenate(
             ([0.0], np.cumsum(0.5 * (lam[1:] + lam[:-1]) * dt)))
         cum_at = np.interp(bounds.ravel(), t_knots, cum).reshape(bounds.shape)
-        phi = sensitivity * (np.diff(cum_at, axis=1) * seg_signs).sum(axis=1)
-        phasors[i] = np.exp(1j * phi)
-    return phasors
+        phases[i] = sensitivity * (np.diff(cum_at, axis=1)
+                                   * seg_signs).sum(axis=1)
+    return phases
 
 
 def populations(phasors):
@@ -333,8 +332,9 @@ EQUIVALENCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
-def test_weights_match_record_by_record_reference(case):
+def equivalence_case(case):
+    """(spec, sequence, dt, delays) of an EQUIVALENCE_CASES entry, with
+    its f_max and its default delays resolved."""
     fields, n_pulses, dt, taus, parity = EQUIVALENCE_CASES[case]
     seq = PulseSequence(n_pulses=n_pulses, tau=TAU)
     if fields["f_max"] == "nyquist":
@@ -343,16 +343,41 @@ def test_weights_match_record_by_record_reference(case):
     s = SyntheticNoise(seed=5, **fields)
     if parity is not None:
         assert record_length(s, seq, dt) % 2 == parity
+    if taus is None:
+        taus = np.linspace(TAU / 24.0, TAU, 24)
+    return s, seq, dt, np.asarray(taus, dtype=float)
+
+
+def gain(s, seq, dt, taus):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        expected = populations(reference_phasors(s, seq, 1.0, 24, dt, taus))
-        trace = simulate_sequence(s, seq, sensitivity=1.0, n_traj=24,
-                                  dt=dt, taus=taus)
+        return mcsim._gain(s, seq, 1.0, dt, taus)
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_weights_match_record_by_record_reference(case):
+    # for any fixed rows z, the phases of their records, integrated record
+    # by record, are z @ G: the gain that simulate_sequence samples from
+    s, seq, dt, taus = equivalence_case(case)
+    g = gain(s, seq, dt, taus)
+    z = np.random.default_rng(11).standard_normal((24, len(g)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = reference_phases(s, seq, 1.0, z, dt, taus)
     if s.amplitude > 0:
         # the phases are O(1), so the comparison is not a trivial one
-        assert expected.min() < 0.95
-    np.testing.assert_allclose(trace.populations, expected, rtol=0,
-                               atol=1e-12)
+        assert np.abs(expected).max() > 0.5
+    np.testing.assert_allclose(z @ g, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_triangular_factor_keeps_the_phase_covariance(case):
+    # u @ R with u ~ N(0, I_k) has the law of z @ G: R^T R = G^T G
+    s, seq, dt, taus = equivalence_case(case)
+    g = gain(s, seq, dt, taus)
+    r = np.linalg.qr(g, mode="r")
+    assert r.shape == (min(g.shape), len(taus))
+    np.testing.assert_allclose(r.T @ r, g.T @ g, rtol=1e-12)
 
 
 @pytest.fixture
@@ -375,23 +400,42 @@ def drawn(monkeypatch):
     return shapes
 
 
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_each_trajectory_draws_k_normals(case, drawn):
+    # k = min(row width, delays) normals per trajectory, and every one of
+    # the n_traj trajectories draws; a record still draws the full row
+    s, seq, dt, taus = equivalence_case(case)
+    n = record_length(s, seq, dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        width = len(mcsim._row_layout(s, dt, n)[0])
+        simulate_sequence(s, seq, sensitivity=1.0, n_traj=7, dt=dt,
+                          taus=taus)
+        synthesize_noise(s, dt, n)
+    *blocks, record = drawn
+    assert all(shape[1:] == (min(width, len(taus)),) for shape in blocks)
+    assert sum(shape[0] for shape in blocks) == 7
+    assert record == (width,)
+
+
 # case: (n_traj inside one block, n_traj over three or more blocks)
-BLOCK_CASES = {"odd_clipped_at_nyquist": (100, 300),
-               "static_offset_and_band_odd": (10, 40)}
+BLOCK_CASES = {"odd_clipped_at_nyquist": (100, 50_000),
+               "static_offset_and_band_odd": (10, 6000)}
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_blocks_change_nothing(case, drawn):
-    fields, n_pulses, dt, taus, _ = EQUIVALENCE_CASES[case]
+    s, seq, dt, taus = equivalence_case(case)
     inside, across = BLOCK_CASES[case]
-    s = SyntheticNoise(seed=5, **fields)
-    seq = PulseSequence(n_pulses=n_pulses, tau=TAU)
+    r = np.linalg.qr(gain(s, seq, dt, taus), mode="r")
+    # one (across, k) draw: its first n_traj rows are the phases of every
+    # smaller ensemble, so they must not depend on n_traj
+    phases = np.random.default_rng(s.seed).standard_normal(
+        (across, len(r))) @ r
+    phasors = np.exp(1j * phases)
     rows = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        # one (across, width) draw: its first n_traj rows are the phases of
-        # every smaller ensemble, so they must not depend on n_traj
-        phasors = reference_phasors(s, seq, 1.0, across, dt, taus)
         for n_traj in (1, 2, inside, across):
             drawn.clear()
             trace = simulate_sequence(s, seq, sensitivity=1.0,
@@ -405,25 +449,6 @@ def test_blocks_change_nothing(case, drawn):
     # three or more blocks, the last one partial
     assert len(rows[across]) >= 3 and rows[across][-1] < rows[across][0]
     assert sum(rows[across]) == across
-
-
-@pytest.mark.parametrize("case", [c for c in EQUIVALENCE_CASES
-                                  if c != "even_nyquist_in_band"])
-def test_each_trajectory_draws_one_normal_per_nonzero_scale(case, drawn):
-    fields, n_pulses, dt, taus, _ = EQUIVALENCE_CASES[case]
-    s = SyntheticNoise(seed=5, **fields)
-    seq = PulseSequence(n_pulses=n_pulses, tau=TAU)
-    n = record_length(s, seq, dt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        width = len(mcsim._row_layout(s, dt, n)[0])
-        simulate_sequence(s, seq, sensitivity=1.0, n_traj=7, dt=dt,
-                          taus=taus)
-        synthesize_noise(s, dt, n)
-    *blocks, record = drawn
-    assert all(shape[1:] == (width,) for shape in blocks)
-    assert sum(shape[0] for shape in blocks) == 7
-    assert record == (width,)
 
 
 @pytest.mark.parametrize("n_pulses", [0, 1])
