@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .ddfilter import check_pulse_count
-from .decayfit import _POPULATION_BOUNDS, DecayTrace
+from .decayfit import _KINDS, _POPULATION_BOUNDS, DecayTrace
 from .noisespec import FrequencySeries, PSDPoint
 
 DECAY_HEADER = ["tau_s", "pe"]
@@ -240,7 +240,10 @@ def load_decay_trace(path) -> tuple[DecayTrace, dict]:
                            kind=meta.get("kind"),
                            n_pulses=meta.get("n_pulses", 0))
     except ValueError as exc:
-        raise InputError(str(exc), sidecar_path(path)) from None
+        # every other field is checked above, so what is left is a pulse
+        # count that does not suit the kind
+        raise InputError(str(exc), sidecar_path(path),
+                         column="n_pulses") from None
     return trace, meta
 
 
@@ -257,6 +260,10 @@ def _read_sidecar(meta_path: Path) -> dict:
         check_pulse_count(meta.get("n_pulses", 0))
     except ValueError as exc:
         raise InputError(str(exc), meta_path, column="n_pulses") from None
+    kind = meta.get("kind")
+    if kind not in _KINDS:
+        raise InputError(f"kind must be one of {_KINDS}, got {kind!r}",
+                         meta_path, column="kind")
     for key in ("bias_mv", "temperature_mk"):
         value = meta.get(key)
         if value is not None and not is_finite_number(value):

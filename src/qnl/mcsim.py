@@ -53,6 +53,15 @@ _RECORD_STRETCH = 2.0
 _MAX_STRETCH = 64.0
 # bytes of normals and phases per block of simulate_sequence trajectories
 _BLOCK_BYTES = 1 << 20
+# nodes and weights of the 8-point Gauss-Legendre rule on [-1, 1], correctly
+# rounded; a literal, so importing qnl.mcsim runs no eigensolver
+_GL_X = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329,
+                  -0.1834346424956498, 0.1834346424956498, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975363])
+_GL_W = np.array([0.10122853629037626, 0.22238103445337448,
+                  0.31370664587788727, 0.362683783378362, 0.362683783378362,
+                  0.31370664587788727, 0.22238103445337448,
+                  0.10122853629037626])
 
 
 @dataclass(frozen=True)
@@ -282,8 +291,7 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
                       kind=kind, n_pulses=n_pi)
 
 
-def dephasing_integral(psd, seq: PulseSequence, sensitivity: float,
-                       points_per_cycle: int = 64) -> float:
+def dephasing_integral(psd, seq: PulseSequence, sensitivity: float) -> float:
     """chi_N(tau): the filter-weighted noise integral at tau = seq.tau.
 
     chi = (sensitivity^2 tau^2 / 2) * integral_band S(f) g_N(2 pi f, tau) df.
@@ -291,34 +299,33 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float,
     `psd` is a band-limited SyntheticNoise, or a mapping of its fields
     (amplitude, alpha, f_min, f_max), which SyntheticNoise validates; with
     f_min > 0 the integral is finite for every alpha it accepts.
-    Quadrature is a trapezoid rule on the union of a linear grid resolving
-    the filter oscillation (points_per_cycle per period 1/tau) and a log
-    grid resolving the power-law decades; doubling points_per_cycle is the
-    convergence check; it must be at least 1.
+    Quadrature is the 8-node Gauss-Legendre rule on each panel between
+    consecutive edges of the union of f_min + k/tau (one panel per period
+    1/tau of the filter), ceil(8 log10(f_max/f_min)) + 1 log-spaced edges
+    (at most 1/8 decade per panel of the power law) and f_max.  Checked
+    against scipy's adaptive Gauss-Kronrod quadrature at a relative 1e-13,
+    broken at every period and decade, over alpha in {0.5, 1, ..., 3},
+    N in {0, 1, 4, 64}, tau in {2, 40, 250} us and tau_pi in {0, 20 ns} on
+    a 2.1 kHz - 2.5 MHz band, it is within 1e-10 relative (worst 3.0e-11,
+    at N = 64, tau = 2 us); with g_N replaced by 1 it reproduces
+    band_variance within 2e-14 relative.
 
     For Gaussian noise, coherence = exp(-chi): compare with
     -log of the simulate_sequence coherence.
     """
     if not isinstance(psd, SyntheticNoise):
         psd = SyntheticNoise(**psd)
-    if not points_per_cycle >= 1:
-        raise ValueError(f"points_per_cycle must be >= 1, got "
-                         f"{points_per_cycle!r}")
     if psd.amplitude == 0.0:
         return 0.0
 
     f_min, f_max = psd.f_min, psd.f_max
-    df = 1.0 / (points_per_cycle * seq.tau)
-    lin = np.arange(f_min, f_max, df)
-    per_decade = max(2, 8 * points_per_cycle)
-    n_log = max(2, int(np.log10(f_max / f_min) * per_decade))
-    log = np.geomspace(f_min, f_max, n_log)
-    # both halves are sorted runs, which numpy's stable sort merges
-    grid = np.concatenate((lin, log, [f_max]))
-    grid.sort(kind="stable")
-    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-
-    integrand = (psd.amplitude * grid ** -psd.alpha
-                 * filter_value(seq, TWO_PI * grid))
+    n_log = int(np.ceil(8.0 * np.log10(f_max / f_min))) + 1
+    edges = np.unique(np.concatenate((np.arange(f_min, f_max, 1.0 / seq.tau),
+                                      np.geomspace(f_min, f_max, n_log),
+                                      [f_max])))
+    half = 0.5 * np.diff(edges)
+    f = (edges[:-1] + half)[:, None] + half[:, None] * _GL_X
+    integrand = (psd.amplitude * f ** -psd.alpha
+                 * filter_value(seq, TWO_PI * f))
     return float(0.5 * sensitivity**2 * seq.tau**2
-                 * np.trapezoid(integrand, grid))
+                 * np.sum(integrand * (half[:, None] * _GL_W)))

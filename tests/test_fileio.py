@@ -351,6 +351,22 @@ def test_bad_pulse_count_names_its_column(tmp_path, n_pulses, message):
     assert (diag.column, diag.message) == ("n_pulses", message)
 
 
+@pytest.mark.parametrize("sidecar, column, message", [
+    ('{"kind": "hahn"}', "kind", "kind must be one of ('relaxation', "
+     "'ramsey', 'echo', 'cpmg'), got 'hahn'"),
+    ('{"kind": "echo", "n_pulses": 2}', "n_pulses",
+     "echo trace must have n_pulses=1"),
+])
+def test_bad_kind_names_its_column(tmp_path, sidecar, column, message):
+    path = tmp_path / "trace.csv"
+    path.write_text("tau_s,pe\n1e-6,0.9\n2e-6,0.5\n")
+    sidecar_path(path).write_text(sidecar)
+    with pytest.raises(InputError) as info:
+        load_decay_trace(path)
+    assert info.value.diagnostic == Diagnostic(
+        "error", message, str(sidecar_path(path)), None, column)
+
+
 def test_population_out_of_tolerance_is_a_warning(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("tau_s,pe\n1e-6,0.9\n2e-6,1.5\n")
