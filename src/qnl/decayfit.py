@@ -185,21 +185,19 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
     p0_0 = float(y.mean())
     t2_0 = (t[-1] - t[0]) / 2.0
 
-    def residual(p):
+    def model(p):
         p0, a, t2, f, phi = p
-        return p0 + a * np.exp(-t / t2) * np.cos(2 * np.pi * f * t + phi) - y
-
-    def jac(p):
-        _, a, t2, f, phi = p
         x = t / t2
         env = np.exp(-x)
         arg = 2 * np.pi * f * t + phi
-        ec, es = env * np.cos(arg), a * env * np.sin(arg)
-        return np.column_stack((np.ones_like(t), ec, a * ec * x / t2,
-                                -2 * np.pi * t * es, -es))
+        cos = np.cos(arg)
+        ec, es = env * cos, a * env * np.sin(arg)
+        return (p0 + a * env * cos - y,
+                np.column_stack((np.ones_like(t), ec, a * ec * x / t2,
+                                 -2 * np.pi * t * es, -es)))
 
     result = run_least_squares(
-        residual, jac, [p0_0, a_0, t2_0, f_0, phi_0],
+        model, [p0_0, a_0, t2_0, f_0, phi_0],
         bounds=([-np.inf, 0.0, 1e-300, 0.0, -2 * np.pi],
                 [np.inf, np.inf, np.inf, 1.5 * freqs[-1], 2 * np.pi]))
     fit, errors = named(result, ("offset", "amplitude", "t2", "detuning",
@@ -267,23 +265,21 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
 
     lo_s, hi_s = STRETCH_BOUNDS
 
-    def residual(p):
+    def model(p):
         p0, a, t_phi, s = p
-        return p0 + a * relax * np.exp(-(t / t_phi) ** s) - y
-
-    def jac(p):
-        _, a, t_phi, s = p
         q = t / t_phi
         qs = q ** s
-        m = relax * np.exp(-qs)
+        e = np.exp(-qs)
+        m = relax * e
         # m q^s ln q -> 0 as q -> 0, so ln q is taken as 0 at t = 0
         amq = a * m * qs
         log_q = np.log(q, out=np.zeros_like(q), where=q > 0)
-        return np.column_stack((np.ones_like(t), m, amq * s / t_phi,
-                                -amq * log_q))
+        return (p0 + a * relax * e - y,
+                np.column_stack((np.ones_like(t), m, amq * s / t_phi,
+                                 -amq * log_q)))
 
     result = run_least_squares(
-        residual, jac, [p0_0, a_0, t_phi_0, 2.0],
+        model, [p0_0, a_0, t_phi_0, 2.0],
         bounds=([-np.inf, -np.inf, t[0] * 1e-3, lo_s],
                 [np.inf, np.inf, t[-1] * 1e3, hi_s]))
     fit, errors = named(result, ("offset", "amplitude", "t_phi", "stretch"))
@@ -326,17 +322,14 @@ def _fit_exponential(t, y, time_name):
     """Fit p0 + a*exp(-t/T): named's (values, errors), T as time_name."""
     p0_0, a_0 = y[-1], y[0] - y[-1]
 
-    def residual(p):
+    def model(p):
         p0, a, tau = p
-        return p0 + a * np.exp(-t / tau) - y
-
-    def jac(p):
-        _, a, tau = p
         x = t / tau
         e = np.exp(-x)
-        return np.column_stack((np.ones_like(t), e, a * e * x / tau))
+        return (p0 + a * e - y,
+                np.column_stack((np.ones_like(t), e, a * e * x / tau)))
 
-    result = run_least_squares(residual, jac,
+    result = run_least_squares(model,
                                [p0_0, a_0, _efold_guess(t, y, p0_0, a_0)],
                                bounds=([-np.inf, -np.inf, 1e-300],
                                        [np.inf, np.inf, np.inf]))

@@ -33,9 +33,7 @@ appear under the final name.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -55,6 +53,9 @@ SPECTRUM_HEADER = ["freq_hz", "amp"]
 TWO_TONE_HEADER = ["voltage_v", "freq_hz", "phase_rad"]
 PSD_HEADER = ["freq_hz", "psd", "units"]
 SERIES_HEADER = ["t_s", "freq_hz"]
+_CHARGE_NOISE_HEADER = ["material_platform", "qubit_type", "sv_min_uv2_hz",
+                        "sv_max_uv2_hz", "freq_min_khz", "freq_max_khz",
+                        "lever_min_mhz_mv", "lever_max_mhz_mv", "reference"]
 
 
 @dataclass(frozen=True)
@@ -332,6 +333,9 @@ def load_psd_csv(path) -> np.ndarray:
 
 def load_charge_noise_table() -> list[dict]:
     """Literature voltage-noise comparison rows shipped as package data."""
-    text = (resources.files("qnl") / "reference" /
-            "charge_noise_table.csv").read_text()
-    return list(csv.DictReader(io.StringIO(text)))
+    with resources.as_file(resources.files("qnl") / "reference" /
+                           "charge_noise_table.csv") as path:
+        cells = _read_cells(path, _CHARGE_NOISE_HEADER)
+    width = len(_CHARGE_NOISE_HEADER)
+    return [dict(zip(_CHARGE_NOISE_HEADER, cells[i:i + width]))
+            for i in range(0, len(cells), width)]

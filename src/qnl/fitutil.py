@@ -4,6 +4,10 @@ fit statistics shared by every fit.
 run_least_squares is the one solver behind every fit: a projected
 Levenberg-Marquardt in numpy, with Marquardt's diagonal scaling
 (J. SIAM 11, 431 (1963)) and Nielsen's damping update (IMM-REP-1999-05).
+A fit hands it one model, a function of the parameters that returns the
+residuals and their analytic Jacobian from one evaluation, as MINPACK's
+lmder takes one user routine for both (Moré, Garbow and Hillstrom,
+ANL-80-74, 1980).
 find_root is the one bracketed root finder: Brent and Dekker's iteration
 (Brent, Algorithms for Minimization Without Derivatives, 1973, ch. 4).
 named keys each fit's values and standard errors by parameter name.
@@ -38,11 +42,11 @@ class LeastSquaresResult:
     """A least-squares minimum and how the solver reached it.
 
     x, fun and jac are the parameters, the residuals and the Jacobian at
-    the minimum, and cost = fun @ fun / 2.  nfev and njev count the
-    residual and Jacobian calls.  status names the test that stopped the
-    solver (1 gradient, 2 cost, 3 step; see run_least_squares), message
-    says it in words, and optimality is the scaled projected gradient,
-    max_j |J_j . fun| / |J_j| over the parameters not held at a bound.
+    the minimum, and cost = fun @ fun / 2.  nfev counts the model calls.
+    status names the test that stopped the solver (1 gradient, 2 cost,
+    3 step; see run_least_squares), and optimality is the scaled projected
+    gradient, max_j |J_j . fun| / |J_j| over the parameters not held at a
+    bound.
     """
 
     x: np.ndarray
@@ -50,30 +54,26 @@ class LeastSquaresResult:
     jac: np.ndarray
     cost: float
     nfev: int
-    njev: int
     status: int
     optimality: float
-    message: str
 
 
-_MESSAGES = {1: "the scaled projected gradient is below tolerance",
-             2: "the cost decrease is below tolerance",
-             3: "the step is below tolerance"}
+def run_least_squares(model, x0, bounds) -> LeastSquaresResult:
+    """Minimise |r(p)|^2 / 2 within bounds = (lower, upper).
 
-
-def run_least_squares(residual, jac, x0, bounds) -> LeastSquaresResult:
-    """Minimise |residual(p)|^2 / 2 within bounds = (lower, upper).
-
-    jac(p) is the analytic (n_residuals, n_params) Jacobian of residual(p);
-    there is no finite-difference path.  Each step solves
-    (JsᵀJs + mu I) z = -Jsᵀr in the scaled parameters p_j |J_j|, with
-    |J_j| the column norms at the current point (Marquardt's scaling).  A
-    parameter at a bound whose gradient points outward is held for that
-    step; every other trial point is clipped into the bounds.  A trial
-    that lowers the cost is accepted and mu shrinks by the gain ratio rho
-    as max(1/3, 1 - (2 rho - 1)^3) (Nielsen); a trial that does not, or
-    whose residuals are not finite, is rejected and mu grows by a doubling
-    factor.  The solver stops on the first of, with tol = 1e-12:
+    model(p) returns (r, J): the residuals and their analytic
+    (n_residuals, n_params) Jacobian at p, so a fit computes the terms
+    both share once; there is no finite-difference path.  Each trial point
+    costs one model call, and an accepted trial's J is kept for the next
+    step.  Each step solves (JsᵀJs + mu I) z = -Jsᵀr in the scaled
+    parameters p_j |J_j|, with |J_j| the column norms at the current
+    point (Marquardt's scaling).  A parameter at a bound whose gradient
+    points outward is held for that step; every other trial point is
+    clipped into the bounds.  A trial that lowers the cost is accepted and
+    mu shrinks by the gain ratio rho as max(1/3, 1 - (2 rho - 1)^3)
+    (Nielsen); a trial that does not, or whose residuals are not finite,
+    is rejected and mu grows by a doubling factor.  The solver stops on
+    the first of, with tol = 1e-12:
 
     1. the scaled projected gradient, max_j |J_j . r| / |J_j| over the
        free parameters, is at most tol * |r| (status 1);
@@ -85,7 +85,8 @@ def run_least_squares(residual, jac, x0, bounds) -> LeastSquaresResult:
 
     Raises ValueError for an x0 outside the bounds (or bounds with
     lower >= upper) and for non-finite residuals at x0, and FitError when
-    100 residual evaluations per parameter do not reach a stop.
+    100 model calls (residual evaluations) per parameter do not reach a
+    stop.
     """
     x = np.array(x0, dtype=float)
     lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), x.shape)
@@ -93,17 +94,15 @@ def run_least_squares(residual, jac, x0, bounds) -> LeastSquaresResult:
     if not np.all((lower <= x) & (x <= upper) & (lower < upper)):
         raise ValueError(f"x0 = {x.tolist()} is infeasible for the bounds")
     with np.errstate(all="ignore"):    # a non-finite trial is rejected
-        r = residual(x)
+        r, j = model(x)
         cost = 0.5 * float(r @ r)
         if not np.isfinite(cost):
             raise ValueError("residuals are not finite at x0")
         eye = np.eye(x.size)
         max_nfev = 100 * x.size
-        nfev, njev, status, mu, grow, moved = 1, 0, 0, 1e-3, 2.0, True
+        nfev, status, mu, grow, moved = 1, 0, 1e-3, 2.0, True
         while True:
             if moved:
-                j = jac(x)
-                njev += 1
                 scale = np.sqrt(np.einsum("ij,ij->j", j, j))
                 scale[scale == 0.0] = 1.0
                 js = j / scale
@@ -116,7 +115,7 @@ def run_least_squares(residual, jac, x0, bounds) -> LeastSquaresResult:
                     status = status or 1
                     break
                 hess = js.T @ js
-                model = hess * np.outer(~held, ~held) if held.any() else hess
+                free = hess * np.outer(~held, ~held) if held.any() else hess
                 scaled_x = x * scale
                 x_sq = float(scaled_x @ scaled_x)
             elif status:
@@ -124,10 +123,10 @@ def run_least_squares(residual, jac, x0, bounds) -> LeastSquaresResult:
             if nfev >= max_nfev:
                 raise FitError(f"least-squares did not converge: "
                                f"{max_nfev} residual evaluations used up")
-            z = np.linalg.solve(model + mu * eye, -grad)
+            z = np.linalg.solve(free + mu * eye, -grad)
             trial = np.minimum(np.maximum(x + z / scale, lower), upper)
             step = (trial - x) * scale
-            r_trial = residual(trial)
+            r_trial, j_trial = model(trial)
             nfev += 1
             cost_trial = 0.5 * float(r_trial @ r_trial)
             decrease = cost - cost_trial
@@ -139,16 +138,14 @@ def run_least_squares(residual, jac, x0, bounds) -> LeastSquaresResult:
                 grow = 2.0
                 if max(decrease, predicted) <= _TOL * cost:
                     status = 2
-                x, r, cost = trial, r_trial, cost_trial
+                x, r, j, cost = trial, r_trial, j_trial, cost_trial
             else:
                 mu *= grow
                 grow *= 2.0
             if not status and float(step @ step) <= _TOL ** 2 * x_sq:
                 status = 3
     return LeastSquaresResult(x=x, fun=r, jac=j, cost=cost, nfev=nfev,
-                              njev=njev, status=status,
-                              optimality=optimality,
-                              message=_MESSAGES[status])
+                              status=status, optimality=optimality)
 
 
 def find_root(f, lo, hi) -> float:

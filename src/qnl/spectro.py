@@ -113,19 +113,16 @@ def fit_dispersion(points) -> dict:
     else:
         lever0 = 1e-6 * f_ss0 / max(np.ptp(volts), 1e-30)
 
-    def residual(p):
-        f_ss, lever, v_ss = p
-        return np.hypot(f_ss, lever * (volts - v_ss)) - freqs
-
-    def jac(p):
+    def model(p):
         f_ss, lever, v_ss = p
         dv = volts - v_ss
         h = np.hypot(f_ss, lever * dv)
         slope = lever * dv / h
-        return np.column_stack((f_ss / h, slope * dv, -lever * slope))
+        return (h - freqs,
+                np.column_stack((f_ss / h, slope * dv, -lever * slope)))
 
     result = run_least_squares(
-        residual, jac, [f_ss0, lever0, v_ss0],
+        model, [f_ss0, lever0, v_ss0],
         bounds=([1e-300, 0.0, -np.inf], [np.inf, np.inf, np.inf]))
     fit, errors = named(result, ("f_ss", "lever_c", "v_ss"))
     return {**fit, "residual_norm": float(np.linalg.norm(result.fun)),
@@ -208,22 +205,18 @@ def fit_transmission(trace, known: dict) -> dict:
 
     omega = TWO_PI * freqs
 
-    def residual(p):
-        g, gamma, f_q = p
-        _, d = _s21_denominator(omega, f_r, kappa, f_q, gamma, g)
-        return np.abs(0.5 * kappa / d) - amps
-
-    def jac(p):
+    def model(p):
         # dS21/dp = -(S21/D) dD/dp, so d|S21|/dp = -|S21| Re(dD/dp / D)
         g, gamma, f_q = p
         q, d = _s21_denominator(omega, f_r, kappa, f_q, gamma, g)
+        amp = np.abs(0.5 * kappa / d)
         gq = g**2 / q**2
         d_denom = np.column_stack((2.0 * g / q, -0.5 * gq, 1j * TWO_PI * gq))
-        return -np.abs(0.5 * kappa / d)[:, None] * (d_denom / d[:, None]).real
+        return amp - amps, -amp[:, None] * (d_denom / d[:, None]).real
 
     span = TWO_PI * np.ptp(freqs)
     result = run_least_squares(
-        residual, jac, [g0, gamma0, f_q0],
+        model, [g0, gamma0, f_q0],
         bounds=([0.0, 1e-6 * kappa, freqs[0] - np.ptp(freqs)],
                 [10.0 * span, 100.0 * span, freqs[-1] + np.ptp(freqs)]))
     fit, errors = named(result, ("g", "gamma", "f_q"))

@@ -9,9 +9,9 @@ The package namespace itself binds only __version__, the
 fileio.Diagnostic, no pipeline stage builder catches an exception itself,
 the tuple of exceptions that count as a failed fit is written only in
 fitutil, the fit modules keep a fit's caveats in its result rather than
-in Python warnings, no module reads a file through csv.reader or
-io.TextIOWrapper, so fileio keeps one input parser, and no module loads
-scipy, which is a test-only oracle.
+in Python warnings, no module reads a file through csv.reader,
+csv.DictReader or io.TextIOWrapper, so fileio keeps one input parser, and
+no module loads scipy, which is a test-only oracle.
 """
 
 import ast
@@ -129,10 +129,12 @@ def test_fit_modules_do_not_use_warnings():
 
 
 def test_one_input_parser():
-    # every input table goes through fileio._read_cells; csv.reader or a
-    # text wrapper over the bytes would be a second parser with its own
-    # rules for quotes and row ends
-    banned = {("csv", "reader"), ("io", "TextIOWrapper")}
+    # every input table, the package's own included, goes through
+    # fileio._read_cells; csv.reader, csv.DictReader or a text wrapper
+    # over the bytes would be a second parser with its own rules for
+    # quotes and row ends
+    banned = {("csv", "reader"), ("csv", "DictReader"),
+              ("io", "TextIOWrapper")}
     used = [f"{path.name}:{node.lineno}"
             for path in sorted(PACKAGE.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))
@@ -174,8 +176,9 @@ def test_no_module_loads_the_slow_scipy_subpackages():
 
 def test_constants_and_least_squares_load_no_scipy():
     # h and k_B live in qnl.units and the least-squares solver in
-    # qnl.fitutil, which takes the analytic Jacobian as a required argument,
-    # so no fit can reach scipy's finite differences
+    # qnl.fitutil, whose one model argument returns the residuals with
+    # their analytic Jacobian, so no fit can reach scipy's finite
+    # differences
     loaded = _loaded_by(["qnl.thermal", "qnl.resonator", "qnl.fitutil",
                          "qnl.spectro"])
     assert sorted(name for name in loaded

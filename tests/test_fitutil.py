@@ -1,8 +1,10 @@
 """Analytic Jacobians of the least-squares models, the fits they drive,
-the root finder and the faults of both solvers.
+the solver's model contract, the root finder and the faults of both
+solvers.
 
-Each fit's residual and Jacobian are taken from the `run_least_squares`
-call it makes, so the checks see exactly the functions the fit uses.
+Each fit's model, the one function that returns its residuals and
+Jacobian, is taken from the `run_least_squares` call it makes, so the
+checks see exactly the function the fit uses.
 scipy's least_squares, converged at 1e-15, is the test-only oracle for
 where each fit should land, and scipy's brentq at find_root's tolerances
 the oracle for each root, to the bit.
@@ -37,17 +39,16 @@ def _dispersion_points():
     return np.column_stack((volts, spectro.qubit_frequency(DISPERSION, volts)))
 
 
-def _models(monkeypatch):
-    """{name: (residual, jac)} of every least-squares model, each captured
-    from one fit of its kind."""
-    captured = []
-    for module in (decayfit, spectro):
-        real = module.run_least_squares
+MODEL_NAMES = ("exponential", "ramsey", "cpmg", "dispersion", "transmission")
 
-        def capture(residual, jac, x0, bounds, real=real):
-            captured.append((residual, jac))
-            return real(residual, jac, x0, bounds)
-        monkeypatch.setattr(module, "run_least_squares", capture)
+
+def _fit_with_each_model(monkeypatch, solver):
+    """Run one fit of each model, in MODEL_NAMES order, with
+    solver(real_solver, model, x0, bounds) in place of run_least_squares."""
+    for module in (decayfit, spectro):
+        def run(model, x0, bounds, real=module.run_least_squares):
+            return solver(real, model, x0, bounds)
+        monkeypatch.setattr(module, "run_least_squares", run)
     cpmg_from_zero = make_cpmg(4, t_phi=5e-6, stretch=2.0)
     cpmg_from_zero = decayfit.DecayTrace(
         times=cpmg_from_zero.times - cpmg_from_zero.times[0],
@@ -58,9 +59,47 @@ def _models(monkeypatch):
     spectro.fit_dispersion(_dispersion_points())
     spectro.fit_transmission(_transmission_trace(),
                              {"f_r": CAVITY.f_r, "kappa": CAVITY.kappa})
-    names = ("exponential", "ramsey", "cpmg", "dispersion", "transmission")
-    assert len(captured) == len(names)
-    return dict(zip(names, captured))
+
+
+def _models(monkeypatch):
+    """{name: model} of every least-squares model, each captured from one
+    fit of its kind."""
+    captured = []
+
+    def capture(real, model, x0, bounds):
+        captured.append(model)
+        return real(model, x0, bounds)
+    _fit_with_each_model(monkeypatch, capture)
+    assert len(captured) == len(MODEL_NAMES)
+    return dict(zip(MODEL_NAMES, captured))
+
+
+def test_solver_calls_the_model_once_per_evaluation(monkeypatch):
+    # one model call gives a trial's residuals and Jacobian, and the
+    # solver keeps an accepted trial's Jacobian instead of calling the
+    # model again at that point; a fit on seed 1's traces ends on a
+    # rejected trial, whose Jacobian the result must not carry
+    runs = []
+
+    def count(real, model, x0, bounds):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return model(p)
+        result = real(counted, x0, bounds)
+        runs.append((model, calls, result))
+        return result
+    _fit_with_each_model(monkeypatch, count)
+    _decay_times(1)
+    assert len(runs) == len(MODEL_NAMES) + 6 * 7
+    assert any(not np.array_equal(calls[-1], result.x)
+               for _, calls, result in runs)
+    for k, (model, calls, result) in enumerate(runs):
+        assert len(calls) == result.nfev, k
+        jac = model(result.x)[1]
+        assert result.jac.shape == jac.shape, k
+        assert result.jac.tobytes() == jac.tobytes(), k
 
 
 def _central_differences(residual, p):
@@ -88,7 +127,7 @@ PARAMETERS = {
 
 @pytest.mark.parametrize("name", sorted(PARAMETERS))
 def test_jacobian_matches_central_differences(monkeypatch, name):
-    residual, jac = _models(monkeypatch)[name]
+    model = _models(monkeypatch)[name]
     centre, spread = map(np.asarray, PARAMETERS[name])
     rng = np.random.default_rng(sorted(PARAMETERS).index(name))
     points = [centre * (1.0 + spread * rng.uniform(-1.0, 1.0, centre.size))
@@ -96,7 +135,8 @@ def test_jacobian_matches_central_differences(monkeypatch, name):
     if name == "transmission":
         points.append(np.array([0.0, CAVITY.gamma, CAVITY.f_r]))
     for p in points:
-        analytic, numeric = jac(p), _central_differences(residual, p)
+        analytic = model(p)[1]
+        numeric = _central_differences(lambda q: model(q)[0], p)
         assert analytic.shape == numeric.shape
         for j in range(p.size):
             assert np.all(np.isfinite(analytic[:, j]))
@@ -104,10 +144,12 @@ def test_jacobian_matches_central_differences(monkeypatch, name):
                 1e-6 * np.linalg.norm(analytic[:, j]), (name, p, j)
 
 
-def _converged_run_least_squares(residual, jac, x0, bounds):
-    result = least_squares(residual, np.asarray(x0, dtype=float), jac=jac,
-                           bounds=bounds, x_scale="jac", ftol=1e-15,
-                           xtol=1e-15, gtol=1e-15, max_nfev=10000)
+def _converged_run_least_squares(model, x0, bounds):
+    result = least_squares(lambda p: model(p)[0],
+                           np.asarray(x0, dtype=float),
+                           jac=lambda p: model(p)[1], bounds=bounds,
+                           x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+                           max_nfev=10000)
     assert result.status > 0, result.message
     return result
 
@@ -239,28 +281,27 @@ def test_unconverged_fit_is_a_fit_error():
     # is met before the cap of 100 residual evaluations per parameter
     calls = []
 
-    def residual(p):
+    def model(p):
         calls.append(p)
-        return np.exp(-p)
+        return np.exp(-p), -np.exp(-p)[:, None]
     with pytest.raises(fitutil.FitError,
                        match="least-squares did not converge: 100 residual "
                              "evaluations used up"):
-        fitutil.run_least_squares(residual, lambda p: -np.exp(-p)[:, None],
-                                  [0.0], ([-np.inf], [np.inf]))
+        fitutil.run_least_squares(model, [0.0], ([-np.inf], [np.inf]))
     assert len(calls) == 100
 
 
 def test_infeasible_start_is_a_value_error():
     with pytest.raises(ValueError, match="infeasible"):
-        fitutil.run_least_squares(lambda p: p, lambda p: np.eye(1), [2.0],
+        fitutil.run_least_squares(lambda p: (p, np.eye(1)), [2.0],
                                   ([0.0], [1.0]))
 
 
 def test_non_finite_residuals_at_the_start_are_a_value_error():
     with pytest.raises(ValueError, match="not finite at x0"):
-        fitutil.run_least_squares(lambda p: np.log(p - 1.0),
-                                  lambda p: np.eye(1) / (p - 1.0), [0.5],
-                                  (-np.inf, np.inf))
+        fitutil.run_least_squares(
+            lambda p: (np.log(p - 1.0), np.eye(1) / (p - 1.0)), [0.5],
+            (-np.inf, np.inf))
 
 
 def _root_problems(monkeypatch):

@@ -227,9 +227,9 @@ class TestFitTransmission:
     def record_starts(self, monkeypatch):
         starts = []
 
-        def run(residual, jac, x0, bounds):
+        def run(model, x0, bounds):
             starts.append(x0)
-            return run_least_squares(residual, jac, x0, bounds)
+            return run_least_squares(model, x0, bounds)
         monkeypatch.setattr(spectro, "run_least_squares", run)
         return starts
 
