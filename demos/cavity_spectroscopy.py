@@ -9,7 +9,8 @@ Purcell limit at the detuned operating point.
 
 import numpy as np
 
-from qnl.spectro import (CavityQubitParams, QubitDispersion, fit_dispersion,
+from qnl.spectro import (CavityQubitParams, QubitDispersion,
+                         dressed_frequencies, fit_dispersion,
                          fit_transmission, lever_arm, purcell_rate,
                          qubit_frequency, transmission)
 from qnl.units import TWO_PI
@@ -55,6 +56,11 @@ print(f"  g/2pi     = {result['g']/TWO_PI/1e6:.2f} MHz "
 print(f"  gamma/2pi = {result['gamma']/TWO_PI/1e6:.2f} MHz "
       f"(true {cavity.gamma/TWO_PI/1e6:.2f})")
 print(f"  f_q       = {result['f_q']/1e9:.4f} GHz")
+# on resonance the dressed peaks lie 2g/2pi apart
+f_plus, f_minus = dressed_frequencies(cavity)
+print(f"  splitting = {2*result['g']/TWO_PI/1e6:.2f} MHz "
+      f"(true {(f_plus - f_minus)/1e6:.2f}: dressed peaks at "
+      f"{f_minus/1e9:.5f} and {f_plus/1e9:.5f} GHz)")
 
 # ----------------------------------------------------------- Purcell limit
 

@@ -61,9 +61,9 @@ for n_pulses in (1, 2, 4, 8):
           f"{fit.t2*1e6:9.2f}")
 
 scaling = fit_scaling(scaling_points)
-print(f"\nT_phi ~ N^beta: beta = {scaling.beta:.3f} +- "
-      f"{scaling.beta_err:.3f} (true {beta_true})")
-print(f"implied noise exponent alpha = {scaling.alpha:.2f} "
+print(f"\nT_phi ~ N^beta: beta = {scaling['beta']:.3f} +- "
+      f"{scaling['beta_err']:.3f} (true {beta_true})")
+print(f"implied noise exponent alpha = {scaling['alpha']:.2f} "
       f"(true {beta_true/(1-beta_true):.2f})")
 
 # sanity: the 1/e identity tau/2T1 + (tau/T_phi)^s = 1 at tau = T2

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from qnl.ddfilter import PulseSequence, filter_value, first_harmonic_peak
+from qnl.fileio import atomic_write_text, format_csv
 from qnl.units import TWO_PI
 
 tau = 40e-6
@@ -44,16 +45,13 @@ for f, a, b in zip(f_slow, g0, g1):
 # plot-ready CSV: one frequency column, one column per sequence order
 
 grid = np.geomspace(1e2, 5e6, 2000)
-columns = [grid]
+columns = {"freq_hz": grid}
 for n in orders:
     seq = PulseSequence(n_pulses=n, tau=tau)
-    columns.append(filter_value(seq, TWO_PI * grid))
+    columns[f"g_n{n}"] = filter_value(seq, TWO_PI * grid)
 
 out = Path(__file__).parent / "out"
-out.mkdir(exist_ok=True)
-header = "freq_hz," + ",".join(f"g_n{n}" for n in orders)
-np.savetxt(out / "filter_functions.csv", np.column_stack(columns),
-           delimiter=",", header=header, comments="")
+atomic_write_text(out / "filter_functions.csv", format_csv(columns))
 print(f"\nwrote {out / 'filter_functions.csv'}")
 
 # %%

@@ -109,23 +109,6 @@ class CoherenceFit:
             raise ValueError("stretch must be positive")
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    """Power-law scaling T_phi ~ N^beta and the implied noise exponent.
-
-    alpha = beta/(1-beta); finite and positive only for 0 < beta < 1.
-    """
-
-    beta: float
-    alpha: float
-    beta_err: float
-    alpha_err: float
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-
-
 def fit_relaxation(trace: DecayTrace) -> CoherenceFit:
     """Fit P_e(t) = p0 + a*exp(-t/T1) to a relaxation trace.
 
@@ -292,12 +275,14 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
                         errors=errors, flags=flags)
 
 
-def fit_scaling(points) -> ScalingFit:
+def fit_scaling(points) -> dict:
     """Log-log fit of T_phi versus N giving beta, then alpha = beta/(1-beta).
 
     points: sequence of (N, T_phi), N >= 1, T_phi > 0, three or more entries
-    over two or more N.  Raises FitError when beta falls outside (0, 1),
-    where alpha is undefined or non-positive.
+    over two or more N.  Returns a dict with beta, alpha, beta_err and
+    alpha_err, as powerlaw_fit does.  alpha = beta/(1-beta) is finite and
+    positive only for 0 < beta < 1, so a beta outside (0, 1) raises
+    FitError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -314,8 +299,8 @@ def fit_scaling(points) -> ScalingFit:
             f"fitted beta = {beta:.4g} outside (0, 1): alpha undefined")
     alpha = beta / (1.0 - beta)
     alpha_err = beta_err / (1.0 - beta) ** 2
-    return ScalingFit(beta=beta, alpha=alpha, beta_err=beta_err,
-                      alpha_err=alpha_err)
+    return {"beta": beta, "alpha": alpha, "beta_err": beta_err,
+            "alpha_err": alpha_err}
 
 
 def _fit_exponential(t, y, time_name):

@@ -230,15 +230,11 @@ def covariance(result) -> np.ndarray:
     return (np.linalg.pinv(jtj) / np.outer(scale, scale)) * s_sq
 
 
-def stderr(result) -> np.ndarray:
-    """1-sigma standard errors of the fitted parameters."""
-    return np.sqrt(np.clip(np.diag(covariance(result)), 0.0, None))
-
-
 def named(result, names) -> tuple[dict, dict]:
-    """(values, errors): result.x and stderr(result), keyed by names."""
+    """(values, 1-sigma standard errors) of result.x, keyed by names."""
+    errors = np.sqrt(np.clip(np.diag(covariance(result)), 0.0, None))
     return (dict(zip(names, result.x.tolist(), strict=True)),
-            dict(zip(names, stderr(result).tolist(), strict=True)))
+            dict(zip(names, errors.tolist(), strict=True)))
 
 
 def line_fit(x, y):

@@ -102,7 +102,7 @@ class Trajectory:
     def __post_init__(self):
         object.__setattr__(self, "samples",
                            np.asarray(self.samples, dtype=float))
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if len(self.samples) < 2:
             raise ValueError("need at least 2 samples")
@@ -177,7 +177,7 @@ def synthesize_noise(spec: SyntheticNoise, dt: float, n: int) -> Trajectory:
     """
     if n < 4:
         raise ValueError("n must be >= 4")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     bins, scales = _row_layout(spec, dt, n)
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
@@ -256,7 +256,7 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to P_e = 1.
 
     taus defaults to 24 points up to seq.tau.  dt must satisfy
-    dt <= tau/(10 N) so pulse boundaries are resolved.  Pulses are
+    0 < dt <= tau/(10 N) so pulse boundaries are resolved.  Pulses are
     instantaneous: a sequence with tau_pi > 0 is rejected.
     """
     if n_traj < 1:
@@ -264,6 +264,8 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     if seq.tau_pi > 0:
         raise ValueError("simulate_sequence models instantaneous pulses: "
                          "seq.tau_pi must be 0")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     n_pi = seq.n_pulses
     if dt > seq.tau / (10.0 * max(n_pi, 1)):
         raise ValueError("dt too coarse: need dt <= tau/(10 N)")

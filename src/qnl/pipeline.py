@@ -305,7 +305,7 @@ def _scaling_stage(ctx: StageContext) -> dict | None:
                                fit_scaling, points)
         if scaling is None:
             continue
-        rows.append({**where, **asdict(scaling), "n_points": len(points)})
+        rows.append({**where, **scaling, "n_points": len(points)})
     if not rows:
         return None
     return {"fits": rows, "sources": ctx.sections["decay_fits"]["sources"]}

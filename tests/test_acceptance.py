@@ -59,9 +59,9 @@ def test_criterion_03_scaling_inversion():
     # exact T_phi ~ N^0.61 points: the fitted exponent must invert to 1.56
     n = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     fit = fit_scaling(list(zip(n, 4e-6 * n**0.61)))
-    print(f"beta={fit.beta:.4f} -> alpha={fit.alpha:.4f}")
-    assert fit.beta == pytest.approx(0.61, abs=1e-9)
-    assert abs(fit.alpha - 1.56) <= 0.01
+    print(f"beta={fit['beta']:.4f} -> alpha={fit['alpha']:.4f}")
+    assert fit["beta"] == pytest.approx(0.61, abs=1e-9)
+    assert abs(fit["alpha"] - 1.56) <= 0.01
     # and the inverse map sends 1.56 back to 0.61
     assert 1.56 / (1.0 + 1.56) == pytest.approx(0.61, abs=0.01)
 
@@ -263,7 +263,7 @@ def test_criterion_10_fit_recovery_suite():
 
     n = np.array([1.0, 2.0, 4.0, 8.0])
     scaling = fit_scaling(list(zip(n, 3e-6 * n**0.6)))
-    assert scaling.alpha == pytest.approx(1.5, rel=1e-6)
+    assert scaling["alpha"] == pytest.approx(1.5, rel=1e-6)
 
     truth = QubitDispersion(f_ss=5.065e9, lever_c=2.348e12, v_ss=1e-4)
     volts = np.linspace(-2e-3, 2e-3, 15)

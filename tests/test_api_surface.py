@@ -10,8 +10,10 @@ fileio.Diagnostic, no pipeline stage builder catches an exception itself,
 the tuple of exceptions that count as a failed fit is written only in
 fitutil, the fit modules keep a fit's caveats in its result rather than
 in Python warnings, no module reads a file through csv.reader,
-csv.DictReader or io.TextIOWrapper, so fileio keeps one input parser, and
-no module loads scipy, which is a test-only oracle.
+csv.DictReader or io.TextIOWrapper, so fileio keeps one input parser, no
+module or demo writes a table through numpy.savetxt or a csv writer, so
+fileio keeps one output writer, and no module loads scipy, which is a
+test-only oracle.
 """
 
 import ast
@@ -24,14 +26,6 @@ from qnl.pipeline import STAGES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qnl"
-
-# name -> why it stays without a non-test caller
-ALLOWED = {
-    "dressed_frequencies": "closed-form reference that "
-                           "test_peaks_match_dressed_frequencies checks "
-                           "transmission against",
-}
-
 
 def _public_definitions():
     for path in sorted(PACKAGE.glob("*.py")):
@@ -59,7 +53,7 @@ def _referenced_names():
 def test_every_public_definition_has_a_non_test_caller():
     referenced = _referenced_names()
     unused = [qualified for qualified, name in _public_definitions()
-              if name not in referenced and name not in ALLOWED]
+              if name not in referenced]
     assert unused == []
 
 
@@ -128,15 +122,9 @@ def test_fit_modules_do_not_use_warnings():
     assert used == []
 
 
-def test_one_input_parser():
-    # every input table, the package's own included, goes through
-    # fileio._read_cells; csv.reader, csv.DictReader or a text wrapper
-    # over the bytes would be a second parser with its own rules for
-    # quotes and row ends
-    banned = {("csv", "reader"), ("csv", "DictReader"),
-              ("io", "TextIOWrapper")}
-    used = [f"{path.name}:{node.lineno}"
-            for path in sorted(PACKAGE.glob("*.py"))
+def _uses(paths, banned):
+    """file:line of each module.name in banned that paths use or import."""
+    return [f"{path.name}:{node.lineno}" for path in paths
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
@@ -144,7 +132,28 @@ def test_one_input_parser():
             or isinstance(node, ast.ImportFrom)
             and any((node.module, alias.name) in banned
                     for alias in node.names)]
-    assert used == []
+
+
+def test_one_input_parser():
+    # every input table, the package's own included, goes through
+    # fileio._read_cells; csv.reader, csv.DictReader or a text wrapper
+    # over the bytes would be a second parser with its own rules for
+    # quotes and row ends
+    banned = {("csv", "reader"), ("csv", "DictReader"),
+              ("io", "TextIOWrapper")}
+    assert _uses(sorted(PACKAGE.glob("*.py")), banned) == []
+
+
+def test_one_output_writer():
+    # every output table, the demos' included, goes through
+    # fileio.format_csv; numpy.savetxt or a csv writer would be a second
+    # writer with its own float format and quoting
+    banned = {("np", "savetxt"), ("numpy", "savetxt"), ("csv", "writer"),
+              ("csv", "DictWriter")}
+    paths = [*sorted(PACKAGE.glob("*.py")),
+             *sorted((ROOT / "demos").glob("*.py"))]
+    assert "filter_functions.py" in {p.name for p in paths}
+    assert _uses(paths, banned) == []
 
 
 def _loaded_by(modules):

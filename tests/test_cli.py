@@ -187,6 +187,11 @@ BAD_ARGUMENTS = {
     "simulate": (["simulate", "--amplitude", "1e8", "--alpha", "5",
                   "--fmin", "1e3", "--fmax", "1e6", "--n-pulses", "1",
                   "--tau-grid", "5e-6:2e-5:4", "--n-traj", "8"], "alpha"),
+    "simulate-negative-dt": (["simulate", "--amplitude", "1e8", "--alpha",
+                              "1", "--fmin", "1e3", "--fmax", "1e6",
+                              "--n-pulses", "1", "--tau-grid",
+                              "5e-6:2e-5:4", "--n-traj", "8", "--dt",
+                              "-1e-8"], "dt must be positive"),
     "thermal-model": (["thermal-model", "--fq", "5e9", "--fr", "5.6e9",
                        "--kappa", "-1", "--chi", "-1e5", "--t1-zero", "1e-5",
                        "--temps", "0.05:0.4:3"], "kappa"),

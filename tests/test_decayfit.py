@@ -186,23 +186,23 @@ class TestFitScaling:
     def test_exact_power_law(self):
         points = [(n, 4e-6 * n ** 0.47) for n in (1, 2, 4, 8, 16)]
         fit = fit_scaling(points)
-        assert fit.beta == pytest.approx(0.47, abs=1e-9)
-        assert fit.alpha == pytest.approx(0.47 / 0.53, rel=1e-6)
-        assert fit.alpha == pytest.approx(0.887, rel=1e-3)
+        assert fit["beta"] == pytest.approx(0.47, abs=1e-9)
+        assert fit["alpha"] == pytest.approx(0.47 / 0.53, rel=1e-6)
+        assert fit["alpha"] == pytest.approx(0.887, rel=1e-3)
 
     def test_paper_exponent_pair(self):
         points = [(n, 1e-6 * n ** 0.61) for n in (1, 2, 4, 8)]
         fit = fit_scaling(points)
-        assert fit.alpha == pytest.approx(1.56, abs=0.01)
+        assert fit["alpha"] == pytest.approx(1.56, abs=0.01)
 
     def test_beta_alpha_round_trip(self):
         for beta in (0.2, 0.5, 0.8):
             points = [(n, 1e-6 * n ** beta) for n in (1, 2, 4, 8)]
             fit = fit_scaling(points)
-            assert fit.beta / (1 + fit.beta * 0) == pytest.approx(beta,
-                                                                  abs=1e-9)
-            assert fit.alpha / (1 + fit.alpha) == pytest.approx(beta,
-                                                                abs=1e-9)
+            assert fit["beta"] / (1 + fit["beta"] * 0) == pytest.approx(
+                beta, abs=1e-9)
+            assert fit["alpha"] / (1 + fit["alpha"]) == pytest.approx(
+                beta, abs=1e-9)
 
     def test_too_few_points(self):
         from qnl.fitutil import FitError

@@ -634,3 +634,27 @@ class TestDephasingIntegral:
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(dt=0.0, samples=np.zeros(8))
+
+
+# a zero, negative or NaN step is refused by name, not by a later
+# ZeroDivisionError, IndexError or an all-NaN record
+NOT_POSITIVE_DT = {
+    "simulate-zero": lambda: simulate_sequence(
+        spec(), PulseSequence(n_pulses=1, tau=20e-6), sensitivity=1.0,
+        n_traj=8, dt=0.0),
+    "simulate-negative": lambda: simulate_sequence(
+        spec(), PulseSequence(n_pulses=1, tau=20e-6), sensitivity=1.0,
+        n_traj=8, dt=-1e-8),
+    "simulate-nan": lambda: simulate_sequence(
+        spec(), PulseSequence(n_pulses=1, tau=20e-6), sensitivity=1.0,
+        n_traj=8, dt=np.nan),
+    "synthesize-nan": lambda: synthesize_noise(spec(), np.nan, 8),
+    "trajectory-nan": lambda: Trajectory(dt=np.nan, samples=np.zeros(8)),
+}
+
+
+@pytest.mark.parametrize("call", NOT_POSITIVE_DT.values(),
+                         ids=NOT_POSITIVE_DT.keys())
+def test_not_positive_dt_rejected(call):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        call()

@@ -244,6 +244,13 @@ class TestValidateInputs:
         diags = validate_inputs(config)
         assert any("at least 3 data rows" in d.message for d in diags)
 
+    def test_input_path_that_is_not_a_string(self, tmp_path):
+        config = AnalysisConfig(output_dir=str(tmp_path / "out"),
+                                frequency_series=5)
+        assert validate_inputs(config) == [Diagnostic(
+            "error", "must be a path string, got 5",
+            column="frequency_series")]
+
     def test_qubit_metadata_positivity(self, q1_config):
         config = AnalysisConfig(**q1_config)
         config.qubit = dict(config.qubit, kappa=-1.0)
@@ -434,6 +441,33 @@ class TestRunPipeline:
             assert echoes[temp]["t1"] == pytest.approx(t1, rel=0.02)
             assert echoes[temp]["t_phi"] == pytest.approx(t_phi, rel=0.02)
             assert echoes[temp]["stretch"] == pytest.approx(2.0, rel=0.05)
+
+    def test_scaling_is_fitted_per_temperature(self, tmp_path):
+        # T_phi grows with N at 20 mK and falls at 400 mK, where beta < 0
+        # leaves alpha undefined: that condition warns and writes no row
+        truth = {20.0: (12e-6, 4e-6, 0.6), 400.0: (3e-6, 2e-6, -0.3)}
+        paths = []
+        for temp, (t1, t_phi, beta) in truth.items():
+            traces = [("relax", make_relaxation(t1=t1, noise=0.002, seed=1))]
+            traces += [(f"n{n}", make_cpmg(n, t1=t1, t_phi=t_phi * n**beta,
+                                           stretch=2.0, noise=0.002,
+                                           seed=2 + n))
+                       for n in (1, 2, 4, 8)]
+            for name, trace in traces:
+                path = tmp_path / f"{name}_{temp:g}mK.csv"
+                write_decay_trace(path, trace, bias_mv=1.0,
+                                  temperature_mk=temp)
+                paths.append(str(path))
+        report = run_pipeline(AnalysisConfig(
+            output_dir=str(tmp_path / "out"), decay_traces=paths))
+        # nothing else warns
+        (warning,) = report.warnings
+        assert warning.startswith("[warning] scaling at bias 1.0 mV, "
+                                  "400.0 mK: fit failed (fitted beta = -")
+        (row,) = report.sections["scaling"]["fits"]
+        assert row["temperature_mk"] == 20.0
+        assert row["bias_mv"] == 1.0 and row["n_points"] == 4
+        assert row["beta"] == pytest.approx(0.6, abs=0.02)
 
     def test_report_file_is_byte_deterministic(self, tmp_path):
         config = AnalysisConfig(**q1_dataset(tmp_path / "q1"))

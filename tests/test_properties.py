@@ -81,8 +81,8 @@ def test_coupling_ratio_antisymmetry(z_a, f_a, z_b, f_b):
 def test_scaling_round_trip(beta, t0):
     points = [(n, t0 * n**beta) for n in (1, 2, 4, 8, 16)]
     fit = fit_scaling(points)
-    assert fit.beta == pytest.approx(beta, abs=1e-9)
-    assert fit.alpha == pytest.approx(beta / (1.0 - beta), rel=1e-6)
+    assert fit["beta"] == pytest.approx(beta, abs=1e-9)
+    assert fit["alpha"] == pytest.approx(beta / (1.0 - beta), rel=1e-6)
 
 
 @settings(deadline=None)
