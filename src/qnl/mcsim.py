@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,9 @@ _RECORD_STRETCH = 2.0
 # cap on record length when resolving very low f_min; anything slower than
 # 1/(_MAX_STRETCH * tau) is indistinguishable from static over one shot
 _MAX_STRETCH = 64.0
+# cap on record length times delays, the entries of _gain's matrix: each of
+# its arrays then stays within 128 MiB
+_MAX_GAIN_SIZE = 1 << 24
 # bytes of normals and phases per block of simulate_sequence trajectories
 _BLOCK_BYTES = 1 << 20
 # nodes and weights of the 8-point Gauss-Legendre rule on [-1, 1], correctly
@@ -226,11 +230,19 @@ def _gain(spec: SyntheticNoise, seq: PulseSequence, sensitivity: float,
     resolve f_min, capped at _MAX_STRETCH times seq.tau, and the phase is
     the signed trapezoid integral of it (_phase_weights).  Half the
     squared norm of column j is the exact chi of the discretized phase at
-    taus[j].
+    taus[j].  G is C-contiguous.  Raises ValueError, before any array is
+    allocated, when the record length n times the delays exceeds
+    _MAX_GAIN_SIZE (the row width is at most n).
     """
     record_span = max(_RECORD_STRETCH * seq.tau,
                       min(1.0 / spec.f_min, _MAX_STRETCH * seq.tau))
-    n = int(np.ceil(record_span / dt))
+    samples = np.ceil(record_span / dt)
+    if samples * len(taus) > _MAX_GAIN_SIZE:
+        raise ValueError(f"dt = {dt!r} s is too small: a {record_span:.3g} "
+                         f"s record of {samples:.3g} samples at {len(taus)} "
+                         f"delays exceeds the limit of {_MAX_GAIN_SIZE} "
+                         f"samples times delays")
+    n = int(samples)
     bins, scales = _row_layout(spec, dt, n)
 
     # phi = (sensitivity/n) Re sum_k c_k X_k conj(W_k) for the record's
@@ -239,7 +251,10 @@ def _gain(spec: SyntheticNoise, seq: PulseSequence, sensitivity: float,
     # W = dt/2 (r_0 - r_n) = 0), 2 elsewhere: so every band bin takes c = 2
     w_hat = np.fft.rfft([_phase_weights(seq, tau, dt, n) for tau in taus])
     c = np.where(bins == 0, 1.0, 2.0)
-    return ((sensitivity / n) * c * scales * w_hat[:, bins].conj()).real.T
+    # the real part's transpose is a strided view, on which LAPACK's QR can
+    # run a hundred times slower
+    return np.ascontiguousarray(
+        ((sensitivity / n) * c * scales * w_hat[:, bins].conj()).real.T)
 
 
 def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
@@ -255,25 +270,29 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     size, which changes no bit.  The trace reports
     P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to P_e = 1.
 
-    taus defaults to 24 points up to seq.tau.  dt must satisfy
-    0 < dt <= tau/(10 N) so pulse boundaries are resolved.  Pulses are
-    instantaneous: a sequence with tau_pi > 0 is rejected.
+    taus defaults to 24 points up to seq.tau; the delays are checked
+    before dt.  dt must satisfy 0 < dt <= tau/(10 N) so pulse boundaries
+    are resolved, and the record length ceil(record span / dt) times the
+    number of delays must not exceed 2^24, which bounds each array of the
+    gain at 128 MiB: a smaller dt raises ValueError before any of them is
+    allocated.  Pulses are instantaneous: a sequence with tau_pi > 0 is
+    rejected.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if seq.tau_pi > 0:
         raise ValueError("simulate_sequence models instantaneous pulses: "
                          "seq.tau_pi must be 0")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    n_pi = seq.n_pulses
-    if dt > seq.tau / (10.0 * max(n_pi, 1)):
-        raise ValueError("dt too coarse: need dt <= tau/(10 N)")
     if taus is None:
         taus = np.linspace(seq.tau / 24.0, seq.tau, 24)
     taus = np.sort(np.asarray(taus, dtype=float))     # a NaN sorts last
     if not (taus.size and 0 < taus[0] and taus[-1] <= seq.tau * (1 + 1e-12)):
         raise ValueError("taus must be one or more delays in (0, seq.tau]")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    n_pi = seq.n_pulses
+    if dt > seq.tau / (10.0 * max(n_pi, 1)):
+        raise ValueError("dt too coarse: need dt <= tau/(10 N)")
 
     # phi ~ N(0, G^T G) for the gain G = QR: u @ R with u ~ N(0, I_k) has
     # that law, and R has k = min(width, delays) rows
@@ -293,6 +312,17 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
                       kind=kind, n_pulses=n_pi)
 
 
+@lru_cache(maxsize=16)
+def _log_edges(f_min: float, f_max: float) -> np.ndarray:
+    """The panel edges of dephasing_integral that do not depend on tau:
+    ceil(8 log10(f_max/f_min)) + 1 log-spaced edges from f_min to f_max,
+    then f_max.  Read-only, since every call on the band shares it."""
+    n_log = int(np.ceil(8.0 * np.log10(f_max / f_min))) + 1
+    edges = np.concatenate((np.geomspace(f_min, f_max, n_log), [f_max]))
+    edges.flags.writeable = False
+    return edges
+
+
 def dephasing_integral(psd, seq: PulseSequence, sensitivity: float) -> float:
     """chi_N(tau): the filter-weighted noise integral at tau = seq.tau.
 
@@ -304,7 +334,10 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float) -> float:
     Quadrature is the 8-node Gauss-Legendre rule on each panel between
     consecutive edges of the union of f_min + k/tau (one panel per period
     1/tau of the filter), ceil(8 log10(f_max/f_min)) + 1 log-spaced edges
-    (at most 1/8 decade per panel of the power law) and f_max.  Checked
+    (at most 1/8 decade per panel of the power law) and f_max.  The last
+    two depend only on the band: a memo keeps them, one entry per
+    (f_min, f_max) for the 16 bands used last, so a call builds only the
+    edges of its tau, and every value is the same to the bit.  Checked
     against scipy's adaptive Gauss-Kronrod quadrature at a relative 1e-13,
     broken at every period and decade, over alpha in {0.5, 1, ..., 3},
     N in {0, 1, 4, 64}, tau in {2, 40, 250} us and tau_pi in {0, 20 ns} on
@@ -321,10 +354,8 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float) -> float:
         return 0.0
 
     f_min, f_max = psd.f_min, psd.f_max
-    n_log = int(np.ceil(8.0 * np.log10(f_max / f_min))) + 1
     edges = np.unique(np.concatenate((np.arange(f_min, f_max, 1.0 / seq.tau),
-                                      np.geomspace(f_min, f_max, n_log),
-                                      [f_max])))
+                                      _log_edges(f_min, f_max))))
     half = 0.5 * np.diff(edges)
     f = (edges[:-1] + half)[:, None] + half[:, None] * _GL_X
     integrand = (psd.amplitude * f ** -psd.alpha

@@ -192,6 +192,17 @@ BAD_ARGUMENTS = {
                               "--n-pulses", "1", "--tau-grid",
                               "5e-6:2e-5:4", "--n-traj", "8", "--dt",
                               "-1e-8"], "dt must be positive"),
+    # the default dt comes from the first delay: the delay is named, not dt
+    "simulate-delay-at-zero": (["simulate", "--amplitude", "1e8", "--alpha",
+                                "1", "--fmin", "1e3", "--fmax", "1e6",
+                                "--n-pulses", "1", "--tau-grid",
+                                "0:2e-5:4", "--n-traj", "8"],
+                               "taus must be one or more delays"),
+    "simulate-dt-too-small": (["simulate", "--amplitude", "1e8", "--alpha",
+                               "1", "--fmin", "1e3", "--fmax", "1e6",
+                               "--n-pulses", "1", "--tau-grid",
+                               "5e-6:2e-5:4", "--n-traj", "8", "--dt",
+                               "1e-30"], "dt = 1e-30 s is too small"),
     "thermal-model": (["thermal-model", "--fq", "5e9", "--fr", "5.6e9",
                        "--kappa", "-1", "--chi", "-1e5", "--t1-zero", "1e-5",
                        "--temps", "0.05:0.4:3"], "kappa"),

@@ -242,6 +242,62 @@ class TestSimulateSequence:
             simulate_sequence(spec(), seq, sensitivity=1.0, n_traj=8,
                               dt=1e-7, taus=taus)
 
+    @pytest.mark.parametrize("taus", [[0.0, 2e-5], [-1e-5, 2e-5]],
+                             ids=["at_zero", "negative"])
+    def test_delays_checked_before_dt(self, taus):
+        # qnl simulate derives its default dt from the first delay, so a
+        # delay at or below 0 must be named before the dt it made
+        seq = PulseSequence(n_pulses=1, tau=20e-6)
+        with pytest.raises(ValueError, match="^taus must be"):
+            simulate_sequence(spec(), seq, sensitivity=1.0, n_traj=8,
+                              dt=taus[0] / 32, taus=taus)
+
+    def test_too_fine_dt_rejected_before_allocating(self):
+        # a record of 1e26 samples: refused before numpy is asked for it
+        seq = PulseSequence(n_pulses=1, tau=20e-6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^dt = 1e-30 s is too "
+                                                 r"small: .* exceeds the limit"):
+                simulate_sequence(spec(), seq, sensitivity=1.0, n_traj=8,
+                                  dt=1e-30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_record_bound_is_inclusive(self, monkeypatch):
+        # a record of n samples at 16 delays passes at n * 16 equal to the
+        # bound and reaches _row_layout, stubbed so that nothing is
+        # allocated; one sample more is refused
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(mcsim, "_row_layout", reached)
+        seq = PulseSequence(n_pulses=1, tau=20e-6)
+        s = spec(f_min=1e6, f_max=2e6)      # the record spans 2 tau
+        taus = np.full(16, seq.tau)
+        n = mcsim._MAX_GAIN_SIZE // 16
+        with pytest.raises(Reached):
+            mcsim._gain(s, seq, 1.0, 2 * seq.tau / n, taus)
+        with pytest.raises(ValueError, match="too small"):
+            mcsim._gain(s, seq, 1.0, 2 * seq.tau / (n + 1), taus)
+
+    def test_populations_are_pinned(self):
+        # float.hex of the populations before G was made C-contiguous
+        s = SyntheticNoise(amplitude=1.1e10, alpha=1.0, f_min=2.1e3,
+                           f_max=2e6, seed=11)
+        trace = simulate_sequence(s, PulseSequence(n_pulses=4, tau=25e-6),
+                                  sensitivity=1.0, n_traj=200,
+                                  dt=25e-6 / 160,
+                                  taus=np.linspace(6.25e-6, 25e-6, 4))
+        assert [p.hex() for p in trace.populations] == [
+            "0x1.f65e45b384b0ep-1", "0x1.d8db224992ea9p-1",
+            "0x1.afd2ed39790fdp-1", "0x1.744b6b8263e2ap-1"]
+
     def test_quasi_static_gaussian_ramsey(self):
         # static Gaussian detuning noise: C(tau) = exp(-(sigma tau)^2/2)
         tau = 20e-6
@@ -368,6 +424,11 @@ def test_weights_match_record_by_record_reference(case):
         # the phases are O(1), so the comparison is not a trivial one
         assert np.abs(expected).max() > 0.5
     np.testing.assert_allclose(z @ g, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_gain_is_c_contiguous(case):
+    assert gain(*equivalence_case(case)).flags.c_contiguous
 
 
 @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
@@ -610,6 +671,68 @@ class TestDephasingIntegral:
         assert np.allclose(seen[0], TWO_PI * nodes, rtol=1e-15, atol=0)
         assert len(edges) - 1 <= (np.ceil((f_max - f_min) * tau)
                                   + 8 * np.log10(f_max / f_min) + 2)
+
+    @pytest.mark.parametrize("alpha", (0.5, 1.5, 2.5))
+    def test_cold_memo_gives_the_warm_memo_bits(self, alpha):
+        # each case is integrated once right after the memo is cleared and
+        # once on the entry that call left behind
+        band = {"amplitude": 1.0, "alpha": alpha, "f_min": 2.1e3,
+                "f_max": 2.5e6}
+        for n_pulses in (0, 1, 4, 64):
+            for tau in (2e-6, 40e-6, 250e-6):
+                for tau_pi in (0.0, 20e-9) if n_pulses else (0.0,):
+                    seq = PulseSequence(n_pulses=n_pulses, tau=tau,
+                                        tau_pi=tau_pi)
+                    mcsim._log_edges.cache_clear()
+                    cold = dephasing_integral(band, seq, TWO_PI)
+                    warm = dephasing_integral(band, seq, TWO_PI)
+                    assert mcsim._log_edges.cache_info().hits == 1
+                    assert warm.hex() == cold.hex()
+
+    # (alpha, N, tau, tau_pi) -> chi on the 2.1 kHz - 2.5 MHz band at unit
+    # amplitude and sensitivity 2 pi, taken with the log edges built anew
+    # on every call
+    PINNED_CHI = {
+        (1.5, 2, 15e-6, 20e-9): "0x1.d8500fef3bcacp-38",
+        (1.0, 0, 40e-6, 0.0): "0x1.aada3301d8f7bp-25",
+        (2.5, 64, 250e-6, 20e-9): "0x1.8ea59417445f5p-52",
+        (0.5, 4, 2e-6, 0.0): "0x1.077a2ad5a0b4bp-26",
+    }
+
+    @pytest.mark.parametrize("case", PINNED_CHI)
+    def test_pinned_values(self, case):
+        alpha, n_pulses, tau, tau_pi = case
+        chi = dephasing_integral(
+            {"amplitude": 1.0, "alpha": alpha, "f_min": 2.1e3,
+             "f_max": 2.5e6},
+            PulseSequence(n_pulses=n_pulses, tau=tau, tau_pi=tau_pi), TWO_PI)
+        assert chi.hex() == self.PINNED_CHI[case]
+
+    def test_mapping_and_spec_share_one_memo_entry(self):
+        seq = PulseSequence(n_pulses=4, tau=20e-6)
+        mcsim._log_edges.cache_clear()
+        dephasing_integral(
+            {"amplitude": 1e4, "alpha": 1.0, "f_min": 1e4, "f_max": 1e5},
+            seq, 1.0)
+        dephasing_integral(spec(alpha=2.0), PulseSequence(n_pulses=1,
+                                                          tau=3e-6), 1.0)
+        info = mcsim._log_edges.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    def test_bands_do_not_share_edges(self):
+        mcsim._log_edges.cache_clear()
+        wide = mcsim._log_edges(2.1e3, 2.5e6)
+        narrow = mcsim._log_edges(1e4, 1e5)
+        assert mcsim._log_edges.cache_info().currsize == 2
+        assert (wide[0], wide[-1], len(wide)) == (2.1e3, 2.5e6, 26 + 1)
+        assert (narrow[0], narrow[-1], len(narrow)) == (1e4, 1e5, 9 + 1)
+        assert mcsim._log_edges(2.1e3, 2.5e6) is wide
+
+    def test_memo_edges_are_read_only(self):
+        edges = mcsim._log_edges(2.1e3, 2.5e6)
+        assert not edges.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            edges[0] = 0.0
 
     def test_ir_divergence_rejected(self):
         seq = PulseSequence(n_pulses=0, tau=20e-6)
