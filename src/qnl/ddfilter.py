@@ -12,6 +12,8 @@ weights environmental noise by the filter
 with x = omega*tau: the pulse sum is geometric, so the cost per point of
 filter_value does not grow with N; its factor r has one form below x = 2N
 and another above, and each is computed only on the points that use it.
+One frequency picks its form with an if and builds no array, and it rounds
+as the same point of an array does.
 N = 0 reduces to the Ramsey filter 4 sin^2(x/2) / x^2.  For N >= 1 the
 filter rejects DC and passes a band around its first harmonic near
 N/(2 tau); the peak frequency and angular FWHM of that band are what PSD
@@ -132,28 +134,66 @@ def _cpmg_filter(n: int, x, v, free: float):
     |1 - (-1)^N e^{ix}| / (2 |cos u|) and r -> N at the odd harmonics
     x = (2m+1) N pi.  Below u = 1, where there is no harmonic, r is taken
     from x directly; with the product form of s this keeps the omega -> 0
-    tail exact.  Each form of r is computed only on the points that use
-    it.  x is a scalar or an array, and v has x's shape; a scalar takes
-    the array path, so it rounds as the same point of an array does.
+    tail exact.  x is a scalar or an array, and v has x's shape.
+
+    One point (a float, numpy float or 0-d array) picks its branch with an
+    if and builds no array; an array picks it with masks, and each form of
+    r is computed only on the points that use it.  Both call the same
+    _r_below, _r_above and _tail, so a scalar rounds as the same point of
+    an array does.  Python floats overflow without the warning numpy
+    gives, so a point where a step could overflow (|x| or |v| from 1e150,
+    or NaN) takes the array path and warns as an array does.
     """
+    if isinstance(x, float) or x.ndim == 0:
+        x, v = float(x), float(v)
+        if abs(x) < 1e150 and abs(v) < 1e150:
+            if x < 1e-150:
+                return 0.0
+            u = 0.5 * x / n
+            if u < 1.0:
+                r = _r_below(n, x, u)
+            else:
+                e = _phase(u)
+                r = n if e == 0.0 else _r_above(n, e)
+            return float(_tail(r, x, u, v, free))
+
     flat = np.ravel(x)
     u = 0.5 * flat / n
     low = u < 1.0
     r = np.empty_like(u)
-    h = 0.5 * flat[low]
-    r[low] = (np.sin(h) if n % 2 == 0 else np.cos(h)) / np.cos(u[low])
-    e = np.mod(u[~low], np.pi) - 0.5 * np.pi
+    r[low] = _r_below(n, flat[low], u[low])
+    e = _phase(u[~low])
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.sin(n * e) / np.sin(e)
+        q = _r_above(n, e)
         q[e == 0.0] = n
         r[~low] = q
-        r *= 4.0
-        r *= np.sin(0.5 * (u + np.ravel(v))) * np.sin(0.5 * u * free)
-        np.square(r, out=r)
-        r /= np.square(flat)
-    r[flat < 1e-150] = 0.0
-    g = r.reshape(np.shape(x))
+        g = _tail(r, flat, u, np.ravel(v), free)
+    g[flat < 1e-150] = 0.0
+    g = g.reshape(np.shape(x))
     return float(g) if g.ndim == 0 else g
+
+
+def _r_below(n: int, x, u):
+    """r below u = 1, from x directly."""
+    h = 0.5 * x
+    return (np.sin(h) if n % 2 == 0 else np.cos(h)) / np.cos(u)
+
+
+def _phase(u):
+    """e = (u mod pi) - pi/2.  The remainder is exact in IEEE arithmetic,
+    so a float's % and numpy's np.mod on an array give the same bits."""
+    return u % np.pi - 0.5 * np.pi
+
+
+def _r_above(n: int, e):
+    """r = sin(N e)/sin(e) from u = 1 up, at e != 0 (r = N at e = 0)."""
+    return np.sin(n * e) / np.sin(e)
+
+
+def _tail(r, x, u, v, free: float):
+    """g_N = (4 r s)^2 / x^2 from r, in the one order of rounding."""
+    t = r * 4.0 * (np.sin(0.5 * (u + v)) * np.sin(0.5 * u * free))
+    return t * t / (x * x)
 
 
 def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:
@@ -211,8 +251,11 @@ def _harmonic_roots(n: int, p: float, free: float) -> tuple:
     def g(x):
         return _cpmg_filter(n, x, 0.5 * x * p, free)
 
-    edge = 1e-9 * (hi - lo)  # d(ln g)/dx is infinite at the lobe ends
-    x_pk = find_root(dlng, lo + edge, hi - edge)
+    # d(ln g)/dx is infinite at the lobe ends: step a billionth of the lobe
+    # inside, and at least one ulp where that step rounds away (x >= 2^27)
+    edge = 1e-9 * (hi - lo)
+    x_pk = find_root(dlng, max(lo + edge, np.nextafter(lo, hi)),
+                     min(hi - edge, np.nextafter(hi, lo)))
     half = 0.5 * g(x_pk)
     x_lo = find_root(lambda x: g(x) - half, lo, x_pk)
     x_hi = find_root(lambda x: g(x) - half, x_pk, hi)

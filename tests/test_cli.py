@@ -92,6 +92,14 @@ def test_reconstruct_psd_matches_library():
     assert payload["units"] == "freq_noise"
 
 
+def test_reconstruct_psd_at_a_hundred_million_pulses():
+    result = invoke(["reconstruct-psd", "--t-phi", "1e-6",
+                     "--n-pulses", "100000000"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["freq_hz"] == pytest.approx(5e13,
+                                                                 rel=1e-9)
+
+
 class TestPeriodogramAndPowerlaw:
     def test_round_trip_recovers_exponent(self, tmp_path):
         n, dt = 4096, 0.5

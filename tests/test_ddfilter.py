@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from qnl import ddfilter
 from qnl.ddfilter import (FilterPeak, PulseSequence, _cpmg_filter,
                           filter_value, first_harmonic_peak, pulse_times)
 from qnl.units import TWO_PI
@@ -304,6 +305,52 @@ class TestFirstHarmonicPeak:
         assert peak.delta_omega * tau == pytest.approx(unit.delta_omega,
                                                        rel=1e-13)
 
+    def test_peak_of_a_hundred_million_pulses(self):
+        # the lobe ends lie above 2^27, where a billionth of the lobe is
+        # less than half an ulp: the bracket steps in by an ulp instead
+        peak = first_harmonic_peak(seq(10**8, 1e-6))
+        assert abs(peak.f_peak / (10**8 / 2e-6) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("n, tau, f_peak, delta_omega", [
+        (1, 2.7318e-05, "0x1.a86918d3f18d3p+14", "0x1.66c5e374177e7p+17"),
+        (8, 1.29731e-05, "0x1.305362122c602p+18", "0x1.a01f9f9d4c667p+18"),
+        (64, 4.0917e-06, "0x1.dd6967a63e61ap+22", "0x1.4c1557d053265p+20")])
+    def test_frozen_peak_bits(self, n, tau, f_peak, delta_omega):
+        # keys as psd_sweep has them (tau_pi = 20 ns), with the bits of a
+        # search whose every g went through the array path
+        ddfilter._harmonic_roots.cache_clear()
+        peak = first_harmonic_peak(seq(n, tau, 2e-8))
+        assert (peak.f_peak.hex(), peak.delta_omega.hex()) == (f_peak,
+                                                               delta_omega)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8, 32, 64, 256))
+    def test_roots_as_through_the_array_path(self, n, monkeypatch):
+        # every g of the search taken as a point of a one-element array
+        # gives the same three roots from the same number of calls
+        cpmg = ddfilter._cpmg_filter
+
+        def search(g, p, free):
+            calls = []
+
+            def counted(n, x, v, free):
+                calls.append(x)
+                return g(n, x, v, free)
+
+            monkeypatch.setattr(ddfilter, "_cpmg_filter", counted)
+            ddfilter._harmonic_roots.cache_clear()
+            try:
+                return ddfilter._harmonic_roots(n, p, free), len(calls)
+            finally:
+                ddfilter._harmonic_roots.cache_clear()
+
+        for p in (0.0, 1e-3, 0.5 / n, 0.999 / n):
+            free = PulseSequence(n, 1.0, p)._free_fraction
+            as_float = search(cpmg, p, free)
+            as_array = search(lambda n, x, v, free: float(
+                cpmg(n, np.array([x]), np.array([v]), free)[0]), p, free)
+            assert as_float == as_array
+            assert as_float[1] > 0
+
     def test_ramsey_has_no_harmonic(self):
         with pytest.raises(ValueError):
             first_harmonic_peak(seq(0))
@@ -433,7 +480,11 @@ def test_split_evaluation_matches_the_where_oracle(n, q, drawn):
     (np.array([1.0, 1e160]), {"overflow"}),
     (np.float64(np.inf), {"invalid value"}),
     (np.array([1.0, np.inf, np.nan]), {"invalid value"}),
-    (np.float64(np.nan), set())])
+    (np.float64(np.nan), set()),
+    (1e160, {"overflow"}),
+    (np.inf, {"invalid value"}),
+    (np.nan, set()),
+    (50.0, set())])
 def test_same_warnings_escape_as_under_the_oracle(n, x, kinds):
     # the oracle also warns on sin(inf) in the form of r it then drops;
     # what escapes is the same kind of RuntimeWarning, or none
