@@ -175,9 +175,10 @@ def fit_ramsey(trace: DecayTrace) -> CoherenceFit:
         arg = 2 * np.pi * f * t + phi
         cos = np.cos(arg)
         ec, es = env * cos, a * env * np.sin(arg)
-        return (p0 + a * env * cos - y,
-                np.column_stack((np.ones_like(t), ec, a * ec * x / t2,
-                                 -2 * np.pi * t * es, -es)))
+        jac = np.empty((t.size, 5))
+        jac[:, 0], jac[:, 1], jac[:, 2] = 1.0, ec, a * ec * x / t2
+        jac[:, 3], jac[:, 4] = -2 * np.pi * t * es, -es
+        return p0 + a * env * cos - y, jac
 
     result = run_least_squares(
         model, [p0_0, a_0, t2_0, f_0, phi_0],
@@ -257,9 +258,10 @@ def fit_cpmg(trace: DecayTrace, t1: float) -> CoherenceFit:
         # m q^s ln q -> 0 as q -> 0, so ln q is taken as 0 at t = 0
         amq = a * m * qs
         log_q = np.log(q, out=np.zeros_like(q), where=q > 0)
-        return (p0 + a * relax * e - y,
-                np.column_stack((np.ones_like(t), m, amq * s / t_phi,
-                                 -amq * log_q)))
+        jac = np.empty((t.size, 4))
+        jac[:, 0], jac[:, 1] = 1.0, m
+        jac[:, 2], jac[:, 3] = amq * s / t_phi, -amq * log_q
+        return p0 + a * relax * e - y, jac
 
     result = run_least_squares(
         model, [p0_0, a_0, t_phi_0, 2.0],
@@ -311,8 +313,9 @@ def _fit_exponential(t, y, time_name):
         p0, a, tau = p
         x = t / tau
         e = np.exp(-x)
-        return (p0 + a * e - y,
-                np.column_stack((np.ones_like(t), e, a * e * x / tau)))
+        jac = np.empty((t.size, 3))
+        jac[:, 0], jac[:, 1], jac[:, 2] = 1.0, e, a * e * x / tau
+        return p0 + a * e - y, jac
 
     result = run_least_squares(model,
                                [p0_0, a_0, _efold_guess(t, y, p0_0, a_0)],

@@ -24,11 +24,9 @@ after a check fails, to name the first ragged row or the first non-numeric
 or non-finite cell.
 
 A written table is one dict of equal-length columns whose keys are its
-header (`format_csv`).  `format_cells` turns a column into the cell texts
-csv.writer would write, and `join_csv` joins them, so a caller that also
-needs the texts elsewhere formats each cell once.  Every writer goes
-through an atomic temp-file + rename so partially written outputs never
-appear under the final name.
+header (`format_csv`); `format_cells` turns a column into the cell texts
+csv.writer would write.  Every writer goes through an atomic temp-file +
+rename so partially written outputs never appear under the final name.
 """
 
 from __future__ import annotations
@@ -179,19 +177,28 @@ def _to_floats(cells, path, header: list[str], min_rows: int) -> np.ndarray:
 
 def format_csv(columns: dict) -> str:
     """CSV text of equal-length columns; the keys are the header."""
-    return join_csv({key: format_cells(values)
-                     for key, values in columns.items()})
+    lines = [",".join(format_cells(list(columns))),
+             *map(",".join, zip(*map(format_cells, columns.values()),
+                                strict=True))]
+    if len(columns) == 1:   # a lone empty cell is written as a quoted one
+        lines = ['""' if line == "" else line for line in lines]
+    return "\n".join(lines) + "\n"
 
 
 def format_cells(values) -> list[str]:
     """The CSV text of each cell of a sequence, as csv.writer writes it: a
     float's repr (np.float64's too), nothing for None, str() of anything
     else, and quoted, its quotes doubled, where that holds a comma, a
-    quote, a CR or an LF."""
+    quote, a CR or an LF.  A column of str formats each distinct one
+    once."""
     try:
         return list(map(float.__repr__, values))
     except TypeError:
-        return [_cell_text(value) for value in values]
+        pass
+    if set(map(type, values)) == {str}:
+        texts = {text: _cell_text(text) for text in set(values)}
+        return list(map(texts.__getitem__, values))
+    return [_cell_text(value) for value in values]
 
 
 def _cell_text(value) -> str:
@@ -203,16 +210,6 @@ def _cell_text(value) -> str:
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def join_csv(cells: dict) -> str:
-    """CSV text of equal-length columns of format_cells texts; the keys are
-    the header."""
-    lines = [",".join(format_cells(list(cells))),
-             *map(",".join, zip(*cells.values(), strict=True))]
-    if len(cells) == 1:     # a lone empty cell is written as a quoted one
-        lines = ['""' if line == "" else line for line in lines]
-    return "\n".join(lines) + "\n"
 
 
 def load_decay_trace(path) -> tuple[DecayTrace, dict]:

@@ -218,16 +218,20 @@ def covariance(result) -> np.ndarray:
     Scales inv(J^T J) by the reduced chi-square estimate
     2*cost/(n_residuals - n_params), both counts read off the result.
     Columns are equilibrated before the pseudo-inverse so parameters of
-    wildly different magnitude (Hz vs V) do not shadow each other; truly
-    unconstrained directions still come back with zero variance.
+    wildly different magnitude (Hz vs V) do not shadow each other.  The
+    pseudo-inverse is eigh's, with pinv's cutoff: a direction whose
+    eigenvalue is at most 1e-15 times the largest gets zero variance.
     """
     dof = max(result.fun.size - result.x.size, 1)
     s_sq = 2.0 * result.cost / dof
     jac = np.atleast_2d(result.jac)
     scale = np.linalg.norm(jac, axis=0)
     scale[scale == 0.0] = 1.0
-    jtj = (jac / scale).T @ (jac / scale)
-    return (np.linalg.pinv(jtj) / np.outer(scale, scale)) * s_sq
+    scaled = jac / scale
+    eigvals, eigvecs = np.linalg.eigh(scaled.T @ scaled)
+    kept = eigvals > 1e-15 * eigvals[-1]
+    inverse = (eigvecs[:, kept] / eigvals[kept]) @ eigvecs[:, kept].T
+    return (inverse / np.outer(scale, scale)) * s_sq
 
 
 def named(result, names) -> tuple[dict, dict]:

@@ -23,7 +23,7 @@ from .decayfit import (DecayTrace, fit_cpmg, fit_ramsey, fit_relaxation,
                        fit_scaling)
 from .ddfilter import PulseSequence
 from .fileio import (PSD_HEADER, Diagnostic, InputError, atomic_write_text,
-                     format_cells, is_finite_number, join_csv,
+                     format_csv, is_finite_number,
                      load_charge_noise_table, load_decay_trace,
                      load_frequency_series, load_spectroscopy_trace,
                      load_two_tone_map, sha256_of, sidecar_path)
@@ -117,41 +117,33 @@ class ReportBundle:
     def to_dict(self) -> dict:
         return dict(vars(self))
 
-    def save(self, path, texts: dict | None = None) -> None:
-        """Write the report as JSON.  texts maps the id() of a list in the
-        report to its format_cells texts, from a caller that writes the
-        same list to a CSV; a list of finite floats is joined from them."""
-        atomic_write_text(path,
-                          _json_text(self.to_dict(), texts or {}) + "\n")
+    def save(self, path) -> None:
+        """Write the report as JSON."""
+        atomic_write_text(path, _json_text(self.to_dict()) + "\n")
 
 
-# texts of the floats that JSON spells otherwise (NaN, Infinity)
-_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+# one encoder for every report (json.dumps with sort_keys builds one a call)
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
-def _json_text(value, texts: dict, indent: str = "") -> str:
+def _json_text(value, indent: str = "") -> str:
     """JSON with each object one key per line in sorted order, indented one
-    space per level, and each list or scalar on one line: a list of finite
-    floats found in texts as ", "-joined cell texts (json.dumps writes a
-    finite float as its repr), the rest from the C encoder (with `indent`
-    set, json.dumps runs its pure-Python one)."""
-    cells = texts.get(id(value))
-    if (cells is not None and all(isinstance(v, float) for v in value)
-            and _NON_FINITE.isdisjoint(cells)):
-        return "[" + ", ".join(cells) + "]"
+    space per level, and each list or scalar on one line, from the C
+    encoder (with `indent` set, json.dumps runs its pure-Python one)."""
     if not isinstance(value, dict) or not value:
-        return json.dumps(value, sort_keys=True)
+        return _ENCODE(value)
     inner = indent + " "
     return "{\n" + ",\n".join(
-        f"{inner}{json.dumps(key)}: {_json_text(item, texts, inner)}"
+        f"{inner}{_ENCODE(key)}: {_json_text(item, inner)}"
         for key, item in sorted(value.items())) + f"\n{indent}}}"
 
 
 @dataclass
 class StageContext:
     """One run: its config, the objects its files parsed into (None where
-    absent or faulty), the sections the stages have built so far, and
-    every diagnostic, from the config checks to the report's warnings."""
+    absent or faulty), the sections and the CSV tables (file name ->
+    columns) the stages have built so far, and every diagnostic, from the
+    config checks to the report's warnings."""
 
     config: AnalysisConfig
     diagnostics: list = field(default_factory=list)
@@ -160,6 +152,7 @@ class StageContext:
     transmission: np.ndarray | None = None
     two_tone: np.ndarray | None = None
     sections: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
 
     def warn(self, message: str, file: str | None = None) -> None:
         self.diagnostics.append(Diagnostic("warning", message, file=file))
@@ -357,8 +350,11 @@ def _lowfreq_stage(ctx: StageContext) -> dict | None:
     path = ctx.config.frequency_series
     if ctx.series is None:
         return None
-    spectrum = periodogram(ctx.series)
-    return {"points": spectrum_columns(spectrum),
+    n, spectrum = len(ctx.series.freqs), periodogram(ctx.series)
+    ctx.tables["periodogram.csv"] = spectrum_columns(spectrum)
+    return {"n_samples": n, "df_hz": 1.0 / (n * ctx.series.dt),
+            "band_hz": [spectrum[0, 0].item(), spectrum[-1, 0].item()],
+            "table": {"file": "periodogram.csv", "rows": len(spectrum)},
             "powerlaw": _fit_or_warn(ctx, path, "power-law fit", powerlaw_fit,
                                      spectrum),
             "sources": [path]}
@@ -447,16 +443,16 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
         sections=ctx.sections,
         warnings=[str(d) for d in ctx.diagnostics],
     )
-    _write_outputs(config, report)
+    _write_outputs(ctx, report)
     return report
 
 
-def _write_outputs(config: AnalysisConfig, report: ReportBundle) -> None:
-    """report.json, then one CSV of columns per table the report holds.
-    Each cell is formatted once: a column the report also holds is
-    written to report.json from its CSV cell texts."""
-    out, sections = Path(config.output_dir), report.sections
-    tables = {}
+def _write_outputs(ctx: StageContext, report: ReportBundle) -> None:
+    """One CSV per table of the run or of the report's sections, then
+    report.json.  A section's "table" names one of those CSVs and gets the
+    sha256 of its bytes on disk, so a report never names a missing table."""
+    out, sections = Path(ctx.config.output_dir), report.sections
+    tables = dict(ctx.tables)
     if "decay_fits" in sections:
         # coherence_fits.csv header -> key of a decay record or its params
         keys = {"file": "file", "kind": "kind", "n_pulses": "n_pulses",
@@ -467,18 +463,16 @@ def _write_outputs(config: AnalysisConfig, report: ReportBundle) -> None:
         fits = [{**f, **f["params"]} for f in sections["decay_fits"]["fits"]]
         tables["coherence_fits.csv"] = {column: [f[key] for f in fits]
                                         for column, key in keys.items()}
-    for name, key in (("psd_points.csv", "psd"),
-                      ("periodogram.csv", "low_frequency")):
-        if key in sections:
-            tables[name] = {c: sections[key]["points"][c] for c in PSD_HEADER}
+    if "psd" in sections:
+        tables["psd_points.csv"] = {c: sections["psd"]["points"][c]
+                                    for c in PSD_HEADER}
     if "thermal" in sections:
         tables["thermal_model.csv"] = sections["thermal"]["curves"]
-    texts = {id(values): format_cells(values)
-             for columns in tables.values() for values in columns.values()}
-    report.save(out / "report.json", texts)
     for name, columns in tables.items():
-        atomic_write_text(out / name, join_csv(
-            {column: texts[id(values)] for column, values in columns.items()}))
+        atomic_write_text(out / name, format_csv(columns))
+    for table in (s["table"] for s in sections.values() if "table" in s):
+        table["sha256"] = sha256_of(out / table["file"])
+    report.save(out / "report.json")
 
 
 def _fit_record(path: str, trace, meta: dict, fit) -> dict:

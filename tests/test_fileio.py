@@ -226,6 +226,15 @@ def test_format_csv_is_csv_writers_text(columns):
     assert format_csv(columns) == _csv_writer_text(columns)
 
 
+def test_format_csv_repeated_cells_are_csv_writers_text():
+    # a str column formats each distinct str once; 1, True and 1.0 are
+    # equal as dict keys but not as cells
+    columns = {"units": ["freq_noise"] * 3 + ['a,"b"'] * 2,
+               "mixed": [1, True, 1.0, None, "1"],
+               "text": ["x", "", "x", "\r", ""]}
+    assert format_csv(columns) == _csv_writer_text(columns)
+
+
 def test_format_csv_rejects_ragged_columns():
     with pytest.raises(ValueError):
         format_csv({"a": [1.0, 2.0], "b": [1.0]})

@@ -304,6 +304,66 @@ def test_non_finite_residuals_at_the_start_are_a_value_error():
             (-np.inf, np.inf))
 
 
+def _covariances(jac, rng):
+    """fitutil.covariance of a result holding jac, and the np.linalg.pinv
+    covariance it stands for, both in the equilibrated parameters
+    p_j |J_j|."""
+    n, p = jac.shape
+    result = fitutil.LeastSquaresResult(
+        x=np.zeros(p), fun=rng.normal(size=n), jac=jac,
+        cost=float(rng.uniform(0.1, 10.0)), nfev=1, status=1,
+        optimality=0.0)
+    scale = np.linalg.norm(jac, axis=0)
+    scale[scale == 0.0] = 1.0
+    jtj = (jac / scale).T @ (jac / scale)
+    s_sq = 2.0 * result.cost / max(n - p, 1)
+    return (fitutil.covariance(result) * np.outer(scale, scale),
+            np.linalg.pinv(jtj) * s_sq)
+
+
+def _assert_within_1e12(cov, ref):
+    np.testing.assert_allclose(cov, ref, rtol=0.0,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_covariance_is_the_equilibrated_pinv(seed):
+    # columns of wildly different magnitude, as Hz beside V
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(6, 60)), int(rng.integers(1, 6))
+    jac = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-8, 8, size=p)
+    _assert_within_1e12(*_covariances(jac, rng))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_covariance_of_an_unconstrained_direction(seed):
+    # a zero column has zero variance; a duplicated column leaves one
+    # direction unconstrained, which pinv drops and so must covariance
+    rng = np.random.default_rng(seed)
+    jac = rng.normal(size=(40, 4)) * [1e-3, 1.0, 1e6, 1.0]
+    zero = jac.copy()
+    zero[:, 2] = 0.0
+    cov, ref = _covariances(zero, rng)
+    assert cov[2].tolist() == [0.0] * 4 and cov[:, 2].tolist() == [0.0] * 4
+    _assert_within_1e12(cov, ref)
+    duplicated = jac.copy()
+    duplicated[:, 3] = duplicated[:, 1]
+    _assert_within_1e12(*_covariances(duplicated, rng))
+
+
+def test_covariance_keeps_a_poorly_constrained_direction():
+    # two unit columns 1e-5 rad apart: the equilibrated J^T J has
+    # eigenvalues 1 +- cos(1e-5), the smaller 5e-11, far above pinv's
+    # cutoff, so its direction keeps a variance about 1e10 times the
+    # other's; a condition number of 4e10 leaves both inverses good to
+    # about 1e-5
+    rng = np.random.default_rng(0)
+    u, v = np.linalg.qr(rng.normal(size=(30, 2)))[0].T
+    jac = np.column_stack((u, math.cos(1e-5) * u + math.sin(1e-5) * v))
+    np.testing.assert_allclose(*_covariances(jac * [1e-3, 1e6], rng),
+                               rtol=1e-4)
+
+
 def _root_problems(monkeypatch):
     """(f, lo, hi) of every find_root call that first_harmonic_peak and
     t2_from_dephasing make on a spread of inputs; the peak memo is

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from qnl.cli import main
 from qnl.fileio import (SPECTRUM_HEADER, TWO_TONE_HEADER, format_csv,
-                        sidecar_path, write_decay_trace)
+                        load_psd_csv, sidecar_path, write_decay_trace)
 from qnl import ddfilter, fitutil, noisespec, pipeline
 from qnl.pipeline import (STAGES, AnalysisConfig, Diagnostic, PipelineError,
                           run_pipeline, validate_inputs)
@@ -317,10 +319,34 @@ class TestRunPipeline:
         assert freqs[8] > freqs[1]
 
     def test_low_frequency_section(self, q1_run):
-        _, report = q1_run
+        # the section names periodogram.csv, by its bytes on disk, and
+        # holds no per-row list of its own
+        config, report = q1_run
         low = report.sections["low_frequency"]
-        assert len(low["points"]["freq_hz"]) == 4096 // 2
+        table = Path(config.output_dir) / "periodogram.csv"
+        assert low["table"] == {
+            "file": "periodogram.csv", "rows": 4096 // 2,
+            "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}
+        assert set(low) == {"n_samples", "df_hz", "band_hz", "table",
+                            "powerlaw", "sources"}
+        assert all(len(v) <= 2 for v in low.values() if isinstance(v, list))
+        freqs = load_psd_csv(table)[:, 0]
+        assert low["n_samples"] == 4096 and len(freqs) == 4096 // 2
+        assert low["band_hz"] == [freqs[0], freqs[-1]]
+        assert low["df_hz"] == freqs[0]
         assert low["powerlaw"]["exponent"] == pytest.approx(1.3, abs=0.2)
+
+    def test_powerlaw_fit_of_the_named_table_is_the_reported_fit(self,
+                                                                  q1_run):
+        config, report = q1_run
+        table = Path(config.output_dir) / \
+            report.sections["low_frequency"]["table"]["file"]
+        result = CliRunner().invoke(main, ["powerlaw-fit", str(table)],
+                                    catch_exceptions=False)
+        assert result.exit_code == 0
+        assert result.output == json.dumps(
+            report.sections["low_frequency"]["powerlaw"], indent=1,
+            sort_keys=True) + "\n"
 
     def test_thermal_section(self, q1_run):
         _, report = q1_run
@@ -488,8 +514,8 @@ class TestRunPipeline:
                  "report.json").read_text().splitlines()
         assert lines[:2] == ["{", ' "config": {']
         assert f' "created": "{report.created}",' in lines
-        periodogram = report.sections["low_frequency"]["points"]["freq_hz"]
-        assert f'    "freq_hz": {json.dumps(periodogram)},' in lines
+        freqs = report.sections["psd"]["points"]["freq_hz"]
+        assert f'    "freq_hz": {json.dumps(freqs)},' in lines
 
     def test_deterministic_given_same_inputs(self, tmp_path):
         config_dict = q1_dataset(tmp_path / "q1")
