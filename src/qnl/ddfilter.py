@@ -5,8 +5,7 @@ weights environmental noise by the filter
 
     g_N(omega, tau) = |y_N(omega, tau)|^2 / (omega*tau)^2,
 
-    y_N = 1 + (-1)^(1+N) e^(i omega tau)
-            + 2 cos(omega tau_pi / 2) * sum_{j=1..N} (-1)^j e^(i omega tau (j-1/2)/N)
+    y_N = sum_m c_m e^(i omega t_m)     (the jumps of switching_jumps)
         = (1 - (-1)^N e^(i x)) * (1 - cos(omega tau_pi / 2) / cos(x / 2N))
 
 with x = omega*tau: the pulse sum is geometric, so the cost per point of
@@ -100,10 +99,22 @@ class FilterPeak:
             raise ValueError("f_peak and delta_omega must be positive")
 
 
-def pulse_times(seq: PulseSequence) -> np.ndarray:
-    """Centers of the pi pulses: tau*(j - 1/2)/N, j = 1..N (empty for N=0)."""
+def switching_jumps(seq: PulseSequence) -> tuple:
+    """(c, t): the jumps c_m of the switching function s(t) at times t_m (s),
+    in time order, so tau^2 g_N = |sum_m c_m e^(i omega t_m)|^2 / omega^2:
+    +1 at 0, at each pulse centre tau (j - 1/2)/N one jump 2 (-1)^j when
+    tau_pi = 0, else (-1)^j at the centre -+ tau_pi/2 (s(t) = 0 in a
+    pulse), and -(-1)^N at tau: N + 2 jumps, or 2N + 2."""
     n = seq.n_pulses
-    return seq.tau * (np.arange(1, n + 1) - 0.5) / max(n, 1)
+    sign = (-1.0) ** np.arange(n + 1)       # s(t) between the pulses
+    centres = seq.tau * (np.arange(1, n + 1) - 0.5) / max(n, 1)
+    if seq.tau_pi == 0:
+        c, t = 2.0 * sign[1:], centres
+    else:
+        half = 0.5 * seq.tau_pi
+        c, t = np.repeat(sign[1:], 2), np.add.outer(centres, [-half, half])
+    return (np.concatenate(([1.0], c, [-sign[-1]])),
+            np.concatenate(([0.0], np.ravel(t), [seq.tau])))
 
 
 def filter_value(seq: PulseSequence, omega):

@@ -10,7 +10,7 @@ Conventions.  S(f) = amplitude / f^alpha is the one-sided PSD of the
 noise variable lambda in (lambda units)^2/Hz; `sensitivity` is
 d omega_q / d lambda in rad/s per lambda unit.  A trajectory's phase is
 phi(tau) = sensitivity * integral_0^tau s(t) lambda(t) dt with s(t) = +-1
-flipping at the pulse centers tau*(j-1/2)/N, and for Gaussian noise
+flipping at the pulses (ddfilter.switching_jumps), and for Gaussian noise
 
     chi(tau) = <phi^2>/2
              = (sensitivity^2 tau^2 / 2) * integral S(f) g_N(2 pi f, tau) df.
@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ddfilter import PulseSequence, filter_value, pulse_times
+from .ddfilter import PulseSequence, filter_value, switching_jumps
 from .decayfit import DecayTrace
 from .units import TWO_PI
 
@@ -195,19 +195,14 @@ def _phase_weights(seq: PulseSequence, tau: float, dt: float,
 
     The record lambda_j = lambda(j dt) enters the phase through its
     trapezoid integral cum_j = sum_{m<j} dt (lambda_m + lambda_{m+1})/2,
-    interpolated linearly at the segment bounds and summed with the
-    segment signs.  w is the adjoint of those three linear steps: a holds
-    the interpolation coefficients at the bounds times each bound's net
-    sign, r_j = sum_{m >= j} a_m (r_0 = r_n = 0, since cum_0 = 0), and
-    w_j = dt (r_j + r_{j+1}) / 2.
+    interpolated linearly at the bounds, switching_jumps' times scaled to
+    tau, and summed with minus their jumps c.  w is the adjoint of those
+    three linear steps: a holds the interpolation coefficients at the
+    bounds times -c, r_j = sum_{m >= j} a_m (r_0 = r_n = 0, since cum_0 =
+    0), and w_j = dt (r_j + r_{j+1}) / 2.
     """
-    # segment bounds: 0, the pulse centers tau*(j-1/2)/N, and tau itself;
-    # segment s carries the sign (-1)^s, so a bound carries the sign of the
-    # segment it ends minus that of the segment it starts
-    bounds = tau * np.concatenate(([0.0], pulse_times(seq) / seq.tau, [1.0]))
-    signs = np.concatenate(
-        ([0.0], (-1.0) ** np.arange(seq.n_pulses + 1), [0.0]))
-    net = signs[:-1] - signs[1:]
+    c, t = switching_jumps(seq)
+    bounds, net = tau * (t / seq.tau), -c
 
     t_knots = np.arange(n) * dt
     j = np.clip(np.searchsorted(t_knots, bounds, side="right") - 1, 0, n - 2)

@@ -245,6 +245,14 @@ def validate_inputs(config: AnalysisConfig) -> list[Diagnostic]:
     return load_inputs(config).diagnostics
 
 
+# coherence_fits.csv header -> key of a decay record or its params
+_COHERENCE_KEYS = {"file": "file", "kind": "kind", "n_pulses": "n_pulses",
+                   "bias_mv": "bias_mv", "t1_s": "t1", "t2_s": "t2",
+                   "t_phi_s": "t_phi", "stretch": "stretch",
+                   "amplitude": "amplitude", "offset": "offset",
+                   "detuning_hz": "detuning"}
+
+
 def _decay_stage(ctx: StageContext) -> dict | None:
     if not ctx.config.decay_traces:
         return None
@@ -267,6 +275,9 @@ def _decay_stage(ctx: StageContext) -> dict | None:
         fits.append(record)
         if trace.kind == "relaxation":
             relax_by_condition[_condition_of(record)] = record
+    rows = [{**f, **f["params"]} for f in fits]
+    ctx.tables["coherence_fits.csv"] = {
+        c: [r[key] for r in rows] for c, key in _COHERENCE_KEYS.items()}
     return {"fits": fits,
             "sources": sorted({f["file"] for f in fits}
                               | {str(sidecar_path(f["file"])) for f in fits})}
@@ -340,6 +351,7 @@ def _psd_stage(ctx: StageContext) -> dict | None:
                 add(transverse_noise(params["t1"], f_q), record)
     if not points["freq_hz"]:
         return None
+    ctx.tables["psd_points.csv"] = {c: points[c] for c in PSD_HEADER}
     return {"points": points,
             "powerlaw": _fit_or_warn(ctx, None, "psd: power-law fit",
                                      powerlaw_fit, box_points),
@@ -369,8 +381,9 @@ def _thermal_stage(ctx: StageContext) -> dict | None:
     model = ThermalModel(f_q=qubit["f_q"], f_r=qubit["f_r"],
                          kappa=qubit["kappa"], chi=qubit["chi"],
                          t1_zero=qubit["t1"])
-    return {"curves": thermal_curves(model, ctx.config.temperatures_k),
-            "sources": []}
+    curves = thermal_curves(model, ctx.config.temperatures_k)
+    ctx.tables["thermal_model.csv"] = curves
+    return {"curves": curves, "sources": []}
 
 
 def _spectro_stage(ctx: StageContext) -> dict | None:
@@ -448,27 +461,11 @@ def run_pipeline(config: AnalysisConfig) -> ReportBundle:
 
 
 def _write_outputs(ctx: StageContext, report: ReportBundle) -> None:
-    """One CSV per table of the run or of the report's sections, then
-    report.json.  A section's "table" names one of those CSVs and gets the
-    sha256 of its bytes on disk, so a report never names a missing table."""
+    """One CSV per table the stages built, then report.json.  A section's
+    "table" names one of those CSVs and gets the sha256 of its bytes on
+    disk, so a report never names a missing table."""
     out, sections = Path(ctx.config.output_dir), report.sections
-    tables = dict(ctx.tables)
-    if "decay_fits" in sections:
-        # coherence_fits.csv header -> key of a decay record or its params
-        keys = {"file": "file", "kind": "kind", "n_pulses": "n_pulses",
-                "bias_mv": "bias_mv", "t1_s": "t1", "t2_s": "t2",
-                "t_phi_s": "t_phi", "stretch": "stretch",
-                "amplitude": "amplitude", "offset": "offset",
-                "detuning_hz": "detuning"}
-        fits = [{**f, **f["params"]} for f in sections["decay_fits"]["fits"]]
-        tables["coherence_fits.csv"] = {column: [f[key] for f in fits]
-                                        for column, key in keys.items()}
-    if "psd" in sections:
-        tables["psd_points.csv"] = {c: sections["psd"]["points"][c]
-                                    for c in PSD_HEADER}
-    if "thermal" in sections:
-        tables["thermal_model.csv"] = sections["thermal"]["curves"]
-    for name, columns in tables.items():
+    for name, columns in ctx.tables.items():
         atomic_write_text(out / name, format_csv(columns))
     for table in (s["table"] for s in sections.values() if "table" in s):
         table["sha256"] = sha256_of(out / table["file"])

@@ -13,7 +13,9 @@ in Python warnings, no module reads a file through csv.reader,
 csv.DictReader or io.TextIOWrapper, so fileio keeps one input parser, no
 module or demo writes a table through numpy.savetxt or a csv writer, so
 fileio keeps one output writer, ddfilter takes no transcendental from
-math, and no module loads scipy, which is a test-only oracle.
+math, no module but ddfilter raises -1 to a power, so CPMG's sign rule
+lives in ddfilter.switching_jumps, and no module loads scipy, which is a
+test-only oracle.
 """
 
 import ast
@@ -165,6 +167,28 @@ def test_filter_transcendentals_go_through_numpy():
     banned = {("math", name) for name in ("sin", "cos", "tan", "fmod",
                                           "exp", "log")}
     assert _uses([PACKAGE / "ddfilter.py"], banned) == []
+
+
+def _powers_of_minus_one(path):
+    """Lines of path that raise the literal -1 or -1.0 to a power."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.UnaryOp)
+            and isinstance(node.left.op, ast.USub)
+            and isinstance(node.left.operand, ast.Constant)
+            and node.left.operand.value == 1]
+
+
+def test_pulse_sign_rule_is_written_only_in_ddfilter():
+    # a pulse sequence's signs come from ddfilter.switching_jumps; a
+    # (-1) ** j elsewhere would restate CPMG's sign rule and could drift
+    # from the filter's
+    modules = [p for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "ddfilter.py"]
+    assert "mcsim.py" in {p.name for p in modules}
+    assert _powers_of_minus_one(PACKAGE / "ddfilter.py") != []
+    assert [f"{path.name}:{line}" for path in modules
+            for line in _powers_of_minus_one(path)] == []
 
 
 def _loaded_by(modules):

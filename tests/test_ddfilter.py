@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from qnl import ddfilter
 from qnl.ddfilter import (FilterPeak, PulseSequence, _cpmg_filter,
-                          filter_value, first_harmonic_peak, pulse_times)
+                          filter_value, first_harmonic_peak)
 from qnl.units import TWO_PI
 
 # Peak position of g_N relative to the nominal N/(2 tau), frozen from a
@@ -47,10 +47,38 @@ class TestSequenceValidation:
         assert s._free_fraction == PulseSequence(3, 1e-5, 1e-6)._free_fraction
         assert filter_value(s, 4e5) == filter_value(seq(3, 1e-5, 1e-6), 4e5)
 
-    def test_pulse_times(self):
-        s = seq(4, tau=8.0)
-        assert np.allclose(pulse_times(s), [1.0, 3.0, 5.0, 7.0])
-        assert pulse_times(seq(0)).size == 0
+
+class TestSwitchingJumps:
+    @pytest.mark.parametrize("fields, c, t", [
+        pytest.param((4, 8.0), [1, -2, 2, -2, 2, -1], [0, 1, 3, 5, 7, 8],
+                     id="cpmg4"),
+        pytest.param((0, 8.0), [1, -1], [0, 8], id="ramsey"),
+        pytest.param((2, 8.0, 1.0), [1, -1, -1, 1, 1, -1],
+                     [0, 1.5, 2.5, 5.5, 6.5, 8], id="finite_pulses")])
+    def test_hand_written_lists(self, fields, c, t):
+        got_c, got_t = ddfilter.switching_jumps(PulseSequence(*fields))
+        assert got_c.tolist() == c
+        assert got_t.tolist() == t
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 200),
+           q=st.one_of(st.just(0.0),
+                       st.floats(0.0, 0.99, exclude_max=True)),
+           log_tau=st.floats(-9.0, 0.0))
+    def test_jumps_property(self, n, q, log_tau):
+        tau = 10.0 ** log_tau
+        s = seq(n, tau, q * tau / max(n, 1))
+        c, t = ddfilter.switching_jumps(s)
+        # s(t) starts and ends at 0 outside the window ...
+        assert c.sum() == 0.0
+        # ... and for N >= 1 integrates to 0 (the filter rejects DC), to
+        # rounding: over 300,000 draws the worst was 0.50 of this bound
+        if n >= 1:
+            bound = np.finfo(float).eps * tau * np.abs(c).sum()
+            assert abs(c @ t) <= bound
+        assert len(c) == len(t) == (n + 2 if s.tau_pi == 0 else 2 * n + 2)
+        assert t[0] == 0.0 and t[-1] == tau
+        assert np.all(np.diff(t) >= 0.0)
 
 
 class TestRamseyFilter:
@@ -97,9 +125,10 @@ class TestCpmgFilter:
                 x ** 4 / 1024.0, rel=1e-4)
 
     def test_matches_naive_exponential_sum(self):
-        # closed form == direct complex sum where the latter is accurate
-        # (x >= 0.01 N; below, its O(1) terms cancel to |y| << 1), and
-        # at and within 1e-12 relative of the odd harmonics x = (2m+1) N pi
+        # closed form == the sum over switching_jumps, c @ e^{i omega t},
+        # where the latter is accurate (x >= 0.01 N; below, its O(1) terms
+        # cancel to |y| << 1), and at and within 1e-12 relative of the odd
+        # harmonics x = (2m+1) N pi
         tau = 100e-6
         for n in (1, 2, 3, 5, 8, 16, 33, 64):
             harmonics = np.outer((2 * np.arange(4) + 1) * n * np.pi,
@@ -107,12 +136,9 @@ class TestCpmgFilter:
             x = np.concatenate((np.geomspace(1e-2 * n, 1e2 * n, 200),
                                 harmonics.ravel()))
             omega = x / tau
-            j = np.arange(1, n + 1)
-            tones = ((-1.0) ** j * np.exp(
-                1j * np.outer(x, (j - 0.5) / n))).sum(axis=1)
             for tau_pi in (0.0, 1e-3 * tau / n, 0.13 * tau / n):
-                y = (1.0 + (-1.0) ** (1 + n) * np.exp(1j * x)
-                     + 2.0 * np.cos(0.5 * omega * tau_pi) * tones)
+                c, t = ddfilter.switching_jumps(seq(n, tau, tau_pi))
+                y = np.exp(1j * np.outer(omega, t)) @ c
                 expected = np.abs(y) ** 2 / x ** 2
                 assert np.allclose(filter_value(seq(n, tau, tau_pi), omega),
                                    expected, rtol=1e-8, atol=0.0)

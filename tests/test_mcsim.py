@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qnl import mcsim
-from qnl.ddfilter import PulseSequence, filter_value, pulse_times
+from qnl.ddfilter import PulseSequence, filter_value, switching_jumps
 from qnl.mcsim import (SyntheticNoise, Trajectory, band_variance,
                        dephasing_integral, simulate_sequence,
                        synthesize_noise)
@@ -340,20 +340,19 @@ def record_length(s, seq, dt):
 def reference_phases(s, seq, sensitivity, z, dt, taus):
     """phi, (rows of z, delays), record by record: the records of
     reference_spectra, their trapezoid integral, linear interpolation at
-    the segment bounds, signed sums."""
+    the jumps of s(t) scaled to each delay, and the sum of s(t) times the
+    integral's increments, which is minus the jumps times the integral."""
     n = record_length(s, seq, dt)
     t_knots = np.arange(n) * dt
-    frac = np.concatenate(([0.0], pulse_times(seq) / seq.tau, [1.0]))
-    bounds = np.multiply.outer(taus, frac)
-    seg_signs = (-1.0) ** np.arange(seq.n_pulses + 1)
+    c, t = switching_jumps(seq)
+    bounds = np.multiply.outer(taus, t / seq.tau)
     phases = np.empty((len(z), len(taus)))
     for i, spectrum in enumerate(reference_spectra(s, dt, n, z)):
         lam = np.fft.irfft(spectrum, n=n)
         cum = np.concatenate(
             ([0.0], np.cumsum(0.5 * (lam[1:] + lam[:-1]) * dt)))
         cum_at = np.interp(bounds.ravel(), t_knots, cum).reshape(bounds.shape)
-        phases[i] = sensitivity * (np.diff(cum_at, axis=1)
-                                   * seg_signs).sum(axis=1)
+        phases[i] = -sensitivity * (cum_at @ c)
     return phases
 
 

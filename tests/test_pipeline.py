@@ -264,7 +264,6 @@ class TestValidateInputs:
 class TestRunPipeline:
     def test_outputs_written(self, q1_run):
         config, _ = q1_run
-        from pathlib import Path
         out = Path(config.output_dir)
         for name in ("report.json", "coherence_fits.csv", "psd_points.csv",
                      "periodogram.csv", "thermal_model.csv"):
@@ -398,8 +397,8 @@ class TestRunPipeline:
         assert json.loads(path.read_text()) == report.to_dict()
 
     def test_saved_report_is_the_encoders_text(self, q1_run, tmp_path):
-        # the lists written from their CSV cell texts read as json.dumps
-        # writes them
+        # saving the returned report again writes the run's report.json
+        # byte for byte
         config, report = q1_run
         path = tmp_path / "copy.json"
         report.save(path)
@@ -413,7 +412,6 @@ class TestRunPipeline:
 
     def test_coherence_csv_rows(self, q1_run):
         config, _ = q1_run
-        from pathlib import Path
         lines = (Path(config.output_dir) /
                  "coherence_fits.csv").read_text().splitlines()
         assert lines[0] == ("file,kind,n_pulses,bias_mv,t1_s,t2_s,t_phi_s,"
@@ -593,6 +591,12 @@ ABSURD_METADATA = [
 ]
 
 
+# report section -> the CSV its stage writes
+SECTION_TABLES = {"decay_fits": "coherence_fits.csv", "psd": "psd_points.csv",
+                  "low_frequency": "periodogram.csv",
+                  "thermal": "thermal_model.csv"}
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -622,7 +626,13 @@ class TestStageIsolation:
         others = {"decay_fits", "scaling", "psd", "low_frequency",
                   "thermal"} - {section}
         assert others <= set(report.sections)
-        assert (Path(config.output_dir) / "report.json").exists()
+        out = Path(config.output_dir)
+        assert (out / "report.json").exists()
+        # the failed stage leaves no table: the CSVs are those of the
+        # sections present
+        assert {p.name for p in out.glob("*.csv")} == {
+            name for key, name in SECTION_TABLES.items()
+            if key in report.sections}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_absurd_sweet_spot_keeps_report_standard_json(self, tmp_path):
