@@ -104,7 +104,11 @@ def switching_jumps(seq: PulseSequence) -> tuple:
     in time order, so tau^2 g_N = |sum_m c_m e^(i omega t_m)|^2 / omega^2:
     +1 at 0, at each pulse centre tau (j - 1/2)/N one jump 2 (-1)^j when
     tau_pi = 0, else (-1)^j at the centre -+ tau_pi/2 (s(t) = 0 in a
-    pulse), and -(-1)^N at tau: N + 2 jumps, or 2N + 2."""
+    pulse), and -(-1)^N at tau: N + 2 jumps, or 2N + 2.  Each centre
+    -+ tau_pi/2 is rounded on its own, so where N tau_pi lies within
+    rounding of tau a pulse's end can pass the next pulse's start or tau
+    by an ulp: the times are then ordered and capped at tau, which moves
+    no time that is already in order."""
     n = seq.n_pulses
     sign = (-1.0) ** np.arange(n + 1)       # s(t) between the pulses
     centres = seq.tau * (np.arange(1, n + 1) - 0.5) / max(n, 1)
@@ -113,8 +117,9 @@ def switching_jumps(seq: PulseSequence) -> tuple:
     else:
         half = 0.5 * seq.tau_pi
         c, t = np.repeat(sign[1:], 2), np.add.outer(centres, [-half, half])
+    t = np.concatenate(([0.0], np.ravel(t), [seq.tau]))
     return (np.concatenate(([1.0], c, [-sign[-1]])),
-            np.concatenate(([0.0], np.ravel(t), [seq.tau])))
+            np.minimum(np.maximum.accumulate(t), seq.tau))
 
 
 def filter_value(seq: PulseSequence, omega):

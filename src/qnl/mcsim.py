@@ -26,12 +26,11 @@ Randomness: a call draws from one generator, default_rng(seed).
 synthesize_noise draws one record's row z: one standard normal per
 nonzero bin scale, in the order of _row_layout, the one statement of a
 record's bin rules.  simulate_sequence forms no record: with z ~ N(0, I)
-the phases are Gaussian with covariance G^T G, and it samples that law
-exactly as u @ R, where R is the triangular factor of G = QR and
-trajectory i takes row i of the stream of u ~ N(0, I_k), k =
-min(row width, delays) normals.  So ensembles are bit-identical for a
-given (seed, n_traj), and the first trajectories do not depend on
-n_traj.
+the phase at delay j is Gaussian with standard deviation |G_j|, the norm
+of G's column j, and as in a measurement each delay averages its own
+trajectories, so trajectory i draws one standard normal per delay, row i
+of the stream.  So ensembles are bit-identical for a given (seed,
+n_traj), and the first trajectories do not depend on n_traj.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ _MAX_STRETCH = 64.0
 # cap on record length times delays, the entries of _gain's matrix: each of
 # its arrays then stays within 128 MiB
 _MAX_GAIN_SIZE = 1 << 24
-# bytes of normals and phases per block of simulate_sequence trajectories
+# bytes of normals per block of simulate_sequence trajectories
 _BLOCK_BYTES = 1 << 20
 # nodes and weights of the 8-point Gauss-Legendre rule on [-1, 1], correctly
 # rounded; a literal, so importing qnl.mcsim runs no eigensolver
@@ -225,9 +224,9 @@ def _gain(spec: SyntheticNoise, seq: PulseSequence, sensitivity: float,
     resolve f_min, capped at _MAX_STRETCH times seq.tau, and the phase is
     the signed trapezoid integral of it (_phase_weights).  Half the
     squared norm of column j is the exact chi of the discretized phase at
-    taus[j].  G is C-contiguous.  Raises ValueError, before any array is
-    allocated, when the record length n times the delays exceeds
-    _MAX_GAIN_SIZE (the row width is at most n).
+    taus[j].  Raises ValueError, before any array is allocated, when the
+    record length n times the delays exceeds _MAX_GAIN_SIZE (the row width
+    is at most n).
     """
     record_span = max(_RECORD_STRETCH * seq.tau,
                       min(1.0 / spec.f_min, _MAX_STRETCH * seq.tau))
@@ -246,10 +245,7 @@ def _gain(spec: SyntheticNoise, seq: PulseSequence, sensitivity: float,
     # W = dt/2 (r_0 - r_n) = 0), 2 elsewhere: so every band bin takes c = 2
     w_hat = np.fft.rfft([_phase_weights(seq, tau, dt, n) for tau in taus])
     c = np.where(bins == 0, 1.0, 2.0)
-    # the real part's transpose is a strided view, on which LAPACK's QR can
-    # run a hundred times slower
-    return np.ascontiguousarray(
-        ((sensitivity / n) * c * scales * w_hat[:, bins].conj()).real.T)
+    return ((sensitivity / n) * c * scales * w_hat[:, bins].conj()).real.T
 
 
 def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
@@ -257,13 +253,14 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
                       taus=None) -> DecayTrace:
     """Ensemble-average coherence decay under a pulse sequence.
 
-    The phases at the requested delays are those of the signed trapezoid
-    integral of a noise record (see _gain), sampled from their exact
-    Gaussian law without forming a record: with G = QR, trajectory i's
-    phases are u_i @ R for row i of k = min(row width, delays) standard
-    normals from spec.seed's stream.  Rows are drawn in blocks of bounded
-    size, which changes no bit.  The trace reports
-    P_e = (1 + |<e^{i phi}>|)/2 so that full coherence maps to P_e = 1.
+    The phase at each requested delay is that of the signed trapezoid
+    integral of a noise record (see _gain), sampled from its exact
+    Gaussian law without forming a record, and each delay averages its
+    own trajectories, as a measured trace does: trajectory i's phases
+    are u_i * |G_j| for row i of one standard normal per delay from
+    spec.seed's stream.  Rows are drawn in blocks of bounded size.  The
+    trace reports the population a measurement averages,
+    P_e = (1 + Re<e^{i phi}>)/2, so full coherence maps to P_e = 1.
 
     taus defaults to 24 points up to seq.tau; the delays are checked
     before dt.  dt must satisfy 0 < dt <= tau/(10 N) so pulse boundaries
@@ -289,18 +286,15 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
     if dt > seq.tau / (10.0 * max(n_pi, 1)):
         raise ValueError("dt too coarse: need dt <= tau/(10 N)")
 
-    # phi ~ N(0, G^T G) for the gain G = QR: u @ R with u ~ N(0, I_k) has
-    # that law, and R has k = min(width, delays) rows
-    r = np.linalg.qr(_gain(spec, seq, sensitivity, dt, taus), mode="r")
+    sigma = np.linalg.norm(_gain(spec, seq, sensitivity, dt, taus), axis=0)
     rng = _rng(spec)
-    block = max(1, _BLOCK_BYTES // (8 * (len(r) + len(taus))))
+    block = max(1, _BLOCK_BYTES // (8 * len(taus)))
     cos_sum = np.zeros(len(taus))
-    sin_sum = np.zeros(len(taus))
     for start in range(0, n_traj, block):
-        phi = rng.standard_normal((min(block, n_traj - start), len(r))) @ r
-        cos_sum += np.cos(phi).sum(axis=0)
-        sin_sum += np.sin(phi, out=phi).sum(axis=0)
-    coherence = np.hypot(cos_sum, sin_sum) / n_traj
+        phi = rng.standard_normal((min(block, n_traj - start), len(taus)))
+        phi *= sigma
+        cos_sum += np.cos(phi, out=phi).sum(axis=0)
+    coherence = cos_sum / n_traj
 
     kind = {0: "ramsey", 1: "echo"}.get(n_pi, "cpmg")
     return DecayTrace(times=taus, populations=0.5 * (1.0 + coherence),

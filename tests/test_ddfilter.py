@@ -65,6 +65,12 @@ class TestSwitchingJumps:
            q=st.one_of(st.just(0.0),
                        st.floats(0.0, 0.99, exclude_max=True)),
            log_tau=st.floats(-9.0, 0.0))
+    # N tau_pi within rounding of tau, where the rounded times were out of
+    # order: the last pulse's end 1.7e-21 s past tau at N = 7, and 15 and
+    # 61 steps back in t at N = 64 and 200
+    @example(n=7, q=1 - 2**-53, log_tau=-5.0)
+    @example(n=64, q=1 - 2**-53, log_tau=-5.0)
+    @example(n=200, q=1 - 2**-53, log_tau=-5.0)
     def test_jumps_property(self, n, q, log_tau):
         tau = 10.0 ** log_tau
         s = seq(n, tau, q * tau / max(n, 1))
