@@ -20,7 +20,10 @@ w_j(tau_k) lambda_j, and so linear in the record's spectral draws z:
 phi = z @ G for a gain matrix G of shape (row width, delays), whose
 rows are the rfft of w scaled by the bin rules.  The rfft of w is the
 discrete filter function, and half the squared norm of G's column j is
-the exact chi of the discretized phase at delay j.
+the exact chi of the discretized phase at delay j.  The record has the
+least 2^a 3^b 5^c samples that span what the delays need
+(_record_length), so that rfft, fast only on lengths with small prime
+factors, never meets a prime length.
 
 Randomness: a call draws from one generator, default_rng(seed).
 synthesize_noise draws one record's row z: one standard normal per
@@ -188,31 +191,78 @@ def synthesize_noise(spec: SyntheticNoise, dt: float, n: int) -> Trajectory:
     return Trajectory(dt=dt, samples=np.fft.irfft(spectrum, n=n))
 
 
-def _phase_weights(seq: PulseSequence, tau: float, dt: float,
+def _five_smooth_ceil(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m, for an integer m >= 1: for each odd
+    factor 3^b 5^c below the best length so far, the least power-of-two
+    multiple of it that reaches m."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
+
+
+def _record_length(spec: SyntheticNoise, seq: PulseSequence, dt: float,
+                   delays: int) -> int:
+    """The length n of the record whose phases _gain weights: the least
+    2^a 3^b 5^c >= ceil(span/dt), so that its rfft runs on small prime
+    factors only.
+
+    The span is long enough to oversample the filter lobe
+    (_RECORD_STRETCH tau) and to resolve f_min, capped at _MAX_STRETCH
+    tau.  Raises ValueError when n times delays exceeds _MAX_GAIN_SIZE;
+    ceil(span/dt) is checked before it is rounded and n after, so a
+    refusal rounds and allocates nothing.
+    """
+    span = max(_RECORD_STRETCH * seq.tau,
+               min(1.0 / spec.f_min, _MAX_STRETCH * seq.tau))
+    n = np.ceil(span / dt)
+    if n * delays <= _MAX_GAIN_SIZE:
+        n = _five_smooth_ceil(int(n))
+    if not n * delays <= _MAX_GAIN_SIZE:         # a NaN dt is refused too
+        raise ValueError(f"dt = {dt!r} s is too small: a {span:.3g} s "
+                         f"record of {n:.3g} samples at {delays} delays "
+                         f"exceeds the limit of {_MAX_GAIN_SIZE} samples "
+                         f"times delays")
+    return n
+
+
+def _phase_weights(seq: PulseSequence, taus: np.ndarray, dt: float,
                    n: int) -> np.ndarray:
-    """w (length n) with phi(tau) = sensitivity * w @ lambda.
+    """w, (delays, n), with phi(taus[i]) = sensitivity * w[i] @ lambda.
 
     The record lambda_j = lambda(j dt) enters the phase through its
     trapezoid integral cum_j = sum_{m<j} dt (lambda_m + lambda_{m+1})/2,
     interpolated linearly at the bounds, switching_jumps' times scaled to
-    tau, and summed with minus their jumps c.  w is the adjoint of those
-    three linear steps: a holds the interpolation coefficients at the
-    bounds times -c, r_j = sum_{m >= j} a_m (r_0 = r_n = 0, since cum_0 =
-    0), and w_j = dt (r_j + r_{j+1}) / 2.
+    each delay, and summed with minus their jumps c.  w is the adjoint of
+    those three linear steps: a holds the interpolation coefficients at
+    the bounds times -c, r_j = sum_{m >= j} a_m (r_0 = r_n = 0, since
+    cum_0 = 0), and w_j = dt (r_j + r_{j+1}) / 2.  Every delay is one row
+    of each step, so row i is the same to the bit as a call on taus[i]
+    alone.
     """
     c, t = switching_jumps(seq)
-    bounds, net = tau * (t / seq.tau), -c
+    bounds = np.multiply.outer(taus, t / seq.tau)
 
     t_knots = np.arange(n) * dt
     j = np.clip(np.searchsorted(t_knots, bounds, side="right") - 1, 0, n - 2)
     f = (bounds - t_knots[j]) / dt
-    a = np.zeros(n)
-    np.add.at(a, j, net * (1.0 - f))
-    np.add.at(a, j + 1, net * f)
+    rows = np.arange(len(taus))[:, None]
+    a = np.zeros((len(taus), n))
+    np.add.at(a, (rows, j), -c * (1.0 - f))
+    np.add.at(a, (rows, j + 1), -c * f)
 
-    r = np.zeros(n + 1)
-    r[1:n] = np.cumsum(a[:0:-1])[::-1]
-    return 0.5 * dt * (r[:-1] + r[1:])
+    # cumsum writes into r and w is scaled in place, so the pass holds at
+    # most three (delays, n) arrays at once: a, r and w
+    r = np.zeros((len(taus), n + 1))
+    np.cumsum(a[:, :0:-1], axis=1, out=r[:, n - 1:0:-1])
+    w = r[:, :-1] + r[:, 1:]
+    w *= 0.5 * dt
+    return w
 
 
 def _gain(spec: SyntheticNoise, seq: PulseSequence, sensitivity: float,
@@ -220,30 +270,23 @@ def _gain(spec: SyntheticNoise, seq: PulseSequence, sensitivity: float,
     """G, (row width, delays): the phases at taus of the record that a row
     z of _row_layout's normals makes are z @ G.
 
-    The record is long enough to oversample the filter lobe and to
-    resolve f_min, capped at _MAX_STRETCH times seq.tau, and the phase is
-    the signed trapezoid integral of it (_phase_weights).  Half the
-    squared norm of column j is the exact chi of the discretized phase at
-    taus[j].  Raises ValueError, before any array is allocated, when the
-    record length n times the delays exceeds _MAX_GAIN_SIZE (the row width
-    is at most n).
+    The record is _record_length's: the least 2^a 3^b 5^c samples that
+    span enough to oversample the filter lobe and to resolve f_min,
+    capped at _MAX_STRETCH times seq.tau, and the phase is the signed
+    trapezoid integral of it (_phase_weights).  Half the squared norm of
+    column j is the exact chi of the discretized phase at taus[j].
+    Raises ValueError, before any array is allocated, when that rounded
+    length n times the delays exceeds _MAX_GAIN_SIZE (the row width is at
+    most n).
     """
-    record_span = max(_RECORD_STRETCH * seq.tau,
-                      min(1.0 / spec.f_min, _MAX_STRETCH * seq.tau))
-    samples = np.ceil(record_span / dt)
-    if samples * len(taus) > _MAX_GAIN_SIZE:
-        raise ValueError(f"dt = {dt!r} s is too small: a {record_span:.3g} "
-                         f"s record of {samples:.3g} samples at {len(taus)} "
-                         f"delays exceeds the limit of {_MAX_GAIN_SIZE} "
-                         f"samples times delays")
-    n = int(samples)
+    n = _record_length(spec, seq, dt, len(taus))
     bins, scales = _row_layout(spec, dt, n)
 
     # phi = (sensitivity/n) Re sum_k c_k X_k conj(W_k) for the record's
     # rfft X and the weights' rfft W, with c_k = 1 at DC (in _row_layout,
     # only the static offset's bin) and at an even n's Nyquist bin (where
     # W = dt/2 (r_0 - r_n) = 0), 2 elsewhere: so every band bin takes c = 2
-    w_hat = np.fft.rfft([_phase_weights(seq, tau, dt, n) for tau in taus])
+    w_hat = np.fft.rfft(_phase_weights(seq, taus, dt, n))
     c = np.where(bins == 0, 1.0, 2.0)
     return ((sensitivity / n) * c * scales * w_hat[:, bins].conj()).real.T
 
@@ -264,11 +307,11 @@ def simulate_sequence(spec: SyntheticNoise, seq: PulseSequence,
 
     taus defaults to 24 points up to seq.tau; the delays are checked
     before dt.  dt must satisfy 0 < dt <= tau/(10 N) so pulse boundaries
-    are resolved, and the record length ceil(record span / dt) times the
-    number of delays must not exceed 2^24, which bounds each array of the
-    gain at 128 MiB: a smaller dt raises ValueError before any of them is
-    allocated.  Pulses are instantaneous: a sequence with tau_pi > 0 is
-    rejected.
+    are resolved, and the record length, the least 2^a 3^b 5^c >=
+    ceil(record span / dt), times the number of delays must not exceed
+    2^24, which bounds each array of the gain at 128 MiB: a smaller dt
+    raises ValueError before any of them is allocated.  Pulses are
+    instantaneous: a sequence with tau_pi > 0 is rejected.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")

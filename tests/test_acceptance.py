@@ -195,7 +195,7 @@ def test_criterion_07_integral_vs_monte_carlo():
 
 # measured over seeds 0-999 at each op of criterion 7 (seed + 1000 s):
 # |chi_mc - chi_grid| reached 3.86 standard errors, and chi_grid/chi - 1
-# lies in [-1.67%, -0.16%]
+# lies in [-1.63%, -0.16%]
 MC_SIGMAS = 4.0
 GRID_BIAS = 0.02
 # per-delay bound of a J-delay ensemble whose delays draw independently:

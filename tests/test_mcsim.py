@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import tracemalloc
 import warnings
@@ -286,9 +287,29 @@ class TestSimulateSequence:
         with pytest.raises(ValueError, match="too small"):
             mcsim._gain(s, seq, 1.0, 2 * seq.tau / (n + 1), taus)
 
+    def test_bound_applies_to_the_rounded_length(self, monkeypatch):
+        # 695,000 samples at 24 delays are within the bound, but they round
+        # up to 699,840 = 2^6 3^7 5, which is not: refused before
+        # _row_layout, stubbed so that nothing is allocated
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(mcsim, "_row_layout", reached)
+        seq = PulseSequence(n_pulses=1, tau=20e-6)
+        s = spec(f_min=1e6, f_max=2e6)      # the record spans 2 tau
+        taus = np.full(24, seq.tau)
+        assert 695_001 * 24 <= mcsim._MAX_GAIN_SIZE < 699_840 * 24
+        with pytest.raises(ValueError, match=r"too small: .* of 7e\+05 "
+                                             r"samples at 24 delays"):
+            mcsim._gain(s, seq, 1.0, 2 * seq.tau / 695_000, taus)
+
     def test_populations_are_pinned(self):
-        # float.hex of the populations since 0.9.0: one normal per delay
-        # per trajectory, and P_e from the real part of <e^{i phi}>
+        # float.hex of the populations since 0.10.0: one normal per delay
+        # per trajectory, P_e from the real part of <e^{i phi}>, and a
+        # record of 3072 = 2^10 3 samples (3048 before the rounding)
         s = SyntheticNoise(amplitude=1.1e10, alpha=1.0, f_min=2.1e3,
                            f_max=2e6, seed=11)
         trace = simulate_sequence(s, PulseSequence(n_pulses=4, tau=25e-6),
@@ -296,8 +317,8 @@ class TestSimulateSequence:
                                   dt=25e-6 / 160,
                                   taus=np.linspace(6.25e-6, 25e-6, 4))
         assert [p.hex() for p in trace.populations] == [
-            "0x1.f65e3bfbd8278p-1", "0x1.d8fc8ee911bb0p-1",
-            "0x1.b00185e64e6f2p-1", "0x1.73f47e3c2762cp-1"]
+            "0x1.f65e3a01b4640p-1", "0x1.d8fc8ee4ec0a6p-1",
+            "0x1.b00181166f6e4p-1", "0x1.73f47942946b8p-1"]
 
     def test_quasi_static_gaussian_ramsey(self):
         # static Gaussian detuning noise: C(tau) = exp(-(sigma tau)^2/2)
@@ -333,9 +354,36 @@ class TestSimulateSequence:
 
 def record_length(s, seq, dt):
     """The record length simulate_sequence synthesizes for (s, seq, dt)."""
-    span = max(mcsim._RECORD_STRETCH * seq.tau,
-               min(1.0 / s.f_min, mcsim._MAX_STRETCH * seq.tau))
-    return int(np.ceil(span / dt))
+    return mcsim._record_length(s, seq, dt, 1)
+
+
+def is_5_smooth(m):
+    """Whether m >= 1 has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_record_length_rounds_up_to_the_next_5_smooth_count():
+    # brute force, for every m: the rounded n >= m is 5-smooth, and no
+    # 5-smooth count lies in [m, n)
+    limit = 20_000
+    smooth = [k for k in range(1, 2 * limit) if is_5_smooth(k)]
+    for m in range(1, limit + 1):
+        n = mcsim._five_smooth_ceil(m)
+        assert n >= m and is_5_smooth(n)
+        assert smooth[bisect.bisect_left(smooth, m)] == n
+
+
+def test_criterion_8_pair_record_is_5_smooth():
+    # tau = 12 us and dt = 0.1 us on a band below 1/(64 tau): 768 us spans
+    # 7681 samples, a prime, which round up to 7776 = 2^5 3^5
+    s = SyntheticNoise(amplitude=1.2e5**2 / 0.99, alpha=0.0, f_min=0.01,
+                       f_max=1.0, seed=8)
+    for n_pulses in (0, 1):
+        seq = PulseSequence(n_pulses=n_pulses, tau=12e-6)
+        assert record_length(s, seq, 0.1e-6) == 7776
 
 
 def reference_phases(s, seq, sensitivity, z, dt, taus):
@@ -363,20 +411,21 @@ def populations(phases):
 
 
 TAU = 20e-6
-# (spec fields, N, dt, taus, parity of the record length or None)
+# (spec fields, N, dt, taus, parity of the record length or None); the
+# odd lengths are 675 = 3^3 5^2 and 10,935 = 3^7 5
 EQUIVALENCE_CASES = {
     "even_nyquist_in_band": (
         dict(amplitude=4e10, alpha=1.0, f_min=1e4, f_max="nyquist"),
         2, 1.1e-7, None, 0),
     "odd_clipped_at_nyquist": (
         dict(amplitude=2e10, alpha=1.0, f_min=9e3, f_max=1e8),
-        1, 1.1e-7, [5e-6, 12e-6, TAU], 1),
+        1, 1.65e-7, [5e-6, 12e-6, TAU], 1),
     "static_offset_ramsey": (
         dict(amplitude=4e9, alpha=0.0, f_min=0.01, f_max=1.0),
         0, 1.01e-7, [4e-6, 9e-6, TAU], 0),
     "static_offset_and_band_odd": (
         dict(amplitude=5e11, alpha=1.0, f_min=10.0, f_max=3e6),
-        16, 1e-7, None, 1),
+        16, 1.174e-7, None, 1),
     "even_clipped_with_static_offset": (
         dict(amplitude=3e10, alpha=1.0, f_min=100.0, f_max=1e8),
         2, 1.01e-7, [TAU], 0),
@@ -425,6 +474,25 @@ def test_weights_match_record_by_record_reference(case):
         # the phases are O(1), so the comparison is not a trivial one
         assert np.abs(expected).max() > 0.5
     np.testing.assert_allclose(z @ g, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_every_rfft_is_5_smooth(case, monkeypatch):
+    lengths = []
+    rfft = np.fft.rfft
+
+    def recording(a, *args, **kwargs):
+        lengths.append(np.shape(a)[-1])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(mcsim.np.fft, "rfft", recording)
+    s, seq, dt, taus = equivalence_case(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        simulate_sequence(s, seq, sensitivity=1.0, n_traj=3, dt=dt,
+                          taus=taus)
+    assert lengths == [record_length(s, seq, dt)]
+    assert is_5_smooth(lengths[0])
 
 
 @pytest.fixture
@@ -526,9 +594,24 @@ def test_dc_and_nyquist_weights_never_reach_the_phase(n):
             assert np.count_nonzero(bins == n // 2) == 1
     for n_pulses in (0, 1, 2, 16):
         seq = PulseSequence(n_pulses=n_pulses, tau=20e-6)
-        for tau in np.linspace(seq.tau / 24, seq.tau, 24):
-            w_hat = np.abs(np.fft.rfft(mcsim._phase_weights(seq, tau, dt, n)))
-            assert w_hat[-1] <= 1e-15 * w_hat.max()
+        taus = np.linspace(seq.tau / 24, seq.tau, 24)
+        w_hat = np.abs(np.fft.rfft(mcsim._phase_weights(seq, taus, dt, n)))
+        assert np.all(w_hat[:, -1] <= 1e-15 * w_hat.max(axis=1))
+
+
+@pytest.mark.parametrize("n_pulses", [0, 1, 8, 16])
+@pytest.mark.parametrize("tau_pi", [0.0, 20e-9])
+def test_weights_of_all_delays_are_the_one_delay_rows(n_pulses, tau_pi):
+    # one pass over every delay gives each row the bits of a call on that
+    # delay alone, on an odd and an even record
+    seq = PulseSequence(n_pulses=n_pulses, tau=20e-6, tau_pi=tau_pi)
+    taus = np.linspace(seq.tau / 24, seq.tau, 24)
+    for dt, n in ((1.1e-7, 960), (1.65e-7, 675)):
+        w = mcsim._phase_weights(seq, taus, dt, n)
+        rows = [mcsim._phase_weights(seq, taus[i:i + 1], dt, n)
+                for i in range(len(taus))]
+        assert w.shape == (len(taus), n)
+        assert np.array_equal(w, np.concatenate(rows))
 
 
 def test_each_warning_once_per_call():
