@@ -126,16 +126,27 @@ def filter_value(seq: PulseSequence, omega):
     """Evaluate g_N(omega, tau) for scalar or array angular frequency.
 
     The filter is even in omega; N >= 1 is _cpmg_filter at x = omega tau
-    and v = omega tau_pi / 2.
+    and v = omega tau_pi / 2.  One float frequency stays a Python float
+    down to _cpmg_filter (x and v are the same products an array forms),
+    unless x overflows or is NaN, which takes the array path and its
+    warnings.
     """
+    n = seq.n_pulses
+    if n and isinstance(omega, float):
+        omega = abs(float(omega))
+        x = omega * seq.tau
+        if x < 1e150:       # v < x/2: tau_pi < tau/N
+            return _cpmg_filter(n, x, 0.5 * omega * seq.tau_pi,
+                                seq._free_fraction)
     omega = np.abs(np.asarray(omega, dtype=float))
     x = omega * seq.tau
-    n = seq.n_pulses
 
     if n == 0:
-        # 4 sin^2(x/2)/x^2 == sinc^2(x/2pi) in numpy's normalized convention
-        g = np.sinc(x / TWO_PI) ** 2
-        return float(g) if g.ndim == 0 else g
+        # 4 sin^2(x/2)/x^2 == sinc^2(x/2pi) in numpy's normalized
+        # convention; one point goes through as a 1-element array, since
+        # a 0-d square takes pow and can differ in the last bit
+        g = np.sinc(np.ravel(x) / TWO_PI) ** 2
+        return float(g[0]) if x.ndim == 0 else g.reshape(x.shape)
     return _cpmg_filter(n, x, 0.5 * omega * seq.tau_pi, seq._free_fraction)
 
 
@@ -155,10 +166,14 @@ def _cpmg_filter(n: int, x, v, free: float):
     One point (a float, numpy float or 0-d array) picks its branch with an
     if and builds no array; an array picks it with masks, and each form of
     r is computed only on the points that use it.  Both call the same
-    _r_below, _r_above and _tail, so a scalar rounds as the same point of
-    an array does.  Python floats overflow without the warning numpy
-    gives, so a point where a step could overflow (|x| or |v| from 1e150,
-    or NaN) takes the array path and warns as an array does.
+    _r_below, _phase, _r_above and _tail, so a scalar rounds as the same
+    point of an array does.  Python floats overflow without the warning
+    numpy gives, so a point where a step could overflow (|x| or |v| from
+    1e150, or NaN) takes the array path and warns as an array does.
+
+    Both form u = (0.5 x) / N in two roundings: x / 2N would round the
+    same real number only while 2N is a float (N below 2^1023).  _phase
+    and _tail say how an array keeps a float's rounding.
     """
     if isinstance(x, float) or x.ndim == 0:
         x, v = float(x), float(v)
@@ -176,13 +191,14 @@ def _cpmg_filter(n: int, x, v, free: float):
     flat = np.ravel(x)
     u = 0.5 * flat / n
     low = u < 1.0
+    high = ~low
     r = np.empty_like(u)
     r[low] = _r_below(n, flat[low], u[low])
-    e = _phase(u[~low])
+    e = _phase(u[high])
     with np.errstate(divide="ignore", invalid="ignore"):
         q = _r_above(n, e)
         q[e == 0.0] = n
-        r[~low] = q
+        r[high] = q
         g = _tail(r, flat, u, np.ravel(v), free)
     g[flat < 1e-150] = 0.0
     g = g.reshape(np.shape(x))
@@ -196,9 +212,15 @@ def _r_below(n: int, x, u):
 
 
 def _phase(u):
-    """e = (u mod pi) - pi/2.  The remainder is exact in IEEE arithmetic,
-    so a float's % and numpy's np.mod on an array give the same bits."""
-    return u % np.pi - 0.5 * np.pi
+    """e = (u mod pi) - pi/2, for u >= 0 or NaN.  The remainder is exact
+    in IEEE arithmetic, and for u >= 0 the truncated remainder np.fmod
+    equals the floored one, so an array takes np.fmod, which skips
+    np.mod's floor division, and a float takes its %: the same bits."""
+    if isinstance(u, float):
+        return u % np.pi - 0.5 * np.pi
+    e = np.fmod(u, np.pi)
+    e -= 0.5 * np.pi
+    return e
 
 
 def _r_above(n: int, e):
@@ -207,7 +229,24 @@ def _r_above(n: int, e):
 
 
 def _tail(r, x, u, v, free: float):
-    """g_N = (4 r s)^2 / x^2 from r, in the one order of rounding."""
+    """g_N = (4 r s)^2 / x^2 from r, in the one order of rounding:
+    s = sin(0.5 (u + v)) sin((0.5 u) free), t = (r 4) s, g = (t t) / (x x).
+    An array builds each product in place, in that order, so it rounds as
+    a float does.  (0.5 u) free stays in two roundings: u (free / 2) would
+    round the same real number only while neither u nor free is
+    subnormal, and u can be at N above about 1e157."""
+    if isinstance(r, np.ndarray):
+        s = u + v
+        s *= 0.5
+        np.sin(s, out=s)
+        s2 = 0.5 * u
+        s2 *= free
+        s *= np.sin(s2, out=s2)
+        t = r * 4.0
+        t *= s
+        t *= t
+        t /= np.multiply(x, x, out=s)
+        return t
     t = r * 4.0 * (np.sin(0.5 * (u + v)) * np.sin(0.5 * u * free))
     return t * t / (x * x)
 

@@ -57,6 +57,9 @@ _MAX_STRETCH = 64.0
 # cap on record length times delays, the entries of _gain's matrix: each of
 # its arrays then stays within 128 MiB
 _MAX_GAIN_SIZE = 1 << 24
+# cap on the quadrature nodes of one dephasing_integral call: each of its
+# (panels, 8) arrays then stays within 16 MiB
+_MAX_CHI_NODES = 1 << 21
 # bytes of normals per block of simulate_sequence trajectories
 _BLOCK_BYTES = 1 << 20
 # nodes and weights of the 8-point Gauss-Legendre rule on [-1, 1], correctly
@@ -377,6 +380,15 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float) -> float:
     at N = 64, tau = 2 us); with g_N replaced by 1 it reproduces
     band_variance within 2e-14 relative.
 
+    The edges are merged by an in-place sort that keeps the first of each
+    run of equal ones, and the integrand is built in place in the order
+    amplitude * f^-alpha * g * (half-width * weight), then summed: the
+    nodes, their count and every bit are those of np.unique and the
+    expression written out.  Raises ValueError, before any array is
+    allocated, when 8 nodes per period and per log edge,
+    8 ((f_max - f_min) tau + log edges), exceed _MAX_CHI_NODES (2^21):
+    a 1 Hz - 1 GHz band at tau = 0.1 s would ask for 8e8.
+
     For Gaussian noise, coherence = exp(-chi): compare with
     -log of the simulate_sequence coherence.
     """
@@ -386,11 +398,24 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float) -> float:
         return 0.0
 
     f_min, f_max = psd.f_min, psd.f_max
-    edges = np.unique(np.concatenate((np.arange(f_min, f_max, 1.0 / seq.tau),
-                                      _log_edges(f_min, f_max))))
+    log_edges = _log_edges(f_min, f_max)
+    periods = (f_max - f_min) * seq.tau
+    # 8 nodes on each panel, and at most periods + len(log_edges) panels
+    if not 8 * (periods + len(log_edges)) <= _MAX_CHI_NODES:
+        raise ValueError(f"(f_max - f_min) * tau = {periods:.3g} filter "
+                         f"periods ask for more than the limit of "
+                         f"{_MAX_CHI_NODES} quadrature nodes, 8 per panel")
+    edges = np.concatenate((np.arange(f_min, f_max, 1.0 / seq.tau),
+                            log_edges))
+    edges.sort()       # then keep the first of each run, as np.unique does
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     half = 0.5 * np.diff(edges)
     f = (edges[:-1] + half)[:, None] + half[:, None] * _GL_X
-    integrand = (psd.amplitude * f ** -psd.alpha
-                 * filter_value(seq, TWO_PI * f))
-    return float(0.5 * sensitivity**2 * seq.tau**2
-                 * np.sum(integrand * (half[:, None] * _GL_W)))
+    g = filter_value(seq, TWO_PI * f)
+    # amplitude * f ** -alpha * g * (half w) in place; **= special-cases
+    # the same exponents (alpha = 0, 1, ...) as ** does
+    f **= -psd.alpha
+    f *= psd.amplitude
+    f *= g
+    f *= half[:, None] * _GL_W
+    return float(0.5 * sensitivity**2 * seq.tau**2 * f.sum())

@@ -192,7 +192,54 @@ class TestCpmgFilter:
         differ = [(sequences[i], w) for i, w in zip(picks, omegas)
                   if filter_value(sequences[i], w)
                   != filter_value(sequences[i], [w])[0]]
+        # N = 0 as well: a 0-d sinc^2 once differed in the last bit at
+        # about 3 of 5000 points, the first of these among them
+        ramsey = seq(0, 20e-6)
+        omegas = np.concatenate(([950954.030859895],
+                                 rng.uniform(-4e7, 4e7, 5000)))
+        differ += [(ramsey, w) for w in omegas
+                   if filter_value(ramsey, w) != filter_value(ramsey, [w])[0]]
         assert differ == []
+
+    def test_one_float_stays_a_python_float(self, monkeypatch):
+        # x and v reach _cpmg_filter as Python floats, the products an
+        # array forms; an x that overflows takes the numpy path and warns
+        seen, original = [], ddfilter._cpmg_filter
+
+        def spy(n, x, v, free):
+            seen.append((type(x), type(v)))
+            return original(n, x, v, free)
+
+        monkeypatch.setattr(ddfilter, "_cpmg_filter", spy)
+        s = seq(4, 20e-6, 20e-9)
+        for w in (3.3e6, -3.3e6, np.float64(3.3e6)):
+            assert filter_value(s, w) == filter_value(s, [w])[0]
+        assert seen[::2] == [(float, float)] * 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert np.isnan(filter_value(seq(4, 10.0), 1e308))
+        assert seen[-1][0] is np.float64
+        assert {str(w.message).split(" encountered")[0]
+                for w in caught} == {"overflow", "invalid value"}
+
+    # float.hex of g at N = 4, tau = 2^-16 s, tau_pi = 20 ns, so that
+    # x = omega tau is exact: DC, three points below u = x/2N = 1, u = 1,
+    # the odd harmonics x = 4 pi and 12 pi (e == 0 exactly) and two points
+    # above; taken before the array path was built in place
+    PINNED_OMEGA = np.array([0.0, 1e3, 2e5, 8 * 2**16, 4 * np.pi * 2**16,
+                             12 * np.pi * 2**16, 1e6, 3.3e7])
+    PINNED_G = ["0x0.0p+0", "0x1.d1a0c8db26d6dp-39", "0x1.50f96a5f21a2dp-9",
+                "0x1.a8881c572e7bbp-6", "0x1.9efbc18033932p-2",
+                "0x1.70ac8db9d101cp-5", "0x1.0f45c8a46bba2p-2",
+                "0x1.cccbb78a372aep-28"]
+
+    def test_pinned_array_bits(self):
+        s = seq(4, 2.0**-16, 20e-9)
+        u = 0.5 * (self.PINNED_OMEGA * s.tau) / 4
+        assert list(u < 1.0) == [True] * 3 + [False] * 5
+        assert list(ddfilter._phase(u[4:6])) == [0.0, 0.0]
+        g = filter_value(s, self.PINNED_OMEGA)
+        assert [float(x).hex() for x in g] == self.PINNED_G
 
     def test_deep_dc_tail(self):
         # even N: g -> x^4 / (64 N^4) with no rounding floor as x -> 0

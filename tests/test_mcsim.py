@@ -767,6 +767,14 @@ class TestDephasingIntegral:
         (1.0, 0, 40e-6, 0.0): "0x1.aada3301d8f7bp-25",
         (2.5, 64, 250e-6, 20e-9): "0x1.8ea59417445f5p-52",
         (0.5, 4, 2e-6, 0.0): "0x1.077a2ad5a0b4bp-26",
+        # taken before the integrand and the filter were built in place:
+        # odd N, N tau_pi / tau = 0.99, and the exponents 0 and -3
+        (1.0, 3, 15e-6, 20e-9): "0x1.47192c1910e7cp-30",
+        (2.0, 5, 40e-6, 20e-9): "0x1.747f48dadd6c2p-44",
+        (1.5, 33, 250e-6, 20e-9): "0x1.0949f10194f0dp-33",
+        (1.5, 8, 10e-6, 1.2375e-6): "0x1.be9188e319d4ep-54",
+        (0.0, 4, 40e-6, 20e-9): "0x1.9a1a83ad5bf4fp-12",
+        (3.0, 2, 40e-6, 0.0): "0x1.00df4d7df3744p-55",
     }
 
     @pytest.mark.parametrize("case", PINNED_CHI)
@@ -803,6 +811,35 @@ class TestDephasingIntegral:
         assert not edges.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             edges[0] = 0.0
+
+    def test_oversize_band_rejected_before_allocating(self):
+        # 1 Hz - 1 GHz at tau = 0.1 s is 1e8 periods: 8e8 nodes, 6.4 GB
+        # per array, refused before numpy is asked for any of them
+        band = {"amplitude": 1.0, "alpha": 1.0, "f_min": 1.0, "f_max": 1e9}
+        seq = PulseSequence(n_pulses=1, tau=0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^\(f_max - f_min\) \* tau "
+                                                 r"= 1e\+08 filter periods"):
+                dephasing_integral(band, seq, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_node_bound_is_inclusive(self, monkeypatch):
+        # the bound counts 8 nodes for each period and each log edge; a
+        # call passes at that count and is refused one node below it
+        band = {"amplitude": 1.0, "alpha": 1.0, "f_min": 2.1e3,
+                "f_max": 2.5e6}
+        seq = PulseSequence(n_pulses=4, tau=64e-6)
+        count = 8 * ((2.5e6 - 2.1e3) * seq.tau
+                     + len(mcsim._log_edges(2.1e3, 2.5e6)))
+        monkeypatch.setattr(mcsim, "_MAX_CHI_NODES", count)
+        dephasing_integral(band, seq, 1.0)
+        monkeypatch.setattr(mcsim, "_MAX_CHI_NODES", count - 1)
+        with pytest.raises(ValueError, match="filter periods"):
+            dephasing_integral(band, seq, 1.0)
 
     def test_ir_divergence_rejected(self):
         seq = PulseSequence(n_pulses=0, tau=20e-6)
