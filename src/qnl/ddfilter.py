@@ -126,20 +126,11 @@ def filter_value(seq: PulseSequence, omega):
     """Evaluate g_N(omega, tau) for scalar or array angular frequency.
 
     The filter is even in omega; N >= 1 is _cpmg_filter at x = omega tau
-    and v = omega tau_pi / 2.  One float frequency stays a Python float
-    down to _cpmg_filter (x and v are the same products an array forms),
-    unless x overflows or is NaN, which takes the array path and its
-    warnings.
+    and v = omega tau_pi / 2.
     """
-    n = seq.n_pulses
-    if n and isinstance(omega, float):
-        omega = abs(float(omega))
-        x = omega * seq.tau
-        if x < 1e150:       # v < x/2: tau_pi < tau/N
-            return _cpmg_filter(n, x, 0.5 * omega * seq.tau_pi,
-                                seq._free_fraction)
     omega = np.abs(np.asarray(omega, dtype=float))
     x = omega * seq.tau
+    n = seq.n_pulses
 
     if n == 0:
         # 4 sin^2(x/2)/x^2 == sinc^2(x/2pi) in numpy's normalized
@@ -166,14 +157,13 @@ def _cpmg_filter(n: int, x, v, free: float):
     One point (a float, numpy float or 0-d array) picks its branch with an
     if and builds no array; an array picks it with masks, and each form of
     r is computed only on the points that use it.  Both call the same
-    _r_below, _phase, _r_above and _tail, so a scalar rounds as the same
-    point of an array does.  Python floats overflow without the warning
-    numpy gives, so a point where a step could overflow (|x| or |v| from
-    1e150, or NaN) takes the array path and warns as an array does.
+    _r_below, _r_above and _tail, so a scalar rounds as the same point of
+    an array does.  Python floats overflow without the warning numpy
+    gives, so a point where a step could overflow (|x| or |v| from 1e150,
+    or NaN) takes the array path and warns as an array does.
 
     Both form u = (0.5 x) / N in two roundings: x / 2N would round the
-    same real number only while 2N is a float (N below 2^1023).  _phase
-    and _tail say how an array keeps a float's rounding.
+    same real number only while 2N is a float (N below 2^1023).
     """
     if isinstance(x, float) or x.ndim == 0:
         x, v = float(x), float(v)
@@ -191,14 +181,13 @@ def _cpmg_filter(n: int, x, v, free: float):
     flat = np.ravel(x)
     u = 0.5 * flat / n
     low = u < 1.0
-    high = ~low
     r = np.empty_like(u)
     r[low] = _r_below(n, flat[low], u[low])
-    e = _phase(u[high])
+    e = _phase(u[~low])
     with np.errstate(divide="ignore", invalid="ignore"):
         q = _r_above(n, e)
         q[e == 0.0] = n
-        r[high] = q
+        r[~low] = q
         g = _tail(r, flat, u, np.ravel(v), free)
     g[flat < 1e-150] = 0.0
     g = g.reshape(np.shape(x))
@@ -212,15 +201,9 @@ def _r_below(n: int, x, u):
 
 
 def _phase(u):
-    """e = (u mod pi) - pi/2, for u >= 0 or NaN.  The remainder is exact
-    in IEEE arithmetic, and for u >= 0 the truncated remainder np.fmod
-    equals the floored one, so an array takes np.fmod, which skips
-    np.mod's floor division, and a float takes its %: the same bits."""
-    if isinstance(u, float):
-        return u % np.pi - 0.5 * np.pi
-    e = np.fmod(u, np.pi)
-    e -= 0.5 * np.pi
-    return e
+    """e = (u mod pi) - pi/2.  The remainder is exact in IEEE arithmetic,
+    so a float's % and numpy's np.mod on an array give the same bits."""
+    return u % np.pi - 0.5 * np.pi
 
 
 def _r_above(n: int, e):
@@ -231,24 +214,18 @@ def _r_above(n: int, e):
 def _tail(r, x, u, v, free: float):
     """g_N = (4 r s)^2 / x^2 from r, in the one order of rounding:
     s = sin(0.5 (u + v)) sin((0.5 u) free), t = (r 4) s, g = (t t) / (x x).
-    An array builds each product in place, in that order, so it rounds as
-    a float does.  (0.5 u) free stays in two roundings: u (free / 2) would
-    round the same real number only while neither u nor free is
-    subnormal, and u can be at N above about 1e157."""
-    if isinstance(r, np.ndarray):
-        s = u + v
-        s *= 0.5
-        np.sin(s, out=s)
-        s2 = 0.5 * u
-        s2 *= free
-        s *= np.sin(s2, out=s2)
-        t = r * 4.0
-        t *= s
-        t *= t
-        t /= np.multiply(x, x, out=s)
-        return t
-    t = r * 4.0 * (np.sin(0.5 * (u + v)) * np.sin(0.5 * u * free))
-    return t * t / (x * x)
+    The products are taken with *=, which rebinds a float and keeps an
+    array's buffer: the same order either way.  (0.5 u) free stays in two
+    roundings: u (free / 2) would round the same real number only while
+    neither u nor free is subnormal, and u is subnormal at some x >= 1e-150
+    once N is above about 1e157."""
+    s = np.sin(0.5 * (u + v))
+    s *= np.sin(0.5 * u * free)
+    t = r * 4.0
+    t *= s
+    t *= t
+    t /= x * x
+    return t
 
 
 def first_harmonic_peak(seq: PulseSequence) -> FilterPeak:

@@ -380,8 +380,8 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float) -> float:
     at N = 64, tau = 2 us); with g_N replaced by 1 it reproduces
     band_variance within 2e-14 relative.
 
-    The edges are merged by an in-place sort that keeps the first of each
-    run of equal ones, and the integrand is built in place in the order
+    The edges are sorted in place and a panel between two equal edges is
+    dropped; the integrand is built in place in the order
     amplitude * f^-alpha * g * (half-width * weight), then summed: the
     nodes, their count and every bit are those of np.unique and the
     expression written out.  Raises ValueError, before any array is
@@ -407,10 +407,12 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float) -> float:
                          f"{_MAX_CHI_NODES} quadrature nodes, 8 per panel")
     edges = np.concatenate((np.arange(f_min, f_max, 1.0 / seq.tau),
                             log_edges))
-    edges.sort()       # then keep the first of each run, as np.unique does
-    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-    half = 0.5 * np.diff(edges)
-    f = (edges[:-1] + half)[:, None] + half[:, None] * _GL_X
+    edges.sort()
+    width = edges[1:] - edges[:-1]
+    # the panels between distinct edges, as np.unique would leave them
+    wide = width != 0.0
+    half = 0.5 * width[wide]
+    f = (edges[:-1][wide] + half)[:, None] + half[:, None] * _GL_X
     g = filter_value(seq, TWO_PI * f)
     # amplitude * f ** -alpha * g * (half w) in place; **= special-cases
     # the same exponents (alpha = 0, 1, ...) as ** does

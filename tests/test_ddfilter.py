@@ -201,31 +201,10 @@ class TestCpmgFilter:
                    if filter_value(ramsey, w) != filter_value(ramsey, [w])[0]]
         assert differ == []
 
-    def test_one_float_stays_a_python_float(self, monkeypatch):
-        # x and v reach _cpmg_filter as Python floats, the products an
-        # array forms; an x that overflows takes the numpy path and warns
-        seen, original = [], ddfilter._cpmg_filter
-
-        def spy(n, x, v, free):
-            seen.append((type(x), type(v)))
-            return original(n, x, v, free)
-
-        monkeypatch.setattr(ddfilter, "_cpmg_filter", spy)
-        s = seq(4, 20e-6, 20e-9)
-        for w in (3.3e6, -3.3e6, np.float64(3.3e6)):
-            assert filter_value(s, w) == filter_value(s, [w])[0]
-        assert seen[::2] == [(float, float)] * 3
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert np.isnan(filter_value(seq(4, 10.0), 1e308))
-        assert seen[-1][0] is np.float64
-        assert {str(w.message).split(" encountered")[0]
-                for w in caught} == {"overflow", "invalid value"}
-
     # float.hex of g at N = 4, tau = 2^-16 s, tau_pi = 20 ns, so that
     # x = omega tau is exact: DC, three points below u = x/2N = 1, u = 1,
     # the odd harmonics x = 4 pi and 12 pi (e == 0 exactly) and two points
-    # above; taken before the array path was built in place
+    # above; taken before _tail took its products in place
     PINNED_OMEGA = np.array([0.0, 1e3, 2e5, 8 * 2**16, 4 * np.pi * 2**16,
                              12 * np.pi * 2**16, 1e6, 3.3e7])
     PINNED_G = ["0x0.0p+0", "0x1.d1a0c8db26d6dp-39", "0x1.50f96a5f21a2dp-9",
