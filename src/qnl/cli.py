@@ -7,7 +7,6 @@ success, 1 on validation errors or failed fits.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -17,10 +16,10 @@ import click
 import numpy as np
 
 from .ddfilter import PulseSequence, filter_value, first_harmonic_peak
-from .fileio import (DECAY_HEADER, atomic_write_text, format_csv,
+from .fileio import (atomic_write_text, format_csv, format_json,
                      load_decay_trace, load_frequency_series, load_psd_csv,
                      load_spectroscopy_trace, load_two_tone_map,
-                     write_decay_trace)
+                     trace_columns, write_decay_trace)
 from .fitutil import FIT_FAILURES
 from .mcsim import SyntheticNoise, simulate_sequence
 from .noisespec import periodogram, powerlaw_fit, reconstruct_psd_point
@@ -33,7 +32,7 @@ from .thermal import ThermalModel
 
 
 def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, indent=1, sort_keys=True))
+    click.echo(format_json(payload))
 
 
 class _FiniteFloat(click.types.FloatParamType):
@@ -220,8 +219,7 @@ def simulate_cmd(amplitude, alpha, fmin, fmax, n_pulses, tau_grid,
     if out:
         write_decay_trace(out, trace)
     else:
-        click.echo(format_csv(dict(zip(DECAY_HEADER, (
-            trace.times.tolist(), trace.populations.tolist())))), nl=False)
+        click.echo(format_csv(trace_columns(trace)), nl=False)
 
 
 @main.command("filter-fn")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,16 +71,14 @@ class PulseSequence:
         if self.n_pulses * self.tau_pi >= self.tau:
             raise ValueError("total pulse time n_pulses*tau_pi must be "
                              "smaller than tau")
-
-    @cached_property
-    def _free_fraction(self) -> float:
-        """1 - N tau_pi/tau, rounded once from the exact rationals of the
-        float inputs: formed in floats it cancels as N tau_pi -> tau.
-        With tau_pi = a/b and tau = c/d it is (bc - Nad)/(bc), and int/int
-        division rounds correctly."""
+        # _free_fraction (not a field) = 1 - N tau_pi/tau, rounded once from
+        # the exact rationals of the inputs, as in floats it cancels when
+        # N tau_pi -> tau: with tau_pi = a/b and tau = c/d it is
+        # (bc - Nad)/(bc), and int/int division rounds correctly.
         a, b = float(self.tau_pi).as_integer_ratio()
         c, d = float(self.tau).as_integer_ratio()
-        return (b * c - int(self.n_pulses) * a * d) / (b * c)
+        object.__setattr__(self, "_free_fraction",
+                           (b * c - int(self.n_pulses) * a * d) / (b * c))
 
 
 @dataclass(frozen=True)

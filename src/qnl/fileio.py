@@ -24,9 +24,11 @@ after a check fails, to name the first ragged row or the first non-numeric
 or non-finite cell.
 
 A written table is one dict of equal-length columns whose keys are its
-header (`format_csv`); `format_cells` turns a column into the cell texts
-csv.writer would write.  Every writer goes through an atomic temp-file +
-rename so partially written outputs never appear under the final name.
+header (`format_csv`); `_format_cells` turns a column into the cell texts
+csv.writer would write.  JSON has one UTF-8 reader, `load_json_object`,
+and one layout, `format_json`.  Every writer goes through an atomic
+temp-file + rename so partially written outputs never appear under the
+final name.
 """
 
 from __future__ import annotations
@@ -177,15 +179,15 @@ def _to_floats(cells, path, header: list[str], min_rows: int) -> np.ndarray:
 
 def format_csv(columns: dict) -> str:
     """CSV text of equal-length columns; the keys are the header."""
-    lines = [",".join(format_cells(list(columns))),
-             *map(",".join, zip(*map(format_cells, columns.values()),
+    lines = [",".join(_format_cells(list(columns))),
+             *map(",".join, zip(*map(_format_cells, columns.values()),
                                 strict=True))]
     if len(columns) == 1:   # a lone empty cell is written as a quoted one
         lines = ['""' if line == "" else line for line in lines]
     return "\n".join(lines) + "\n"
 
 
-def format_cells(values) -> list[str]:
+def _format_cells(values) -> list[str]:
     """The CSV text of each cell of a sequence, as csv.writer writes it: a
     float's repr (np.float64's too), nothing for None, str() of anything
     else, and quoted, its quotes doubled, where that holds a comma, a
@@ -210,6 +212,35 @@ def _cell_text(value) -> str:
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+# one encoder for every JSON text (json.dumps with sort_keys builds one a call)
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def format_json(value, indent: str = "") -> str:
+    """JSON with each object one key per line in sorted order, indented one
+    space per level, and each list or scalar on one line, from the C
+    encoder (with `indent` set, json.dumps runs its pure-Python one)."""
+    if not isinstance(value, dict) or not value:
+        return _ENCODE(value)
+    inner = indent + " "
+    return "{\n" + ",\n".join(
+        f"{inner}{_ENCODE(key)}: {format_json(item, inner)}"
+        for key, item in sorted(value.items())) + f"\n{indent}}}"
+
+
+def load_json_object(path, noun: str) -> dict:
+    """The JSON object in a UTF-8 file; InputError at the file when it
+    cannot be read, decoded or parsed, or holds no object."""
+    try:
+        with open(path, "rb") as handle:
+            value = json.loads(handle.read().decode("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read JSON {noun}: {exc}", path) from None
+    if not isinstance(value, dict):
+        raise InputError(f"{noun} must be a JSON object", path)
+    return value
 
 
 def load_decay_trace(path) -> tuple[DecayTrace, dict]:
@@ -246,14 +277,7 @@ def load_decay_trace(path) -> tuple[DecayTrace, dict]:
 
 
 def _read_sidecar(meta_path: Path) -> dict:
-    try:
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read JSON sidecar: {exc}",
-                         meta_path) from None
-    if not isinstance(meta, dict):
-        raise InputError("sidecar must be a JSON object", meta_path)
+    meta = load_json_object(meta_path, "sidecar")
     try:
         check_pulse_count(meta.get("n_pulses", 0))
     except ValueError as exc:
@@ -276,13 +300,18 @@ def is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+def trace_columns(trace: DecayTrace) -> dict:
+    """A decay trace as decay-trace table columns."""
+    return dict(zip(DECAY_HEADER, (trace.times.tolist(),
+                                   trace.populations.tolist())))
+
+
 def write_decay_trace(path, trace: DecayTrace, bias_mv: float = 0.0,
                       temperature_mk: float | None = None) -> None:
-    atomic_write_text(path, format_csv(dict(zip(DECAY_HEADER, (
-        trace.times.tolist(), trace.populations.tolist())))))
+    atomic_write_text(path, format_csv(trace_columns(trace)))
     meta = {"kind": trace.kind, "n_pulses": trace.n_pulses,
             "bias_mv": bias_mv, "temperature_mk": temperature_mk}
-    atomic_write_text(sidecar_path(path), json.dumps(meta, indent=1) + "\n")
+    atomic_write_text(sidecar_path(path), format_json(meta) + "\n")
 
 
 def load_spectroscopy_trace(path) -> np.ndarray:

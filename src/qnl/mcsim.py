@@ -117,7 +117,7 @@ class Trajectory:
             raise ValueError("need at least 2 samples")
 
 
-def band_variance(spec: SyntheticNoise, f_lo: float, f_hi: float) -> float:
+def _band_variance(spec: SyntheticNoise, f_lo: float, f_hi: float) -> float:
     """integral of A f^-alpha over [f_lo, f_hi] (0 if the band is empty)."""
     if f_hi <= f_lo:
         return 0.0
@@ -166,7 +166,7 @@ def _row_layout(spec: SyntheticNoise, dt: float, n: int):
                       "that part enters as a per-record static offset")
         bins.append([0])
         scales.append([n * np.sqrt(
-            band_variance(spec, spec.f_min, min(spec.f_max, f_res)))])
+            _band_variance(spec, spec.f_min, min(spec.f_max, f_res)))])
     return np.concatenate(bins), np.concatenate(scales)
 
 
@@ -372,22 +372,15 @@ def dephasing_integral(psd, seq: PulseSequence, sensitivity: float) -> float:
     (at most 1/8 decade per panel of the power law) and f_max.  The last
     two depend only on the band: a memo keeps them, one entry per
     (f_min, f_max) for the 16 bands used last, so a call builds only the
-    edges of its tau, and every value is the same to the bit.  Checked
-    against scipy's adaptive Gauss-Kronrod quadrature at a relative 1e-13,
-    broken at every period and decade, over alpha in {0.5, 1, ..., 3},
-    N in {0, 1, 4, 64}, tau in {2, 40, 250} us and tau_pi in {0, 20 ns} on
-    a 2.1 kHz - 2.5 MHz band, it is within 1e-10 relative (worst 3.0e-11,
-    at N = 64, tau = 2 us); with g_N replaced by 1 it reproduces
-    band_variance within 2e-14 relative.
+    edges of its tau, and every value is the same to the bit.  A panel
+    between two equal edges is dropped.  The rule's error against adaptive
+    quadrature is checked in test_mcsim.py by
+    TestDephasingIntegral::test_matches_adaptive_quadrature.
 
-    The edges are sorted in place and a panel between two equal edges is
-    dropped; the integrand is built in place in the order
-    amplitude * f^-alpha * g * (half-width * weight), then summed: the
-    nodes, their count and every bit are those of np.unique and the
-    expression written out.  Raises ValueError, before any array is
-    allocated, when 8 nodes per period and per log edge,
-    8 ((f_max - f_min) tau + log edges), exceed _MAX_CHI_NODES (2^21):
-    a 1 Hz - 1 GHz band at tau = 0.1 s would ask for 8e8.
+    Raises ValueError, before any array is allocated, when 8 nodes per
+    period and per log edge, 8 ((f_max - f_min) tau + log edges), exceed
+    _MAX_CHI_NODES (2^21): a 1 Hz - 1 GHz band at tau = 0.1 s would ask
+    for 8e8.
 
     For Gaussian noise, coherence = exp(-chi): compare with
     -log of the simulate_sequence coherence.

@@ -10,7 +10,6 @@ to a config parameter echoed verbatim.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -23,10 +22,11 @@ from .decayfit import (DecayTrace, fit_cpmg, fit_ramsey, fit_relaxation,
                        fit_scaling)
 from .ddfilter import PulseSequence
 from .fileio import (PSD_HEADER, Diagnostic, InputError, atomic_write_text,
-                     format_csv, is_finite_number,
+                     format_csv, format_json, is_finite_number,
                      load_charge_noise_table, load_decay_trace,
-                     load_frequency_series, load_spectroscopy_trace,
-                     load_two_tone_map, sha256_of, sidecar_path)
+                     load_frequency_series, load_json_object,
+                     load_spectroscopy_trace, load_two_tone_map, sha256_of,
+                     sidecar_path)
 from .fitutil import FIT_FAILURES
 from .noisespec import (FREQ_NOISE, FrequencySeries, periodogram,
                         powerlaw_fit, reconstruct_psd_point,
@@ -67,16 +67,12 @@ class AnalysisConfig:
 
     @classmethod
     def from_json(cls, path) -> "AnalysisConfig":
-        """Load a config; malformed JSON and unknown or missing keys raise
-        PipelineError, so callers never see a bare TypeError."""
+        """Load a config; an unreadable file, bad JSON and unknown or missing
+        keys raise PipelineError, so callers never see a bare exception."""
         try:
-            payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise PipelineError([Diagnostic("error", f"invalid JSON: {exc}",
-                                            file=str(path))])
-        if not isinstance(payload, dict):
-            raise PipelineError([Diagnostic(
-                "error", "config must be a JSON object", file=str(path))])
+            payload = load_json_object(path, "config")
+        except InputError as exc:
+            raise PipelineError([exc.diagnostic]) from None
         known = {f.name for f in fields(cls)}
         required = {f.name for f in fields(cls) if f.default is MISSING
                     and f.default_factory is MISSING}
@@ -119,23 +115,7 @@ class ReportBundle:
 
     def save(self, path) -> None:
         """Write the report as JSON."""
-        atomic_write_text(path, _json_text(self.to_dict()) + "\n")
-
-
-# one encoder for every report (json.dumps with sort_keys builds one a call)
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
-
-
-def _json_text(value, indent: str = "") -> str:
-    """JSON with each object one key per line in sorted order, indented one
-    space per level, and each list or scalar on one line, from the C
-    encoder (with `indent` set, json.dumps runs its pure-Python one)."""
-    if not isinstance(value, dict) or not value:
-        return _ENCODE(value)
-    inner = indent + " "
-    return "{\n" + ",\n".join(
-        f"{inner}{_ENCODE(key)}: {_json_text(item, inner)}"
-        for key, item in sorted(value.items())) + f"\n{indent}}}"
+        atomic_write_text(path, format_json(self.to_dict()) + "\n")
 
 
 @dataclass
@@ -158,7 +138,7 @@ class StageContext:
         self.diagnostics.append(Diagnostic("warning", message, file=file))
 
 
-def load_inputs(config: AnalysisConfig) -> StageContext:
+def _load_inputs(config: AnalysisConfig) -> StageContext:
     """Type-check the config and parse every configured file exactly once.
 
     Returns the run's context, holding the parsed objects and every
@@ -241,8 +221,8 @@ def _is_path_list(value) -> bool:
 
 
 def validate_inputs(config: AnalysisConfig) -> list[Diagnostic]:
-    """load_inputs' diagnostics; an empty list means run-ready."""
-    return load_inputs(config).diagnostics
+    """_load_inputs' diagnostics; an empty list means run-ready."""
+    return _load_inputs(config).diagnostics
 
 
 # coherence_fits.csv header -> key of a decay record or its params
@@ -420,14 +400,14 @@ STAGES = {
 def run_pipeline(config: AnalysisConfig) -> ReportBundle:
     """Run every stage in STAGES order; write the report atomically.
 
-    Takes the run's context from load_inputs, which parses the inputs
+    Takes the run's context from _load_inputs, which parses the inputs
     once, and raises PipelineError (writing nothing) when it holds errors;
     its warnings, and fits that fail, become the report's warnings.  A
     stage that raises one of FIT_FAILURES loses its section and leaves a
     "stage <name> failed" warning; the other stages still run.
     Provenance hashes exactly the files listed in the sections' sources.
     """
-    ctx = load_inputs(config)
+    ctx = _load_inputs(config)
     errors = [d for d in ctx.diagnostics if d.severity == "error"]
     if errors:
         raise PipelineError(errors)

@@ -1,10 +1,10 @@
 """The package keeps no public API that only its own tests use.
 
 Every public, undecorated, module-level function and class in src/qnl
-must be referenced (as a name or an attribute, not just imported) in
-src/qnl, demos/ or perfbench/ outside perfbench's tests.  Decorated
-definitions, the click commands, are reached through the CLI group.
-The package namespace itself binds only __version__, the
+must be referenced (as a name or an attribute, not just imported) outside
+its own module, in src/qnl, demos/ or perfbench/ outside perfbench's
+tests.  Decorated definitions, the click commands, are reached through
+the CLI group.  The package namespace itself binds only __version__, the
 "[warning] <place>: message" format of a diagnostic is written only in
 fileio.Diagnostic, no pipeline stage builder catches an exception itself,
 the tuple of exceptions that count as a failed fit is written only in
@@ -12,10 +12,12 @@ fitutil, the fit modules keep a fit's caveats in its result rather than
 in Python warnings, no module reads a file through csv.reader,
 csv.DictReader or io.TextIOWrapper, so fileio keeps one input parser, no
 module or demo writes a table through numpy.savetxt or a csv writer, so
-fileio keeps one output writer, ddfilter takes no transcendental from
-math, no module but ddfilter raises -1 to a power, so CPMG's sign rule
-lives in ddfilter.switching_jumps, and no module loads scipy, which is a
-test-only oracle.
+fileio keeps one output writer, no module but fileio parses or encodes
+JSON, so configs and sidecars share one reader and every JSON text one
+layout, ddfilter takes no transcendental from math, no module but
+ddfilter raises -1 to a power, so CPMG's sign rule lives in
+ddfilter.switching_jumps, and no module loads scipy, which is a test-only
+oracle.
 """
 
 import ast
@@ -35,27 +37,32 @@ def _public_definitions():
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.decorator_list
                     and not node.name.startswith("_")):
-                yield f"{path.stem}.{node.name}", node.name
+                yield path, node.name
 
 
 def _referenced_names():
+    """path -> the names and attributes that file references."""
     paths = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
              *(p for p in (ROOT / "perfbench").rglob("*.py")
                if "tests" not in p.relative_to(ROOT).parts)]
-    names = set()
+    names = {}
     for path in paths:
+        names[path] = set()
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                names[path].add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                names[path].add(node.attr)
     return names
 
 
 def test_every_public_definition_has_a_non_test_caller():
+    # a name that only its own module calls is private: a caller inside
+    # the defining module does not count
     referenced = _referenced_names()
-    unused = [qualified for qualified, name in _public_definitions()
-              if name not in referenced]
+    unused = [f"{home.stem}.{name}" for home, name in _public_definitions()
+              if not any(name in names for path, names in referenced.items()
+                         if path != home)]
     assert unused == []
 
 
@@ -156,6 +163,20 @@ def test_one_output_writer():
              *sorted((ROOT / "demos").glob("*.py"))]
     assert "filter_functions.py" in {p.name for p in paths}
     assert _uses(paths, banned) == []
+
+
+def test_one_json_reader_and_layout():
+    # configs and sidecars are read by fileio.load_json_object, as UTF-8,
+    # and the report, the CLI and the sidecars are laid out by
+    # fileio.format_json; json.loads over a text file or a json.dumps
+    # would be a second decoding rule or a second layout
+    banned = {("json", name) for name in ("load", "loads", "dump", "dumps",
+                                          "JSONEncoder", "JSONDecoder")}
+    modules = [p for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "fileio.py"]
+    assert {"pipeline.py", "cli.py"} <= {p.name for p in modules}
+    assert _uses([PACKAGE / "fileio.py"], banned) != []
+    assert _uses(modules, banned) == []
 
 
 def test_filter_transcendentals_go_through_numpy():

@@ -557,4 +557,19 @@ class TestRunValidate:
         config.write_text('{"output_dir": ')
         result = runner.invoke(main, ["validate", str(config)])
         assert result.exit_code == 1
-        assert "invalid JSON" in result.stdout
+        assert "cannot read JSON config" in result.stdout
+
+    def test_non_utf8_config_is_one_diagnostic_at_its_file(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"output_dir": "caf\xe9"}')
+        line = f"[error] {config}: cannot read JSON config: 'utf-8' codec"
+        validate = runner.invoke(main, ["validate", str(config)])
+        assert validate.exit_code == 1
+        assert validate.stdout.startswith(line)
+        assert validate.stdout.count("\n") == 1
+        assert validate.stderr == ""
+        run = runner.invoke(main, ["run", str(config)])
+        assert run.exit_code == 1
+        assert run.stderr.startswith(line)
+        assert run.stderr.count("\n") == 1
+        assert run.stdout == ""

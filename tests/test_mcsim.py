@@ -8,7 +8,7 @@ import pytest
 
 from qnl import mcsim
 from qnl.ddfilter import PulseSequence, filter_value, switching_jumps
-from qnl.mcsim import (SyntheticNoise, Trajectory, band_variance,
+from qnl.mcsim import (SyntheticNoise, Trajectory, _band_variance,
                        dephasing_integral, simulate_sequence,
                        synthesize_noise)
 from qnl.noisespec import FrequencySeries, periodogram, powerlaw_fit
@@ -49,17 +49,17 @@ class TestSpecValidation:
 class TestBandVariance:
     def test_white(self):
         s = spec(alpha=0.0, amplitude=2.0, f_min=10.0, f_max=110.0)
-        assert band_variance(s, 10.0, 110.0) == pytest.approx(200.0)
+        assert _band_variance(s, 10.0, 110.0) == pytest.approx(200.0)
 
     def test_one_over_f(self):
         s = spec(alpha=1.0, amplitude=3.0, f_min=1.0, f_max=100.0)
-        assert band_variance(s, 1.0, 100.0) == pytest.approx(
+        assert _band_variance(s, 1.0, 100.0) == pytest.approx(
             3.0 * np.log(100.0))
 
     def test_general_alpha(self):
         s = spec(alpha=1.5, amplitude=2.0, f_min=1.0, f_max=16.0)
         expected = 2.0 / 0.5 * (1.0 - 16.0 ** -0.5)
-        assert band_variance(s, 1.0, 16.0) == pytest.approx(expected)
+        assert _band_variance(s, 1.0, 16.0) == pytest.approx(expected)
 
 
 class TestSynthesizeNoise:
@@ -81,7 +81,7 @@ class TestSynthesizeNoise:
         dt, n = 1e-6, 1024
         var = np.mean([synthesize_noise(reseed(s, i), dt, n).samples.var()
                        for i in range(300)])
-        expected = band_variance(s, s.f_min, s.f_max)
+        expected = _band_variance(s, s.f_min, s.f_max)
         assert var == pytest.approx(expected, rel=0.03)
 
     def test_flat_spectrum_ensemble(self):
@@ -134,7 +134,7 @@ class TestSynthesizeNoise:
                 assert np.ptp(traj.samples) < 1e-9 * max(
                     1.0, abs(traj.samples[0]))
                 offsets.append(traj.samples[0])
-        expected = band_variance(s, 0.01, 1.0)
+        expected = _band_variance(s, 0.01, 1.0)
         assert np.var(offsets) == pytest.approx(expected, rel=0.25)
 
 
@@ -168,7 +168,7 @@ def reference_spectra(s, dt, n, z=None):
     spectra.imag[:, k_im] = (scale_im[k_im]
                              * z[:, len(k_re):len(k_re) + len(k_im)])
     if static:
-        var_static = band_variance(s, s.f_min, min(s.f_max, freqs[1]))
+        var_static = _band_variance(s, s.f_min, min(s.f_max, freqs[1]))
         spectra[:, 0] = n * np.sqrt(var_static) * z[:, -1]
     return spectra
 
@@ -686,8 +686,8 @@ class TestDephasingIntegral:
         for lo, hi, t in zip(f_min, f_max, tau):
             s = spec(amplitude=1.0, alpha=alpha, f_min=lo, f_max=hi)
             chi = dephasing_integral(s, PulseSequence(n_pulses=2, tau=t), 1.0)
-            assert chi == pytest.approx(0.5 * t**2 * band_variance(s, lo, hi),
-                                        rel=2e-14, abs=0.0)
+            expected = 0.5 * t**2 * _band_variance(s, lo, hi)
+            assert chi == pytest.approx(expected, rel=2e-14, abs=0.0)
 
     @pytest.mark.parametrize("n_pulses", (0, 1, 4, 64))
     @pytest.mark.parametrize("tau", (2e-6, 40e-6, 250e-6))

@@ -91,8 +91,19 @@ class TestConfig:
     def test_invalid_json_is_diagnosed(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"output_dir": ')
-        with pytest.raises(PipelineError, match="invalid JSON"):
+        with pytest.raises(PipelineError, match="cannot read JSON config"):
             AnalysisConfig.from_json(path)
+
+    def test_non_utf8_config_is_diagnosed_at_its_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"output_dir": "caf\xe9"}')
+        with pytest.raises(PipelineError) as excinfo:
+            AnalysisConfig.from_json(path)
+        (diag,) = excinfo.value.diagnostics
+        assert (diag.severity, diag.file, diag.row, diag.column) == (
+            "error", str(path), None, None)
+        assert diag.message.startswith("cannot read JSON config: 'utf-8' "
+                                       "codec can't decode byte 0xe9")
 
     def test_non_object_config_is_diagnosed(self, tmp_path):
         path = tmp_path / "config.json"
